@@ -8,7 +8,13 @@ Writes two standalone SVG files into the working directory.
 
 from pathlib import Path
 
-from cyberevo import GameParams, PopulationState, render_phase_svg, stable_set
+from cyberevo import (
+    GameParams,
+    PopulationState,
+    phase_portrait,
+    render_phase_svg,
+    stable_set,
+)
 
 GAMES = {
     "phase_single_stable.svg": GameParams(
@@ -30,7 +36,7 @@ STARTS = (
 def main() -> None:
     for name, params in GAMES.items():
         svg_text = render_phase_svg(
-            params, resolution=15, trajectory_starts=STARTS
+            phase_portrait(params, resolution=15, trajectory_starts=STARTS)
         )
         Path(name).write_text(svg_text, encoding="utf-8")
         stable = sorted(kind.value for kind in stable_set(params))

@@ -21,7 +21,6 @@ from .dynamics import (
     PopulationState,
     Trajectory,
     batch_final_states,
-    field_coefficients,
     field_grid,
     integrate,
     replicator_field,
@@ -65,10 +64,11 @@ from .game import (
     PayoffMatrix,
     StrategyPair,
     build_payoff_matrix,
+    field_coefficients,
     fitness_profile,
     social_welfare,
 )
-from .phaseplot import render_phase_svg
+from .phaseplot import PhasePortrait, phase_portrait, render_phase_svg
 
 __all__ = [
     "__version__",
@@ -92,6 +92,7 @@ __all__ = [
     "PAPER_B_A_UPPER",
     "ParameterError",
     "PayoffMatrix",
+    "PhasePortrait",
     "PopulationState",
     "STRATEGY_PAIRS",
     "SamplerConfig",
@@ -113,6 +114,7 @@ __all__ = [
     "interior_equilibrium",
     "jacobian",
     "parameter_impact",
+    "phase_portrait",
     "render_phase_svg",
     "replicator_field",
     "run_ensemble",

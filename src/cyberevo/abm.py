@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PopulationState, field_coefficients
+from .dynamics import PopulationState
 from .errors import ConfigError
-from .game import GameParams
+from .game import GameParams, field_coefficients
 
 __all__ = ["AbmConfig", "AbmResult", "simulate"]
 

@@ -26,7 +26,6 @@ from typing import Any, Optional, Sequence
 from ._version import __version__
 from .abm import simulate
 from .config import RunConfig, load_run_config
-from .dynamics import PopulationState, field_grid, integrate
 from .ensemble import (
     CORRELATION_LABELS,
     EnsembleSummary,
@@ -34,6 +33,7 @@ from .ensemble import (
     run_ensemble,
 )
 from .equilibria import (
+    Classification,
     EquilibriumKind,
     analyze_equilibria,
     interior_equilibrium,
@@ -42,7 +42,7 @@ from .equilibria import (
 from .errors import ConfigError, IntegrationError, ParameterError
 from .game import STRATEGY_PAIRS, build_payoff_matrix, social_welfare
 from .output import OutputBundle, Table, probe_writable
-from .phaseplot import render_phase_svg
+from .phaseplot import phase_portrait, render_phase_svg
 
 __all__ = ["main", "build_parser"]
 
@@ -277,8 +277,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _emit(bundle, runcfg, "analyze")
 
 
+def _vcurve_table(name: str, summary: EnsembleSummary) -> Table:
+    kinds = (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
+    return Table(
+        name,
+        ("bin_low", "bin_high", *(k.value for k in kinds)),
+        tuple(
+            (lo, hi, *(summary.v_binned_kind_frequency[k][i] for k in kinds))
+            for i, (lo, hi) in enumerate(_BIN_EDGES)
+        ),
+    )
+
+
 def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
-    kinds_e = (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
     tables = [
         Table(
             "fig6_counts",
@@ -298,14 +309,7 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
             tuple((kind.value, summary.kind_counts[kind], summary.kind_ratios[kind])
                   for kind in EquilibriumKind),
         ),
-        Table(
-            "fig8_vcurves",
-            ("bin_low", "bin_high", "E3", "E2", "E4"),
-            tuple(
-                (lo, hi, *(summary.v_binned_kind_frequency[k][i] for k in kinds_e))
-                for i, (lo, hi) in enumerate(_BIN_EDGES)
-            ),
-        ),
+        _vcurve_table("fig8_vcurves", summary),
     ]
     for name, col_a, col_b in (
         ("fig9_costs", "c_d", "c_a"),
@@ -363,52 +367,45 @@ def cmd_phase(args: argparse.Namespace) -> int:
     resolution = runcfg.get("phase", "resolution")
     if resolution < 2:
         raise ConfigError(f"phase.resolution must be >= 2 (got {resolution})")
-    starts = runcfg.phase_starts()
-    horizon = runcfg.get("phase", "trajectory_horizon")
-    provenance = _provenance("phase", runcfg)
-
-    svg_text = render_phase_svg(
+    portrait = phase_portrait(
         params,
         resolution=resolution,
-        trajectory_starts=starts,
-        trajectory_horizon=horizon,
-        metadata={"tool": "cyberevo", "version": __version__},
+        trajectory_starts=runcfg.phase_starts(),
+        trajectory_horizon=runcfg.get("phase", "trajectory_horizon"),
     )
-    reports = analyze_equilibria(params)
-    grid = field_grid(params, resolution)
-    stride = max(1, int(round(horizon / 0.01)) // 500)
-    trajectories = [
-        integrate(params, start, horizon=horizon, record_stride=stride)
-        for start in starts
-    ]
-
-    bundle = OutputBundle(provenance=provenance)
+    svg_text = render_phase_svg(
+        portrait, metadata={"tool": "cyberevo", "version": __version__}
+    )
+    bundle = OutputBundle(provenance=_provenance("phase", runcfg))
     bundle.add_graphic("phase", svg_text)
     bundle.add_table(Table(
         "phase_field",
         ("beta", "alpha", "d_beta", "d_alpha"),
-        tuple((s.beta, s.alpha, f.d_beta, f.d_alpha) for s, f in grid),
+        tuple((s.beta, s.alpha, f.d_beta, f.d_alpha) for s, f in portrait.grid),
     ))
     bundle.add_table(Table(
         "phase_markers",
         ("kind", "beta", "alpha", "classification",
          "eig1_re", "eig1_im", "eig2_re", "eig2_im"),
-        tuple(_eigen_row(report) for report in reports),
+        tuple(_eigen_row(report) for report in portrait.reports),
     ))
     bundle.add_table(Table(
         "phase_trajectories",
         ("start_index", "time", "beta", "alpha"),
         tuple(
             (i, t, state.beta, state.alpha)
-            for i, trajectory in enumerate(trajectories)
+            for i, trajectory in enumerate(portrait.trajectories)
             for t, state in trajectory.samples
         ),
     ))
     bundle.add_document("phase_report", {
         "params": params,
-        "equilibria": reports,
-        "stable_set": sorted(k.value for k in stable_set(params)),
-        "trajectories_converged": [t.converged for t in trajectories],
+        "equilibria": portrait.reports,
+        "stable_set": sorted(
+            r.kind.value for r in portrait.reports
+            if r.classification is Classification.STABLE
+        ),
+        "trajectories_converged": [t.converged for t in portrait.trajectories],
     })
     return _emit(bundle, runcfg, "phase")
 
@@ -438,7 +435,7 @@ def cmd_abm(args: argparse.Namespace) -> int:
     return _emit(bundle, runcfg, "abm")
 
 
-def _level_table_name(level: float, position: int) -> str:
+def _level_table_name(level: float) -> str:
     if level == 0.1:
         return "fig15_fines_0p1"
     if level == 0.5:
@@ -448,6 +445,9 @@ def _level_table_name(level: float, position: int) -> str:
 
 def cmd_fines(args: argparse.Namespace) -> int:
     runcfg = _load(args)
+    for key in ("fu", "fs"):
+        if runcfg.get("game", key) != 0.0:
+            raise ConfigError(f"fines takes its fines from --levels; --{key} must be 0")
     _probe_out(runcfg)
     ensemble_cfg = runcfg.sections["ensemble"]
     levels = runcfg.get("fines", "levels")
@@ -468,16 +468,8 @@ def cmd_fines(args: argparse.Namespace) -> int:
         }
         for level, summary in summaries.items()
     })
-    kinds_e = (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
-    for position, (level, summary) in enumerate(summaries.items()):
-        bundle.add_table(Table(
-            _level_table_name(level, position),
-            ("bin_low", "bin_high", "E3", "E2", "E4"),
-            tuple(
-                (lo, hi, *(summary.v_binned_kind_frequency[k][i] for k in kinds_e))
-                for i, (lo, hi) in enumerate(_BIN_EDGES)
-            ),
-        ))
+    for level, summary in summaries.items():
+        bundle.add_table(_vcurve_table(_level_table_name(level), summary))
     return _emit(bundle, runcfg, "fines")
 
 

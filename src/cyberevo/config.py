@@ -8,7 +8,6 @@ A config file is a JSON object whose sections mirror the library layers::
       "ensemble": {"count": 100000, "master_seed": 1,
                    "b_a_upper": 1.0, "workers": 1},
       "fines":    {"levels": [0.1, 0.5]},
-      "dynamics": {"step": 0.01, "horizon": 1000.0, "convergence_tol": 1e-9},
       "abm":      {"population_size": 1000, "selection_strength": 10.0,
                    "mutation_rate": 0.001, "steps": 2000000,
                    "burn_in": 500000, "seed": 1,
@@ -44,7 +43,6 @@ DEFAULTS: Mapping[str, Mapping[str, Any]] = {
     | {"fu": 0.0, "fs": 0.0},
     "ensemble": {"count": 100000, "master_seed": 1, "b_a_upper": 1.0, "workers": 1},
     "fines": {"levels": (0.1, 0.5)},
-    "dynamics": {"step": 0.01, "horizon": 1000.0, "convergence_tol": 1e-9},
     "abm": {
         "population_size": 1000,
         "selection_strength": 10.0,

@@ -7,25 +7,28 @@ advantage over its own population's mean, which reduces to
     d_beta/dt  = beta (1 - beta) (k0 + k1 alpha)
     d_alpha/dt = alpha (1 - alpha) (g0 + g1 beta)
 
-with coefficients
+with the coefficients of :func:`cyberevo.game.field_coefficients`
 
     k0 = b_d - c_d                      g0 = b_a - c_a - m p
     k1 = v b_d - b_d + v w              g1 = v (m p - b_a - n s)
 
 The field is a cubic polynomial on the compact square, so a fixed-step
 classical Runge-Kutta scheme is accurate and keeps every run deterministic.
+The field is written once, in ``_field``, and the Runge-Kutta update once, in
+``_rk4_step``; both take Python floats (:func:`integrate`) or numpy arrays
+(:func:`batch_final_states`) alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from .errors import IntegrationError, ParameterError
-from .game import GameParams
+from .game import GameParams, field_coefficients
 
 __all__ = [
     "PopulationState",
@@ -45,6 +48,9 @@ __all__ = [
 DEFAULT_STEP = 0.01
 DEFAULT_HORIZON = 1000.0
 DEFAULT_CONVERGENCE_TOL = 1e-9
+
+#: A float in :func:`integrate`, an array in :func:`batch_final_states`.
+_V = TypeVar("_V", float, np.ndarray)
 
 #: Consecutive sub-tolerance steps required before declaring convergence.
 #: A single reading is not enough: the field is also small while a
@@ -94,21 +100,26 @@ class Trajectory:
     final_state: PopulationState
 
 
-def field_coefficients(params: GameParams) -> tuple[float, float, float, float]:
-    """Return (k0, k1, g0, g1) of the bilinear field brackets.
+def _field(coeffs: tuple, beta: _V, alpha: _V) -> tuple[_V, _V]:
+    k0, k1, g0, g1 = coeffs
+    return (
+        beta * (1.0 - beta) * (k0 + k1 * alpha),
+        alpha * (1.0 - alpha) * (g0 + g1 * beta),
+    )
 
-    ``k0 + k1 * alpha`` is the defender's payoff advantage of Defence over
-    NoDefence; ``g0 + g1 * beta`` is the attacker's advantage of Attack over
-    NoAttack.  Both equal the corresponding fitness differences from
-    :func:`cyberevo.game.fitness_profile`.
-    """
-    fine_s = params.fine_successful
-    fine_u = params.fine_unsuccessful
-    k0 = params.b_d - params.c_d
-    k1 = params.v * params.b_d - params.b_d + params.v * params.w
-    g0 = params.b_a - params.c_a - fine_s
-    g1 = params.v * (fine_s - params.b_a - fine_u)
-    return k0, k1, g0, g1
+
+def _rk4_step(
+    coeffs: tuple, beta: _V, alpha: _V, h: float, f1: tuple[_V, _V]
+) -> tuple[_V, _V]:
+    # One unclamped classical Runge-Kutta step.  ``f1``, the field at
+    # (beta, alpha), comes in because integrate has it from its convergence test.
+    f2 = _field(coeffs, beta + 0.5 * h * f1[0], alpha + 0.5 * h * f1[1])
+    f3 = _field(coeffs, beta + 0.5 * h * f2[0], alpha + 0.5 * h * f2[1])
+    f4 = _field(coeffs, beta + h * f3[0], alpha + h * f3[1])
+    return (
+        beta + (h / 6.0) * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0]),
+        alpha + (h / 6.0) * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1]),
+    )
 
 
 def replicator_field(params: GameParams, state: PopulationState) -> FieldValue:
@@ -125,22 +136,7 @@ def replicator_field(params: GameParams, state: PopulationState) -> FieldValue:
         Exactly (0, 0) at each of the four corners: the logistic prefactors
         beta(1-beta) and alpha(1-alpha) vanish there for any parameters.
     """
-    k0, k1, g0, g1 = field_coefficients(params)
-    beta = state.beta
-    alpha = state.alpha
-    d_beta = beta * (1.0 - beta) * (k0 + k1 * alpha)
-    d_alpha = alpha * (1.0 - alpha) * (g0 + g1 * beta)
-    return FieldValue(d_beta, d_alpha)
-
-
-def _field_xy(
-    coeffs: tuple[float, float, float, float], beta: float, alpha: float
-) -> tuple[float, float]:
-    k0, k1, g0, g1 = coeffs
-    return (
-        beta * (1.0 - beta) * (k0 + k1 * alpha),
-        alpha * (1.0 - alpha) * (g0 + g1 * beta),
-    )
+    return FieldValue(*_field(field_coefficients(params), state.beta, state.alpha))
 
 
 def integrate(
@@ -200,35 +196,25 @@ def integrate(
     samples: list[tuple[float, PopulationState]] = [(0.0, start)]
     quiet_steps = 0
     converged = False
-    last_index = 0
+    f = _field(coeffs, beta, alpha)
     for k in range(1, n_steps + 1):
-        h = step
-        f1 = _field_xy(coeffs, beta, alpha)
-        f2 = _field_xy(coeffs, beta + 0.5 * h * f1[0], alpha + 0.5 * h * f1[1])
-        f3 = _field_xy(coeffs, beta + 0.5 * h * f2[0], alpha + 0.5 * h * f2[1])
-        f4 = _field_xy(coeffs, beta + h * f3[0], alpha + h * f3[1])
-        beta += (h / 6.0) * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-        alpha += (h / 6.0) * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+        beta, alpha = _rk4_step(coeffs, beta, alpha, step, f)
         if not (math.isfinite(beta) and math.isfinite(alpha)):
             raise IntegrationError(f"non-finite state at step {k}")
         beta = min(1.0, max(0.0, beta))
         alpha = min(1.0, max(0.0, alpha))
-        d_beta, d_alpha = _field_xy(coeffs, beta, alpha)
-        if max(abs(d_beta), abs(d_alpha)) < convergence_tol:
+        f = _field(coeffs, beta, alpha)
+        if max(abs(f[0]), abs(f[1])) < convergence_tol:
             quiet_steps += 1
         else:
             quiet_steps = 0
         if k % record_stride == 0:
-            samples.append((k * h, PopulationState(beta, alpha)))
-            last_index = k
+            samples.append((k * step, PopulationState(beta, alpha)))
         if quiet_steps >= CONVERGENCE_RUN:
             converged = True
-            if last_index != k:
-                samples.append((k * h, PopulationState(beta, alpha)))
-                last_index = k
             break
-    if not converged and last_index != n_steps:
-        samples.append((n_steps * step, PopulationState(beta, alpha)))
+    if k % record_stride != 0:
+        samples.append((k * step, PopulationState(beta, alpha)))
     final_state = samples[-1][1]
     return Trajectory(tuple(samples), converged, final_state)
 
@@ -264,8 +250,8 @@ def batch_final_states(
 ) -> np.ndarray:
     """Integrate every (game, start) pair and return the final states.
 
-    Vectorized over the full (n_games, n_starts) panel with the same
-    clamped fixed-step scheme as :func:`integrate`; used as the
+    Vectorized over the full (n_games, n_starts) panel with the same field,
+    RK4 step and clamping as :func:`integrate`; used as the
     basin-of-attraction oracle where per-trajectory sampling records are
     not needed.
 
@@ -281,33 +267,18 @@ def batch_final_states(
     """
     if step <= 0.0:
         raise ParameterError(f"constraint violated: step > 0 (step={step!r})")
-    coeffs = np.array([field_coefficients(g) for g in games], dtype=float)
-    k0 = coeffs[:, 0][:, None]
-    k1 = coeffs[:, 1][:, None]
-    g0 = coeffs[:, 2][:, None]
-    g1 = coeffs[:, 3][:, None]
+    # One (n_games, 1) column per coefficient, broadcast across the starts.
+    table = np.array([field_coefficients(g) for g in games], dtype=float)
+    coeffs = tuple(table.T[:, :, None])
     beta = np.tile(
         np.array([s.beta for s in starts], dtype=float), (len(games), 1)
     )
     alpha = np.tile(
         np.array([s.alpha for s in starts], dtype=float), (len(games), 1)
     )
-
-    def field(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            b * (1.0 - b) * (k0 + k1 * a),
-            a * (1.0 - a) * (g0 + g1 * b),
-        )
-
     n_steps = int(round(horizon / step))
-    h = step
     for k in range(1, n_steps + 1):
-        fb1, fa1 = field(beta, alpha)
-        fb2, fa2 = field(beta + 0.5 * h * fb1, alpha + 0.5 * h * fa1)
-        fb3, fa3 = field(beta + 0.5 * h * fb2, alpha + 0.5 * h * fa2)
-        fb4, fa4 = field(beta + h * fb3, alpha + h * fa3)
-        beta = beta + (h / 6.0) * (fb1 + 2.0 * fb2 + 2.0 * fb3 + fb4)
-        alpha = alpha + (h / 6.0) * (fa1 + 2.0 * fa2 + 2.0 * fa3 + fa4)
+        beta, alpha = _rk4_step(coeffs, beta, alpha, step, _field(coeffs, beta, alpha))
         np.clip(beta, 0.0, 1.0, out=beta)
         np.clip(alpha, 0.0, 1.0, out=alpha)
         if k % 256 == 0 and not (

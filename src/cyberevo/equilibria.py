@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PopulationState, field_coefficients
-from .game import GameParams
+from .dynamics import PopulationState
+from .game import GameParams, field_coefficients
 
 __all__ = [
     "EquilibriumKind",
@@ -128,7 +128,7 @@ def jacobian(params: GameParams, state: PopulationState) -> Jacobian2:
     """Closed-form Jacobian of the replicator field at a state.
 
     With brackets k0 + k1*alpha and g0 + g1*beta (see
-    :func:`cyberevo.dynamics.field_coefficients`):
+    :func:`cyberevo.game.field_coefficients`):
 
         j11 = (1 - 2 beta)(k0 + k1 alpha)    j12 = beta(1 - beta) k1
         j21 = alpha(1 - alpha) g1            j22 = (1 - 2 alpha)(g0 + g1 beta)

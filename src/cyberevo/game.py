@@ -50,6 +50,7 @@ __all__ = [
     "PayoffMatrix",
     "FitnessProfile",
     "build_payoff_matrix",
+    "field_coefficients",
     "fitness_profile",
     "social_welfare",
 ]
@@ -251,6 +252,24 @@ def build_payoff_matrix(params: GameParams) -> PayoffMatrix:
     return PayoffMatrix(entries)
 
 
+def field_coefficients(params: GameParams) -> tuple[float, float, float, float]:
+    """Return (k0, k1, g0, g1): the payoff advantages as linear functions.
+
+    ``k0 + k1 * alpha`` is the defender's payoff advantage of Defence over
+    NoDefence against attack frequency alpha; ``g0 + g1 * beta`` is the
+    attacker's advantage of Attack over NoAttack against defence frequency
+    beta.  They are the brackets of the replicator field and the only place
+    this algebra is written.
+    """
+    fine_s = params.fine_successful
+    fine_u = params.fine_unsuccessful
+    k0 = params.b_d - params.c_d
+    k1 = params.v * params.b_d - params.b_d + params.v * params.w
+    g0 = params.b_a - params.c_a - fine_s
+    g1 = params.v * (fine_s - params.b_a - fine_u)
+    return k0, k1, g0, g1
+
+
 def fitness_profile(params: GameParams, state: "PopulationState") -> FitnessProfile:
     """Evaluate expected payoffs of all four pure strategies at a state.
 
@@ -264,25 +283,17 @@ def fitness_profile(params: GameParams, state: "PopulationState") -> FitnessProf
     Returns
     -------
     FitnessProfile
-        Closed-form linear expressions in the opposite population's
-        frequency; ``f_no_attack`` is identically zero.
+        Linear in the opposite population's frequency: the NoDefence payoff
+        is -w * alpha, ``f_no_attack`` is identically zero, and the other
+        two strategies lead them by the :func:`field_coefficients` brackets.
     """
     beta = state.beta
     alpha = state.alpha
-    w, c_a, c_d, b_a, b_d, v = (
-        params.w,
-        params.c_a,
-        params.c_d,
-        params.b_a,
-        params.b_d,
-        params.v,
-    )
-    fine_s = params.fine_successful
-    fine_u = params.fine_unsuccessful
-    f_no_defence = -w * alpha
-    f_defence = alpha * (-b_d + v * b_d - w + v * w) - c_d + b_d
+    k0, k1, g0, g1 = field_coefficients(params)
+    f_no_defence = -params.w * alpha
+    f_defence = f_no_defence + k0 + k1 * alpha
     f_no_attack = 0.0
-    f_attack = beta * (v * fine_s - b_a * v - v * fine_u) - c_a + b_a - fine_s
+    f_attack = g0 + g1 * beta
     mean_defender = beta * f_defence + (1.0 - beta) * f_no_defence
     mean_attacker = alpha * f_attack + (1.0 - alpha) * f_no_attack
     return FitnessProfile(

@@ -5,19 +5,24 @@ direction arrows, the two non-trivial nullclines (the horizontal line
 alpha = -k0/k1 where the defender bracket vanishes and the vertical line
 beta = -g0/g1 where the attacker bracket vanishes, when they cross the
 square), equilibrium markers (filled circle = Stable, hollow = otherwise),
-and optional integrated trajectories.  The output text is a pure function
-of the inputs: no timestamps, no float formatting drift.
+and optional integrated trajectories.  :func:`phase_portrait` computes
+what the portrait shows once, so that the SVG and the ``phase`` tables read
+the same lattice, equilibria and trajectories.  The output text is a pure
+function of the inputs: no timestamps, no float formatting drift.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .dynamics import (
+    DEFAULT_STEP,
+    FieldValue,
     PopulationState,
-    field_coefficients,
+    Trajectory,
     field_grid,
     integrate,
 )
@@ -26,9 +31,9 @@ from .equilibria import (
     EquilibriumReport,
     analyze_equilibria,
 )
-from .game import GameParams
+from .game import GameParams, field_coefficients
 
-__all__ = ["render_phase_svg"]
+__all__ = ["PhasePortrait", "phase_portrait", "render_phase_svg"]
 
 _CANVAS = 560
 _PLOT_LO = 70.0
@@ -81,24 +86,50 @@ def _marker(report: EquilibriumReport) -> str:
     )
 
 
-def render_phase_svg(
+@dataclass(frozen=True)
+class PhasePortrait:
+    """One game's field lattice, equilibria and trajectories, computed once by
+    :func:`phase_portrait` for both the SVG and the ``phase`` tables."""
+
+    params: GameParams
+    resolution: int
+    starts: tuple[PopulationState, ...]
+    grid: list[tuple[PopulationState, FieldValue]]
+    reports: tuple[EquilibriumReport, ...]
+    trajectories: tuple[Trajectory, ...]
+
+
+def phase_portrait(
     params: GameParams,
     resolution: int = 15,
     trajectory_starts: Sequence[PopulationState] = (),
     trajectory_horizon: float = 200.0,
+) -> PhasePortrait:
+    """Evaluate the field on ``resolution`` (>= 2) lattice points per axis,
+    analyze the equilibria, and integrate each start for
+    ``trajectory_horizon`` at the default step, keeping about 500 samples."""
+    grid = field_grid(params, resolution)
+    reports = analyze_equilibria(params)
+    stride = max(1, int(round(trajectory_horizon / DEFAULT_STEP)) // 500)
+    trajectories = tuple(
+        integrate(params, start, horizon=trajectory_horizon, record_stride=stride)
+        for start in trajectory_starts
+    )
+    return PhasePortrait(
+        params, resolution, tuple(trajectory_starts), grid, reports, trajectories
+    )
+
+
+def render_phase_svg(
+    portrait: PhasePortrait,
     metadata: Optional[Mapping[str, object]] = None,
 ) -> str:
     """Build the SVG document for one game's phase portrait.
 
     Parameters
     ----------
-    params : GameParams
-    resolution : int
-        Lattice points per axis for the arrow field, >= 2.
-    trajectory_starts : sequence of PopulationState
-        Each start is integrated and drawn as a polyline.
-    trajectory_horizon : float
-        Time horizon for the drawn trajectories.
+    portrait : PhasePortrait
+        From :func:`phase_portrait`; each trajectory is drawn as a polyline.
     metadata : mapping, optional
         Extra provenance merged into the embedded metadata JSON.
 
@@ -107,8 +138,7 @@ def render_phase_svg(
     str
         A standalone SVG document.
     """
-    grid = field_grid(params, resolution)
-    reports = analyze_equilibria(params)
+    params = portrait.params
     k0, k1, g0, g1 = field_coefficients(params)
 
     meta: dict[str, object] = {
@@ -116,8 +146,8 @@ def render_phase_svg(
             name: getattr(params, name)
             for name in ("w", "c_a", "c_d", "b_a", "b_d", "v", "m", "n", "p", "s")
         },
-        "resolution": resolution,
-        "trajectory_starts": [[s.beta, s.alpha] for s in trajectory_starts],
+        "resolution": portrait.resolution,
+        "trajectory_starts": [[s.beta, s.alpha] for s in portrait.starts],
     }
     if metadata:
         meta.update(metadata)
@@ -158,11 +188,11 @@ def render_phase_svg(
 
     # Direction arrows, length scaled by sqrt of relative magnitude.
     magnitudes = [
-        math.hypot(value.d_beta, value.d_alpha) for _, value in grid
+        math.hypot(value.d_beta, value.d_alpha) for _, value in portrait.grid
     ]
     peak = max(magnitudes) if magnitudes else 0.0
-    cell = _SPAN / (resolution - 1)
-    for (state, value), mag in zip(grid, magnitudes):
+    cell = _SPAN / (portrait.resolution - 1)
+    for (state, value), mag in zip(portrait.grid, magnitudes):
         if peak <= 0.0 or mag < 1e-12:
             continue
         scale = 0.85 * cell * math.sqrt(mag / peak)
@@ -190,13 +220,7 @@ def render_phase_svg(
             )
 
     # Trajectories.
-    for start in trajectory_starts:
-        trajectory = integrate(
-            params,
-            start,
-            horizon=trajectory_horizon,
-            record_stride=max(1, int(round(trajectory_horizon / 0.01)) // 500),
-        )
+    for start, trajectory in zip(portrait.starts, portrait.trajectories):
         points = " ".join(
             f"{_fmt(_x(state.beta))},{_fmt(_y(state.alpha))}"
             for _, state in trajectory.samples
@@ -208,11 +232,11 @@ def render_phase_svg(
         )
 
     # Equilibrium markers over everything else.
-    parts.extend(_marker(report) for report in reports)
+    parts.extend(_marker(report) for report in portrait.reports)
 
     stable_names = ", ".join(
         r.kind.value
-        for r in reports
+        for r in portrait.reports
         if r.classification is Classification.STABLE
     )
     parts.append(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyberevo import FineScenario, SamplerConfig, cli, run_ensemble
+from cyberevo import FineScenario, SamplerConfig, cli, phaseplot, run_ensemble
 
 REF_FLAGS = [
     "--w", "0.98", "--ca", "0.51", "--cd", "0.20",
@@ -108,6 +108,12 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli.main(["analyze", "--config", str(unknown_key)]) == 2
     assert "unknown config key: ensemble.coutn" in capsys.readouterr().err
 
+    # The integrator's settings are constants, not configuration.
+    dynamics = tmp_path / "dynamics.json"
+    dynamics.write_text(json.dumps({"dynamics": {"step": 0.5}}))
+    assert cli.main(["phase", *REF_FLAGS, "--config", str(dynamics)]) == 2
+    assert "unknown config section: dynamics" in capsys.readouterr().err
+
     bad_type = tmp_path / "type.json"
     bad_type.write_text(json.dumps({"ensemble": {"count": "many"}}))
     assert cli.main(["analyze", "--config", str(bad_type)]) == 2
@@ -200,6 +206,24 @@ def test_phase_writes_bundle(tmp_path, capsys):
     assert trajectories[4].startswith("0,0.000000,0.050000,0.950000")
 
 
+def test_phase_integrates_each_start_once(monkeypatch, capsys):
+    # Patch every module that could integrate a start, so a second pass over
+    # the same starts anywhere in the command would be counted.
+    real = phaseplot.integrate
+    calls = []
+
+    def counting(params, start, **kwargs):
+        calls.append((start.beta, start.alpha))
+        return real(params, start, **kwargs)
+
+    for module in (cli, phaseplot):
+        monkeypatch.setattr(module, "integrate", counting, raising=False)
+    flags = ["--start", "0.05,0.95", "--start", "0.95,0.05", "--start", "0.3,0.3"]
+    assert cli.main(["phase", *REF_FLAGS, *flags, "--format", "csv"]) == 0
+    assert "phase_trajectories.csv" in capsys.readouterr().out
+    assert calls == [(0.05, 0.95), (0.95, 0.05), (0.3, 0.3)]
+
+
 def test_phase_rejects_tiny_resolution(capsys):
     assert cli.main(["phase", *REF_FLAGS, "--resolution", "1"]) == 2
     assert "resolution" in capsys.readouterr().err
@@ -256,6 +280,19 @@ def test_fines_honours_b_a_upper(tmp_path, capsys):
     ))
     assert wide != default
     assert wide == summary.records_digest
+
+
+@pytest.mark.parametrize("flag", ["--fu", "--fs"])
+def test_fines_rejects_fixed_fines(tmp_path, capsys, flag):
+    # fines takes both fines from --levels; a --fu/--fs would be ignored.
+    assert cli.main(["fines", "--count", "200", "--levels", "0.1",
+                     flag, "0.3"]) == 2
+    assert flag in capsys.readouterr().err
+    config = tmp_path / "fined.json"
+    config.write_text(json.dumps({"game": {flag[2:]: 0.3}}))
+    assert cli.main(["fines", "--count", "200", "--levels", "0.1",
+                     "--config", str(config)]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_fines_rejects_bad_levels(capsys):

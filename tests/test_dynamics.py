@@ -180,3 +180,12 @@ def test_batch_final_states_matches_scalar_integration():
             scalar = integrate(params, start, horizon=3000.0).final_state
             assert finals[i, j, 0] == pytest.approx(scalar.beta, abs=1e-3)
             assert finals[i, j, 1] == pytest.approx(scalar.alpha, abs=1e-3)
+    # Without early stopping, both paths run the same field and RK4 step on
+    # the same numbers, so they agree exactly, fines included.
+    fined = [random_params(rng, with_fines=True) for _ in range(3)]
+    finals = batch_final_states(fined, starts, step=0.05, horizon=40.0)
+    for i, params in enumerate(fined):
+        for j, start in enumerate(starts):
+            scalar = integrate(params, start, step=0.05, horizon=40.0,
+                               convergence_tol=0.0).final_state
+            assert (finals[i, j, 0], finals[i, j, 1]) == (scalar.beta, scalar.alpha)

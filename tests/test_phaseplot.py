@@ -9,6 +9,7 @@ from cyberevo import (
     GameParams,
     ParameterError,
     PopulationState,
+    phase_portrait,
     render_phase_svg,
     stable_set,
 )
@@ -30,21 +31,21 @@ def _circles(root):
 
 
 def test_output_is_well_formed_xml():
-    root = _parse(render_phase_svg(SINGLE_STABLE))
+    root = _parse(render_phase_svg(phase_portrait(SINGLE_STABLE)))
     assert root.tag == f"{SVG_NS}svg"
 
 
 def test_render_is_deterministic():
     starts = (PopulationState(0.05, 0.95), PopulationState(0.9, 0.1))
-    a = render_phase_svg(BISTABLE, trajectory_starts=starts)
-    b = render_phase_svg(BISTABLE, trajectory_starts=starts)
+    a = render_phase_svg(phase_portrait(BISTABLE, trajectory_starts=starts))
+    b = render_phase_svg(phase_portrait(BISTABLE, trajectory_starts=starts))
     assert a == b
 
 
 def test_marker_counts_and_fill_convention():
     # Filled circle = stable; hollow = anything else.
     for params, n_markers in ((SINGLE_STABLE, 4), (BISTABLE, 5)):
-        root = _parse(render_phase_svg(params))
+        root = _parse(render_phase_svg(phase_portrait(params)))
         circles = _circles(root)
         assert len(circles) == n_markers
         filled = [c for c in circles if c.get("fill") == "#000000"]
@@ -52,16 +53,16 @@ def test_marker_counts_and_fill_convention():
 
 
 def test_nullclines_drawn_only_when_inside_the_square():
-    hits = render_phase_svg(BISTABLE).count('class="nullcline"')
+    hits = render_phase_svg(phase_portrait(BISTABLE)).count('class="nullcline"')
     assert hits == 2
-    misses = render_phase_svg(SINGLE_STABLE).count('class="nullcline"')
+    misses = render_phase_svg(phase_portrait(SINGLE_STABLE)).count('class="nullcline"')
     assert misses == 0
 
 
 def test_trajectories_rendered_when_starts_given():
     starts = (PopulationState(0.05, 0.95),)
-    with_traj = render_phase_svg(BISTABLE, trajectory_starts=starts)
-    without = render_phase_svg(BISTABLE)
+    with_traj = render_phase_svg(phase_portrait(BISTABLE, trajectory_starts=starts))
+    without = render_phase_svg(phase_portrait(BISTABLE))
     assert with_traj.count("<polyline") == 1
     assert without.count("<polyline") == 0
     root = _parse(with_traj)
@@ -72,7 +73,7 @@ def test_trajectories_rendered_when_starts_given():
 
 def test_metadata_echoes_inputs():
     svg_text = render_phase_svg(
-        SINGLE_STABLE, resolution=9, metadata={"note": "check"}
+        phase_portrait(SINGLE_STABLE, resolution=9), metadata={"note": "check"}
     )
     root = _parse(svg_text)
     meta = json.loads(root.find(f"{SVG_NS}metadata").text)
@@ -84,12 +85,12 @@ def test_metadata_echoes_inputs():
 
 def test_resolution_must_be_at_least_two():
     with pytest.raises(ParameterError, match="resolution >= 2"):
-        render_phase_svg(SINGLE_STABLE, resolution=1)
+        phase_portrait(SINGLE_STABLE, resolution=1)
 
 
 def test_arrow_lattice_scales_with_resolution():
-    small = render_phase_svg(SINGLE_STABLE, resolution=5)
-    large = render_phase_svg(SINGLE_STABLE, resolution=15)
+    small = render_phase_svg(phase_portrait(SINGLE_STABLE, resolution=5))
+    large = render_phase_svg(phase_portrait(SINGLE_STABLE, resolution=15))
     assert large.count('class="arrow"') > small.count('class="arrow"')
     # Corner lattice points carry zero field: no arrows there.
     assert small.count('class="arrow"') <= 5 * 5 - 4
