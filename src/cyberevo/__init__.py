@@ -29,6 +29,7 @@ from .ensemble import (
     PAPER_B_A_UPPER,
     EnsembleSummary,
     GameRecord,
+    GameTable,
     SamplerConfig,
     WelfareStats,
     correlation_matrix,
@@ -87,6 +88,7 @@ __all__ = [
     "FitnessProfile",
     "GameParams",
     "GameRecord",
+    "GameTable",
     "IntegrationError",
     "Jacobian2",
     "PAPER_B_A_UPPER",

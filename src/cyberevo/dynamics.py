@@ -122,6 +122,15 @@ def _rk4_step(
     )
 
 
+def _check_span(step: float, horizon: float) -> None:
+    if step <= 0.0:
+        raise ParameterError(f"constraint violated: step > 0 (step={step!r})")
+    if horizon < step:
+        raise ParameterError(
+            f"constraint violated: horizon >= step (horizon={horizon!r}, step={step!r})"
+        )
+
+
 def replicator_field(params: GameParams, state: PopulationState) -> FieldValue:
     """Evaluate the replicator vector field at one state.
 
@@ -180,12 +189,7 @@ def integrate(
     clamped back to [0, 1] squared to remove floating-point escape without
     changing any limit.
     """
-    if step <= 0.0:
-        raise ParameterError(f"constraint violated: step > 0 (step={step!r})")
-    if horizon < step:
-        raise ParameterError(
-            f"constraint violated: horizon >= step (horizon={horizon!r}, step={step!r})"
-        )
+    _check_span(step, horizon)
     if record_stride < 1:
         raise ParameterError(
             f"constraint violated: record_stride >= 1 (record_stride={record_stride!r})"
@@ -259,14 +263,19 @@ def batch_final_states(
     -------
     numpy.ndarray
         Shape (n_games, n_starts, 2); [..., 0] is beta, [..., 1] is alpha.
+        Empty when there are no games or no starts.
 
     Raises
     ------
+    ParameterError
+        If ``step`` is not positive or ``horizon`` is shorter than ``step``,
+        as in :func:`integrate`.
     IntegrationError
         If any state turns non-finite; the message names the step index.
     """
-    if step <= 0.0:
-        raise ParameterError(f"constraint violated: step > 0 (step={step!r})")
+    _check_span(step, horizon)
+    if len(games) == 0 or len(starts) == 0:
+        return np.empty((len(games), len(starts), 2))
     # One (n_games, 1) column per coefficient, broadcast across the starts.
     table = np.array([field_coefficients(g) for g in games], dtype=float)
     coeffs = tuple(table.T[:, :, None])

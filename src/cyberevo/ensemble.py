@@ -2,8 +2,15 @@
 
 Games are drawn from nested uniform ranges that satisfy every parameter
 constraint by construction, one independent RNG substream per game index,
-so results are identical for any worker count.  Each game is analyzed with
-the eigenvalue classifier and the welfare evaluator; aggregates cover the
+so results are identical for any worker count.  An ensemble is held as a
+columnar :class:`GameTable`: per game, the six drawn parameters, the
+stable set, the social welfare of the four pure pairs and whether an
+interior point exists, each column one numpy array.  Array formulas fill
+it with the floating-point operations of :func:`sample_game`,
+:func:`~cyberevo.equilibria.stable_set`, :func:`~cyberevo.game.social_welfare`
+and :func:`~cyberevo.equilibria.interior_equilibrium`, in the same order,
+so every row holds the bits those functions return; a row the formulas
+cannot vouch for is recomputed by them.  Aggregates cover the
 stable-count distribution, per-kind counts/ratios, indicator correlations,
 defence-intensity frequency curves, parameter-impact histograms, fine
 scenarios, and social-welfare statistics.
@@ -26,17 +33,24 @@ from .game import (
     GameParams,
     StrategyPair,
     ZERO_FINES,
-    social_welfare,
 )
-from .equilibria import EquilibriumKind, interior_equilibrium, stable_set
+from .equilibria import (
+    DENOMINATOR_FLOOR,
+    HYPERBOLICITY_EPSILON,
+    INTERIOR_MARGIN,
+    EquilibriumKind,
+    stable_set,
+)
 
 __all__ = [
     "SamplerConfig",
     "GameRecord",
+    "GameTable",
     "WelfareStats",
     "EnsembleSummary",
     "sample_game",
     "run_ensemble",
+    "summarize",
     "correlation_matrix",
     "CORRELATION_LABELS",
     "v_frequency_curves",
@@ -47,6 +61,7 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "PAPER_B_A_UPPER",
     "BIN_WIDTH",
+    "BLOCK_SIZE",
 ]
 
 #: Documented default seed for ensembles (CLI and acceptance runs).
@@ -66,6 +81,10 @@ PAPER_B_A_UPPER = 1.33
 #: All binned statistics use this bin width; the last bin is closed.
 BIN_WIDTH = 0.1
 
+#: Games are drawn, analyzed and rendered for the digest in blocks of this
+#: many consecutive indices, in pool workers or in process.
+BLOCK_SIZE = 1024
+
 #: Indicator order of the correlation matrix rows/columns.
 CORRELATION_LABELS: tuple[str, str, str, str] = ("E3", "E2", "E4", "total")
 
@@ -75,11 +94,36 @@ IMPACT_PARAMETERS: tuple[str, ...] = ("c_d", "c_a", "v", "w", "b_a", "b_d")
 #: Parameters against which mean welfare is binned.
 WELFARE_BIN_PARAMETERS: tuple[str, ...] = ("v", "c_a", "c_d")
 
+#: Columns of ``GameTable.params`` and of ``GameTable.fines``.
+PARAM_COLUMNS: tuple[str, ...] = ("w", "c_a", "c_d", "b_a", "b_d", "v")
+FINE_COLUMNS: tuple[str, ...] = ("m", "n", "p", "s")
+
+#: Columns of ``GameTable.stable``.
+_KINDS: tuple[EquilibriumKind, ...] = tuple(EquilibriumKind)
+_E2, _E3, _E4 = 1, 2, 3
+
+#: The kinds with defence-intensity curves, in reporting order.
+_CURVE_KINDS: tuple[int, ...] = (_E3, _E2, _E4)
+
+#: ``records_digest`` rendering of each stable set, by bit mask over _KINDS.
+_KIND_LABELS: tuple[str, ...] = tuple(
+    ",".join(kind.value for bit, kind in enumerate(_KINDS) if mask >> bit & 1)
+    for mask in range(1 << len(_KINDS))
+)
+
+#: Any valid game: fine scenarios are applied to it to read their fields.
+_PROBE = GameParams(w=1.0, c_a=0.5, c_d=0.5, b_a=1.0, b_d=1.0, v=1.0)
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Ensemble sampling configuration.
 
+    ``count`` and ``master_seed`` are integers (not bools).
     ``b_a_upper`` is the upper end of the attacker-benefit draw; it must be
     at least 1 so the range (c_a, b_a_upper] is never empty (c_a < w <= 1).
     It sets the stable-state mix: without fines E3 is stable exactly when
@@ -97,9 +141,9 @@ class SamplerConfig:
     b_a_upper: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1 (got {self.count!r})")
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not _is_integer(self.count) or self.count < 1:
+            raise ConfigError(f"count must be an integer >= 1 (got {self.count!r})")
+        if not _is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 f"master_seed must be a 64-bit unsigned integer (got {self.master_seed!r})"
             )
@@ -118,6 +162,93 @@ class GameRecord:
     stable_kinds: frozenset[EquilibriumKind]
     welfare: dict[StrategyPair, float]
     interior_present: bool
+
+
+#: The array attributes of a GameTable, in constructor order.
+_COLUMNS = ("indices", "params", "stable", "welfare", "interior")
+
+
+@dataclass(frozen=True, eq=False)
+class GameTable(Sequence[GameRecord]):
+    """Analyzed games as columns, one row per game.
+
+    ``indices`` (n,) int64 game indices; ``params`` (n, 6) float64 in
+    :data:`PARAM_COLUMNS` order; ``stable`` (n, 5) bool, one column per
+    :class:`EquilibriumKind` E1..E5; ``welfare`` (n, 4) float64 in
+    ``STRATEGY_PAIRS`` order; ``interior`` (n,) bool.  ``fines`` holds the
+    (m, n, p, s) that every row shares, as its scenario installs them.
+
+    A table is also a read-only sequence of :class:`GameRecord`: records
+    are built on access, a slice is a table, and a table equals another
+    table, or a sequence of records, holding the same games.
+    """
+
+    indices: np.ndarray
+    params: np.ndarray
+    stable: np.ndarray
+    welfare: np.ndarray
+    interior: np.ndarray
+    fines: tuple[float, float, float, float]
+
+    @classmethod
+    def from_records(cls, records: Sequence[GameRecord]) -> GameTable:
+        """Columns of ``records`` (a table is returned as it is).
+
+        The records must share their fine fields (m, n, p, s).
+        """
+        if isinstance(records, GameTable):
+            return records
+        fines = {
+            tuple(float(getattr(r.params, name)) for name in FINE_COLUMNS)
+            for r in records
+        }
+        if len(fines) > 1:
+            raise ConfigError("records with different fines (m, n, p, s) in one table")
+        n = len(records)
+        return cls(
+            indices=np.array([r.index for r in records], dtype=np.int64),
+            params=np.array(
+                [[getattr(r.params, name) for name in PARAM_COLUMNS] for r in records],
+                dtype=float,
+            ).reshape(n, len(PARAM_COLUMNS)),
+            stable=np.array(
+                [[kind in r.stable_kinds for kind in _KINDS] for r in records],
+                dtype=bool,
+            ).reshape(n, len(_KINDS)),
+            welfare=np.array(
+                [[r.welfare[pair] for pair in STRATEGY_PAIRS] for r in records],
+                dtype=float,
+            ).reshape(n, len(STRATEGY_PAIRS)),
+            interior=np.array([r.interior_present for r in records], dtype=bool),
+            fines=fines.pop() if fines else (0.0, 0.0, 0.0, 0.0),
+        )
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return GameTable(*(getattr(self, name)[key] for name in _COLUMNS), self.fines)
+        row = range(len(self))[key]
+        return GameRecord(
+            index=int(self.indices[row]),
+            params=GameParams(*self.params[row].tolist(), *self.fines),
+            stable_kinds=frozenset(
+                kind for kind, flag in zip(_KINDS, self.stable[row]) if flag
+            ),
+            welfare=dict(zip(STRATEGY_PAIRS, self.welfare[row].tolist())),
+            interior_present=bool(self.interior[row]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GameTable):
+            return self.fines == other.fines and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in _COLUMNS
+            )
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -204,115 +335,223 @@ def sample_game(config: SamplerConfig, index: int) -> GameParams:
     )
 
 
-def _analyze_game(config: SamplerConfig, index: int) -> GameRecord:
-    params = sample_game(config, index)
-    kinds = stable_set(params)
-    welfare = {pair: social_welfare(params, pair) for pair in STRATEGY_PAIRS}
-    return GameRecord(
-        index=index,
+def _uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The first six uniforms of each substream ``start..stop-1``."""
+    out = np.empty((stop - start, 6))
+    for row, index in enumerate(range(start, stop)):
+        out[row] = np.random.default_rng([master_seed, index]).random(6)
+    return out
+
+
+def _draw(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
+    """Games ``start..stop-1`` by :func:`sample_game`'s first-draw formulas.
+
+    Unchecked: :func:`_analyze` redraws every row that breaks a constraint.
+    """
+    u = _uniforms(config.master_seed, start, stop)
+    upper = config.b_a_upper
+    w = 1.0 - u[:, 0]
+    c_a = w * u[:, 1]
+    c_d = w * u[:, 2]
+    b_a = upper - (upper - c_a) * u[:, 3]
+    b_d = w - (w - c_d) * u[:, 4]
+    v = 1.0 - u[:, 5]
+    return np.stack([w, c_a, c_d, b_a, b_d, v], axis=1)
+
+
+def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable:
+    """Check, classify and evaluate games ``start..start+n-1`` drawn for ``config``.
+
+    Every row must pass :class:`GameParams`' constraints and the sampler's
+    ceiling b_a <= b_a_upper; any row that does not (a draw that hit an
+    excluded endpoint) is redrawn by :func:`sample_game`.  The rest repeats
+    the scalar functions' operations in their order, so each row holds the
+    bits :func:`sample_game`, :func:`stable_set`, ``social_welfare`` and
+    ``interior_equilibrium`` give for that game.
+    """
+    probe = config.scenario.apply(_PROBE)  # validates the fines as a game would
+    fines = tuple(getattr(probe, name) for name in FINE_COLUMNS)
+    w, c_a, c_d, b_a, b_d, v = params.T
+    valid = (
+        np.isfinite(params).all(axis=1)
+        & (0.0 < w) & (w <= 1.0)
+        & (0.0 < c_a) & (c_a < w)
+        & (0.0 < c_d) & (c_d < w)
+        & (c_a < b_a) & (b_a <= config.b_a_upper)
+        & (c_d < b_d) & (b_d <= w)
+        & (0.0 < v) & (v <= 1.0)
+    )
+    redraw = np.flatnonzero(~valid)
+    if redraw.size:
+        params = params.copy()
+        for row in redraw.tolist():
+            game = sample_game(config, start + row)
+            params[row] = [getattr(game, name) for name in PARAM_COLUMNS]
+        w, c_a, c_d, b_a, b_d, v = params.T
+
+    # field_coefficients
+    fine_s = probe.fine_successful
+    fine_u = probe.fine_unsuccessful
+    k0 = b_d - c_d
+    k1 = v * b_d - b_d + v * w
+    g0 = b_a - c_a - fine_s
+    g1 = v * (fine_s - b_a - fine_u)
+
+    # Corner Jacobians are diagonal (jacobian(); acceptance criterion 3), so
+    # a corner is Stable when both diagonal entries are below -epsilon.
+    eps = HYPERBOLICITY_EPSILON
+    corners = (
+        (k0, g0),
+        (k0 + k1, -g0),
+        (-k0, g0 + g1),
+        (-(k0 + k1), -(g0 + g1)),
+    )
+    stable = np.zeros((len(params), len(_KINDS)), dtype=bool)
+    for column, (j11, j22) in enumerate(corners):
+        stable[:, column] = (j11 < -eps) & (j22 < -eps)
+
+    # interior_equilibrium
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = -g0 / g1
+        alpha = -k0 / k1
+        interior = (
+            (np.abs(g1) > DENOMINATOR_FLOOR) & (np.abs(k1) > DENOMINATOR_FLOOR)
+            & (INTERIOR_MARGIN < beta) & (beta < 1.0 - INTERIOR_MARGIN)
+            & (INTERIOR_MARGIN < alpha) & (alpha < 1.0 - INTERIOR_MARGIN)
+        )
+        trace = (1.0 - 2.0 * beta) * (k0 + k1 * alpha) + (
+            1.0 - 2.0 * alpha
+        ) * (g0 + g1 * beta)
+    # Both real parts of E5's eigenvalues are below -epsilon only if the
+    # Jacobian's trace is at most -2 epsilon; it is about zero at a true
+    # interior point, so these rows are rare and take the scalar path.
+    for row in np.flatnonzero(interior & (trace <= -2.0 * eps)).tolist():
+        kinds = stable_set(GameParams(*params[row].tolist(), *fines))
+        stable[row] = [kind in kinds for kind in _KINDS]
+
+    # social_welfare: defender plus attacker payoff of build_payoff_matrix.
+    welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
+    welfare[:, 0] = 0.0 + 0.0
+    welfare[:, 1] = -w + (-c_a + b_a - fine_s)
+    welfare[:, 2] = -c_d + b_d + 0.0
+    welfare[:, 3] = (-c_d + v * b_d - w * (1.0 - v)) + (
+        -c_a + b_a * (1.0 - v) - v * fine_u - (1.0 - v) * fine_s
+    )
+    return GameTable(
+        indices=np.arange(start, start + len(params), dtype=np.int64),
         params=params,
-        stable_kinds=kinds,
+        stable=stable,
         welfare=welfare,
-        interior_present=interior_equilibrium(params) is not None,
+        interior=interior,
+        fines=fines,
     )
 
 
-def _analyze_range(config: SamplerConfig, start: int, stop: int) -> list[GameRecord]:
-    return [_analyze_game(config, i) for i in range(start, stop)]
+def _analyze_block(
+    configs: Sequence[SamplerConfig], start: int, stop: int
+) -> list[tuple[GameTable, bytes]]:
+    """Draw games ``start..stop-1`` once; analyze and render them per config.
+
+    The configs differ only in their fine scenario.  Each result pairs the
+    block's table with its :func:`records_digest` text.
+    """
+    params = _draw(configs[0], start, stop)
+    tables = [_analyze(config, params, start) for config in configs]
+    return [(table, _digest_text(table)) for table in tables]
+
+
+def _run(
+    configs: Sequence[SamplerConfig], workers: int
+) -> list[tuple[GameTable, str]]:
+    """The table and records digest of each config, on shared draws.
+
+    Blocks of :data:`BLOCK_SIZE` game indices run in ``workers`` pool
+    processes (in this process when ``workers`` is 1) and are joined in
+    index order, so nothing depends on ``workers``.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1 (got {workers!r})")
+    count = configs[0].count
+    starts = range(0, count, BLOCK_SIZE)
+    args = (
+        [configs] * len(starts),
+        starts,
+        [min(start + BLOCK_SIZE, count) for start in starts],
+    )
+    if workers == 1 or len(starts) == 1:
+        return _join(map(_analyze_block, *args), len(configs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _join(pool.map(_analyze_block, *args), len(configs))
+
+
+def _join(
+    blocks: Iterable[list[tuple[GameTable, bytes]]], n_configs: int
+) -> list[tuple[GameTable, str]]:
+    parts: list[list[GameTable]] = [[] for _ in range(n_configs)]
+    hashers = [hashlib.sha256() for _ in range(n_configs)]
+    for block in blocks:
+        for part, hasher, (table, text) in zip(parts, hashers, block):
+            part.append(table)
+            hasher.update(text)
+    return [
+        (_concat(part), hasher.hexdigest()) for part, hasher in zip(parts, hashers)
+    ]
+
+
+def _concat(tables: list[GameTable]) -> GameTable:
+    if len(tables) == 1:
+        return tables[0]
+    return GameTable(
+        *(np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS),
+        fines=tables[0].fines,
+    )
 
 
 def run_ensemble(
     config: SamplerConfig, workers: int = 1
-) -> tuple[list[GameRecord], EnsembleSummary]:
+) -> tuple[GameTable, EnsembleSummary]:
     """Sample, analyze, and summarize ``config.count`` games.
 
-    Analysis is embarrassingly parallel across game indices; records are
-    assembled in index order and every aggregate is reduced by a single
-    deterministic pass, so the output is byte-identical for any ``workers``.
+    Pool workers draw, analyze and render fixed blocks of game indices and
+    return arrays; the blocks are joined and reduced in index order, so the
+    output is byte-identical for any ``workers``.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1 (got {workers!r})")
-    count = config.count
-    if workers == 1 or count < 2 * workers:
-        records = _analyze_range(config, 0, count)
-    else:
-        chunk = -(-count // workers)
-        bounds = [(i, min(i + chunk, count)) for i in range(0, count, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _analyze_range,
-                [config] * len(bounds),
-                [b[0] for b in bounds],
-                [b[1] for b in bounds],
-            )
-            records = [record for part in parts for record in part]
-    return records, summarize(records, config)
+    ((table, digest),) = _run([config], workers)
+    return table, _summary(table, config, digest)
 
 
-def _bin_index(value: float) -> int:
+def _bincount(bins: np.ndarray, weights: np.ndarray | None = None, size: int = 10):
+    # bincount adds weights one at a time in row order, the order in which
+    # a Python loop over the games would add them.
+    return np.bincount(bins, weights=weights, minlength=size).tolist()
+
+
+def _summary(
+    records: Sequence[GameRecord], config: SamplerConfig | None, digest: str
+) -> EnsembleSummary:
+    """The one reduction behind every aggregate, in row order."""
+    table = GameTable.from_records(records)
+    n = len(table)
+    stable = table.stable
+    n_stable = stable.sum(axis=1)
     # Bins [0, 0.1), ..., [0.9, 1.0]; the last bin is closed so 1.0 lands in it.
-    return min(int(value / BIN_WIDTH), 9)
-
-
-def summarize(records: Sequence[GameRecord], config: SamplerConfig) -> EnsembleSummary:
-    """Reduce analyzed records to an :class:`EnsembleSummary`."""
-    distribution = {"0": 0, "1": 0, "2": 0, "3+": 0}
-    kind_counts = {kind: 0 for kind in EquilibriumKind}
-    v_bins = {
-        kind: [0] * 10
-        for kind in (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
+    bins = {
+        name: np.minimum(table.params[:, i] / BIN_WIDTH, 9.0).astype(np.int64)
+        for i, name in enumerate(PARAM_COLUMNS)
     }
-    param_bins = {name: [0] * 10 for name in IMPACT_PARAMETERS}
-    for record in records:
-        n_stable = len(record.stable_kinds)
-        if n_stable >= 3:
-            distribution["3+"] += 1
-        else:
-            distribution[str(n_stable)] += 1
-        for kind in record.stable_kinds:
-            kind_counts[kind] += 1
-            if kind in v_bins:
-                v_bins[kind][_bin_index(record.params.v)] += 1
-        if EquilibriumKind.E4 in record.stable_kinds:
-            for name in IMPACT_PARAMETERS:
-                param_bins[name][_bin_index(getattr(record.params, name))] += 1
+    kind_counts = dict(zip(_KINDS, stable.sum(axis=0).tolist()))
     total_pairs = sum(kind_counts.values())
     if total_pairs > 0:
         kind_ratios = {k: c / total_pairs for k, c in kind_counts.items()}
     else:
         kind_ratios = {k: 0.0 for k in kind_counts}
-    return EnsembleSummary(
-        config=config,
-        stable_count_distribution=distribution,
-        kind_counts=kind_counts,
-        kind_ratios=kind_ratios,
-        correlation_labels=CORRELATION_LABELS,
-        correlation=_matrix_to_tuples(correlation_matrix(records)),
-        v_binned_kind_frequency={k: tuple(v) for k, v in v_bins.items()},
-        param_binned_stability={k: tuple(v) for k, v in param_bins.items()},
-        welfare_stats=welfare_analytics(records),
-        records_digest=records_digest(records),
-    )
+    e4 = stable[:, _E4]
 
-
-def _matrix_to_tuples(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in matrix)
-
-
-def correlation_matrix(records: Sequence[GameRecord]) -> np.ndarray:
-    """Pearson correlations of per-game stability indicators.
-
-    Columns follow :data:`CORRELATION_LABELS`: 1{E3 stable}, 1{E2 stable},
-    1{E4 stable}, and the per-game count of stable kinds.  Any column with
-    zero variance yields NaN entries (undefined correlation, not 0).
-    """
-    n = len(records)
-    columns = np.zeros((4, n))
-    kinds = (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
-    for j, record in enumerate(records):
-        for i, kind in enumerate(kinds):
-            columns[i, j] = 1.0 if kind in record.stable_kinds else 0.0
-        columns[3, j] = len(record.stable_kinds)
+    # Pearson correlations of the indicators (see correlation_matrix).
+    columns = np.empty((4, n))
+    for i, kind in enumerate(_CURVE_KINDS):
+        columns[i] = stable[:, kind]
+    columns[3] = n_stable
     matrix = np.full((4, 4), np.nan)
     centered = columns - columns.mean(axis=1, keepdims=True) if n else columns
     spread = np.sqrt((centered**2).mean(axis=1)) if n else np.zeros(4)
@@ -322,23 +561,85 @@ def correlation_matrix(records: Sequence[GameRecord]) -> np.ndarray:
                 matrix[i, j] = float(
                     (centered[i] * centered[j]).mean() / (spread[i] * spread[j])
                 )
-    return matrix
+
+    return EnsembleSummary(
+        config=config,
+        stable_count_distribution=dict(
+            zip(("0", "1", "2", "3+"), _bincount(np.minimum(n_stable, 3), size=4))
+        ),
+        kind_counts=kind_counts,
+        kind_ratios=kind_ratios,
+        correlation_labels=CORRELATION_LABELS,
+        correlation=tuple(tuple(float(x) for x in row) for row in matrix),
+        v_binned_kind_frequency={
+            _KINDS[kind]: tuple(_bincount(bins["v"][stable[:, kind]]))
+            for kind in _CURVE_KINDS
+        },
+        param_binned_stability={
+            name: tuple(_bincount(bins[name][e4])) for name in IMPACT_PARAMETERS
+        },
+        welfare_stats=_welfare_stats(table.welfare, bins),
+        records_digest=digest,
+    )
+
+
+def _welfare_stats(welfare: np.ndarray, bins: dict[str, np.ndarray]) -> WelfareStats:
+    n, n_pairs = welfare.shape
+    samples = welfare.ravel()  # game-major: game 0's four pairs, then game 1's
+    if n:
+        sums = _bincount(np.tile(np.arange(n_pairs), n), samples, n_pairs)
+        mean_by_pair = {pair: sums[i] / n for i, pair in enumerate(STRATEGY_PAIRS)}
+        lo = math.floor(float(samples.min()) / BIN_WIDTH) * BIN_WIDTH
+        hi = math.ceil(float(samples.max()) / BIN_WIDTH) * BIN_WIDTH
+        if hi <= lo:
+            hi = lo + BIN_WIDTH
+        n_bins = int(round((hi - lo) / BIN_WIDTH))
+        edges = tuple(lo + BIN_WIDTH * i for i in range(n_bins + 1))
+        # Truncation toward zero, as int() does; every sample is >= lo up to
+        # rounding, so no quotient reaches -1.
+        positions = ((samples - lo) / BIN_WIDTH).astype(np.int64)
+        counts = tuple(_bincount(np.minimum(positions, n_bins - 1), size=n_bins))
+    else:
+        mean_by_pair = {pair: math.nan for pair in STRATEGY_PAIRS}
+        edges = ()
+        counts = ()
+    binned_mean: dict[str, tuple[float, ...]] = {}
+    for name in WELFARE_BIN_PARAMETERS:
+        per_sample = np.repeat(bins[name], n_pairs)
+        sums = _bincount(per_sample, samples)
+        sizes = _bincount(per_sample)
+        binned_mean[name] = tuple(
+            sums[i] / sizes[i] if sizes[i] else math.nan for i in range(10)
+        )
+    return WelfareStats(
+        mean_by_pair=mean_by_pair,
+        histogram_edges=edges,
+        histogram_counts=counts,
+        binned_mean=binned_mean,
+    )
+
+
+def summarize(records: Sequence[GameRecord], config: SamplerConfig) -> EnsembleSummary:
+    """Reduce an analyzed table, or a sequence of records, to an :class:`EnsembleSummary`."""
+    table = GameTable.from_records(records)
+    return _summary(table, config, records_digest(table))
+
+
+def correlation_matrix(records: Sequence[GameRecord]) -> np.ndarray:
+    """Pearson correlations of per-game stability indicators.
+
+    Columns follow :data:`CORRELATION_LABELS`: 1{E3 stable}, 1{E2 stable},
+    1{E4 stable}, and the per-game count of stable kinds.  Any column with
+    zero variance yields NaN entries (undefined correlation, not 0).
+    """
+    return np.array(_summary(records, None, "").correlation)
 
 
 def v_frequency_curves(
     records: Sequence[GameRecord],
 ) -> dict[EquilibriumKind, tuple[int, ...]]:
     """Counts of games stable at E3, E2, E4 per defence-intensity bin."""
-    curves = {
-        kind: [0] * 10
-        for kind in (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
-    }
-    for record in records:
-        bin_i = _bin_index(record.params.v)
-        for kind in record.stable_kinds:
-            if kind in curves:
-                curves[kind][bin_i] += 1
-    return {kind: tuple(counts) for kind, counts in curves.items()}
+    return _summary(records, None, "").v_binned_kind_frequency
 
 
 def parameter_impact(records: Sequence[GameRecord], parameter: str) -> tuple[int, ...]:
@@ -347,53 +648,12 @@ def parameter_impact(records: Sequence[GameRecord], parameter: str) -> tuple[int
         raise ConfigError(
             f"unknown parameter {parameter!r}; expected one of {IMPACT_PARAMETERS}"
         )
-    counts = [0] * 10
-    for record in records:
-        if EquilibriumKind.E4 in record.stable_kinds:
-            counts[_bin_index(getattr(record.params, parameter))] += 1
-    return tuple(counts)
+    return _summary(records, None, "").param_binned_stability[parameter]
 
 
 def welfare_analytics(records: Sequence[GameRecord]) -> WelfareStats:
     """Per-pair means, all-sample histogram, and parameter-binned means."""
-    n = len(records)
-    mean_by_pair = {}
-    for pair in STRATEGY_PAIRS:
-        mean_by_pair[pair] = (
-            sum(record.welfare[pair] for record in records) / n if n else math.nan
-        )
-    samples = [record.welfare[pair] for record in records for pair in STRATEGY_PAIRS]
-    if samples:
-        lo = math.floor(min(samples) / BIN_WIDTH) * BIN_WIDTH
-        hi = math.ceil(max(samples) / BIN_WIDTH) * BIN_WIDTH
-        if hi <= lo:
-            hi = lo + BIN_WIDTH
-        n_bins = int(round((hi - lo) / BIN_WIDTH))
-        edges = tuple(lo + BIN_WIDTH * i for i in range(n_bins + 1))
-        counts = [0] * n_bins
-        for value in samples:
-            counts[min(int((value - lo) / BIN_WIDTH), n_bins - 1)] += 1
-    else:
-        edges = ()
-        counts = []
-    binned_mean: dict[str, tuple[float, ...]] = {}
-    for name in WELFARE_BIN_PARAMETERS:
-        sums = [0.0] * 10
-        sizes = [0] * 10
-        for record in records:
-            bin_i = _bin_index(getattr(record.params, name))
-            for pair in STRATEGY_PAIRS:
-                sums[bin_i] += record.welfare[pair]
-                sizes[bin_i] += 1
-        binned_mean[name] = tuple(
-            sums[i] / sizes[i] if sizes[i] else math.nan for i in range(10)
-        )
-    return WelfareStats(
-        mean_by_pair=mean_by_pair,
-        histogram_edges=edges,
-        histogram_counts=tuple(counts),
-        binned_mean=binned_mean,
-    )
+    return _summary(records, None, "").welfare_stats
 
 
 def fines_study(
@@ -403,47 +663,61 @@ def fines_study(
     workers: int = 1,
     b_a_upper: float = 1.0,
 ) -> dict[float, EnsembleSummary]:
-    """Run one ensemble per fine level on identical parameter draws.
+    """Summarize one ensemble per fine level on identical parameter draws.
 
     Each level runs with FineScenario(f_u=level, f_s=level) and the
     attacker-benefit ceiling ``b_a_upper`` (see :class:`SamplerConfig`).
-    Fines are applied after the parameter draw, so the sampled (w, costs,
-    benefits, v) sets match across levels exactly and differences are
+    Fines are applied after the parameter draw, so the games are drawn
+    once and classified again per level; differences between levels are
     attributable to the fines alone.
     """
-    summaries: dict[float, EnsembleSummary] = {}
+    configs = []
     for level in levels:
         if level < 0:
             raise ConfigError(f"fine level must be >= 0 (got {level!r})")
-        config = SamplerConfig(
+        configs.append(SamplerConfig(
             count=count,
             master_seed=master_seed,
             scenario=FineScenario(f_u=float(level), f_s=float(level)),
             b_a_upper=b_a_upper,
-        )
-        _, summaries[float(level)] = run_ensemble(config, workers=workers)
-    return summaries
+        ))
+    if not configs:
+        return {}
+    return {
+        config.scenario.f_u: _summary(table, config, digest)
+        for config, (table, digest) in zip(configs, _run(configs, workers))
+    }
 
 
 def records_digest(records: Sequence[GameRecord]) -> str:
     """SHA-256 over a canonical rendering of the records.
 
-    Full-precision floats via ``repr``; used to verify that runs with equal
-    (count, master_seed, scenario) are identical regardless of worker count.
+    One line per game: index, the ten parameters, the stable kinds, the
+    four welfare values and the interior flag, with full-precision floats
+    via ``repr``; used to verify that runs with equal (count, master_seed,
+    scenario) are identical regardless of worker count.
     """
+    table = GameTable.from_records(records)
     hasher = hashlib.sha256()
-    for record in records:
-        params = record.params
-        fields = [
-            str(record.index),
-            *(
-                repr(getattr(params, name))
-                for name in ("w", "c_a", "c_d", "b_a", "b_d", "v", "m", "n", "p", "s")
-            ),
-            ",".join(sorted(kind.value for kind in record.stable_kinds)),
-            ",".join(repr(record.welfare[pair]) for pair in STRATEGY_PAIRS),
-            str(int(record.interior_present)),
-        ]
-        hasher.update("|".join(fields).encode("ascii"))
-        hasher.update(b"\n")
+    for start in range(0, len(table), BLOCK_SIZE):
+        hasher.update(_digest_text(table[start:start + BLOCK_SIZE]))
     return hasher.hexdigest()
+
+
+def _digest_text(table: GameTable) -> bytes:
+    line = (
+        "{}|{!r}|{!r}|{!r}|{!r}|{!r}|{!r}|"
+        + "|".join(repr(value) for value in table.fines)
+        + "|{}|{!r},{!r},{!r},{!r}|{:d}\n"
+    )
+    masks = table.stable @ (1 << np.arange(len(_KINDS)))
+    return "".join(
+        line.format(index, *params, _KIND_LABELS[mask], *welfare, interior)
+        for index, params, mask, welfare, interior in zip(
+            table.indices.tolist(),
+            table.params.tolist(),
+            masks.tolist(),
+            table.welfare.tolist(),
+            table.interior.tolist(),
+        )
+    ).encode("ascii")

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that draw phase portraits and integrate."""
+"""Smoke runs of the demos at their shipped sizes."""
 
 import os
 import subprocess
@@ -25,6 +25,8 @@ def _run(script, cwd):
     ("phase_portrait.py", ["phase_single_stable.svg", "phase_bistable_saddle.svg"],
      "wrote phase_bistable_saddle.svg (stable: E2, E3)"),
     ("single_game_analysis.py", [], "converged=True at (1.000000, 1.000000)"),
+    ("random_game_ensemble.py", [], "analyzed 20000 games (master_seed=1)"),
+    ("attacker_fines.py", [], "at level 0.50 the frequency ordering is E3 > E2 > E4"),
 ])
 def test_demo_runs(tmp_path, script, outputs, printed):
     result = _run(script, tmp_path)

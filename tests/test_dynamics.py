@@ -189,3 +189,20 @@ def test_batch_final_states_matches_scalar_integration():
             scalar = integrate(params, start, step=0.05, horizon=40.0,
                                convergence_tol=0.0).final_state
             assert (finals[i, j, 0], finals[i, j, 1]) == (scalar.beta, scalar.alpha)
+
+
+def test_batch_final_states_empty_panel():
+    starts = [PopulationState(0.2, 0.8), PopulationState(0.5, 0.5)]
+    finals = batch_final_states([], starts)
+    assert finals.shape == (0, 2, 2)
+    assert batch_final_states([GameParams(**REF)], []).shape == (1, 0, 2)
+
+
+def test_batch_final_states_argument_validation():
+    games = [GameParams(**REF)]
+    starts = [PopulationState(0.5, 0.5)]
+    with pytest.raises(ParameterError, match="step > 0"):
+        batch_final_states(games, starts, step=0.0)
+    # integrate rejects this span; the batch oracle used to return the starts.
+    with pytest.raises(ParameterError, match="horizon >= step"):
+        batch_final_states(games, starts, step=0.05, horizon=0.01)

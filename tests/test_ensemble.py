@@ -1,28 +1,37 @@
 """Seeded sampling, parallel determinism, and ensemble aggregates."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyberevo import (
+    Classification,
     ConfigError,
     EquilibriumKind,
     FineScenario,
     GameParams,
     GameRecord,
+    GameTable,
     STRATEGY_PAIRS,
     SamplerConfig,
+    analyze_equilibria,
     correlation_matrix,
     fines_study,
+    interior_equilibrium,
     parameter_impact,
     run_ensemble,
     sample_game,
     social_welfare,
+    stable_set,
     v_frequency_curves,
     welfare_analytics,
 )
-from cyberevo.ensemble import records_digest, summarize
+from cyberevo import ensemble
+from cyberevo.ensemble import BLOCK_SIZE, records_digest, summarize
 
 
 def test_sampler_config_validation():
@@ -33,6 +42,20 @@ def test_sampler_config_validation():
         SamplerConfig(count=1, master_seed=-1)
     with pytest.raises(ConfigError, match="b_a_upper"):
         SamplerConfig(count=1, b_a_upper=0.5)
+    SamplerConfig(count=np.int64(3), master_seed=np.uint64(2**64 - 1))
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"count": 2.5}, "count"),
+    ({"count": 5.0}, "count"),
+    ({"count": True}, "count"),
+    ({"count": "5"}, "count"),
+    ({"count": 5, "master_seed": 1.5}, "master_seed"),
+    ({"count": 5, "master_seed": True}, "master_seed"),
+])
+def test_sampler_config_rejects_non_integers(fields, name):
+    with pytest.raises(ConfigError, match=name):
+        SamplerConfig(**fields)
 
 
 def test_sample_game_deterministic_and_index_addressed():
@@ -211,3 +234,116 @@ def test_summarize_empty_free():
     records, _ = run_ensemble(config)
     summary = summarize(records, config)
     assert sum(summary.stable_count_distribution.values()) == 1
+
+
+def _scalar_record(config, index):
+    params = sample_game(config, index)
+    return GameRecord(
+        index=index,
+        params=params,
+        stable_kinds=stable_set(params),
+        welfare={pair: social_welfare(params, pair) for pair in STRATEGY_PAIRS},
+        interior_present=interior_equilibrium(params) is not None,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 10**9),
+    b_a_upper=st.floats(1.0, 2.0),
+    f_u=st.floats(0.0, 1.0),
+    f_s=st.floats(0.0, 1.0),
+)
+def test_table_rows_equal_the_scalar_path(master_seed, index, b_a_upper, f_u, f_s):
+    config = SamplerConfig(
+        count=1, master_seed=master_seed, b_a_upper=b_a_upper,
+        scenario=FineScenario(f_u=f_u, f_s=f_s),
+    )
+    ((table, text),) = ensemble._analyze_block([config], index, index + 3)
+    expected = [_scalar_record(config, i) for i in range(index, index + 3)]
+    # Exact equality: parameters, stable sets and welfare bit for bit.
+    assert table == expected
+    assert list(table) == expected
+    assert records_digest(table) == records_digest(expected)
+
+
+def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):
+    config = SamplerConfig(count=5, master_seed=5)
+    forced = ensemble._uniforms(5, 0, 5)
+    forced[1, 1] = 0.0  # c_a = 0: sample_game rejects the uniform and draws again
+    forced[3, 5] = 1.0  # v = 0: an excluded endpoint
+    monkeypatch.setattr(
+        ensemble, "_uniforms", lambda seed, start, stop: forced[start:stop]
+    )
+    calls = []
+
+    def spy(cfg, index):
+        calls.append(index)
+        return sample_game(cfg, index)
+
+    monkeypatch.setattr(ensemble, "sample_game", spy)
+    table, _ = run_ensemble(config)
+    assert calls == [1, 3]
+    # The redrawn rows come from the true substreams, as do the others.
+    assert [record.params for record in table] == [
+        sample_game(config, i) for i in range(5)
+    ]
+
+
+def test_corner_within_epsilon_of_zero_is_not_stable():
+    # E4's attacker eigenvalue is -(g0 + g1) = c_a - b_a (1 - v) = c_a - 0.4.
+    config = SamplerConfig(count=3)
+    gaps = (5e-10, 9e-10, 5e-9)
+    params = np.array(
+        [[0.9, 0.4 - gap, 0.2, 0.8, 0.6, 0.5] for gap in gaps]
+    )
+    table = ensemble._analyze(config, params, 0)
+    e4 = list(EquilibriumKind).index(EquilibriumKind.E4)
+    assert table.stable[:, e4].tolist() == [False, False, True]
+    for record in table:
+        reports = {r.kind: r.classification for r in analyze_equilibria(record.params)}
+        assert record.stable_kinds == stable_set(record.params)
+        if EquilibriumKind.E4 not in record.stable_kinds:
+            assert reports[EquilibriumKind.E4] is Classification.NON_HYPERBOLIC
+
+
+def test_worker_count_invariant_across_partial_blocks():
+    config = SamplerConfig(count=2 * BLOCK_SIZE + 37, master_seed=6)
+    tables, summaries = zip(*(run_ensemble(config, workers=w) for w in (1, 2, 3)))
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert tables[0] == tables[1] == tables[2]
+    assert summaries[0].records_digest == records_digest(list(tables[0]))
+
+
+def test_game_table_is_a_sequence_of_records():
+    table, summary = run_ensemble(SamplerConfig(count=40, master_seed=3))
+    records = list(table)
+    assert table[-1] == records[-1] and table[39] == records[39]
+    with pytest.raises(IndexError):
+        table[40]
+    assert table[5:9] == records[5:9]
+    assert isinstance(table[::-1], GameTable)
+    assert GameTable.from_records(records) == table
+    assert summarize(records, summary.config) == summarize(table, summary.config)
+    with pytest.raises(ConfigError, match="fines"):
+        GameTable.from_records([records[0], GameRecord(
+            0, FineScenario(0.1, 0.1).apply(records[0].params),
+            frozenset(), records[0].welfare, False,
+        )])
+
+
+def test_game_table_retained_size_per_game():
+    config = SamplerConfig(count=20_000, master_seed=1)
+    run_ensemble(SamplerConfig(count=10, master_seed=1))  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = run_ensemble(config)[0]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == config.count
+    assert retained / config.count <= 100.0, retained / config.count
