@@ -421,6 +421,7 @@ def cmd_abm(args: argparse.Namespace) -> int:
         "params": params,
         "mean_beta": result.mean_beta,
         "mean_alpha": result.mean_alpha,
+        "events": result.events,
     })
     bundle.add_table(Table(
         "abm_means",

@@ -61,6 +61,7 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "PAPER_B_A_UPPER",
     "BIN_WIDTH",
+    "MAX_HISTOGRAM_BINS",
     "BLOCK_SIZE",
 ]
 
@@ -80,6 +81,11 @@ PAPER_B_A_UPPER = 1.33
 
 #: All binned statistics use this bin width; the last bin is closed.
 BIN_WIDTH = 0.1
+
+#: Most bins the welfare histogram may have.  A welfare range wider than
+#: this many ``BIN_WIDTH`` bins (``b_a_upper`` is unbounded above) is
+#: binned at the smallest multiple of ``BIN_WIDTH`` that fits.
+MAX_HISTOGRAM_BINS = 1000
 
 #: Games are drawn, analyzed and rendered for the digest in blocks of this
 #: many consecutive indices, in pool workers or in process.
@@ -256,8 +262,9 @@ class WelfareStats:
     """Social-welfare aggregates over an ensemble.
 
     ``histogram_*`` cover all (game, pair) welfare samples with bin width
-    0.1 over the observed range; ``binned_mean`` maps each of v, c_a, c_d
-    to ten per-bin mean welfare values (NaN for empty bins).
+    0.1 over the observed range, or the smallest multiple of 0.1 that needs
+    at most :data:`MAX_HISTOGRAM_BINS` bins; ``binned_mean`` maps each of
+    v, c_a, c_d to ten per-bin mean welfare values (NaN for empty bins).
     """
 
     mean_by_pair: dict[StrategyPair, float]
@@ -583,21 +590,38 @@ def _summary(
     )
 
 
+def _histogram_grid(low: float, high: float) -> tuple[float, float, int]:
+    """Bin width, first edge and bin count of the welfare histogram.
+
+    Edges are multiples of the width, which is the smallest multiple of
+    ``BIN_WIDTH`` giving at most ``MAX_HISTOGRAM_BINS`` bins.
+    """
+    multiple = 1
+    while True:
+        width = BIN_WIDTH * multiple
+        lo = math.floor(low / width) * width
+        hi = math.ceil(high / width) * width
+        if hi <= lo:
+            hi = lo + width
+        n_bins = int(round((hi - lo) / width))
+        if n_bins <= MAX_HISTOGRAM_BINS:
+            return width, lo, n_bins
+        # The range spans more than n_bins - 2 widths, so no multiple below
+        # this one fits.
+        multiple = max(multiple + 1, multiple * (n_bins - 2) // MAX_HISTOGRAM_BINS)
+
+
 def _welfare_stats(welfare: np.ndarray, bins: dict[str, np.ndarray]) -> WelfareStats:
     n, n_pairs = welfare.shape
     samples = welfare.ravel()  # game-major: game 0's four pairs, then game 1's
     if n:
         sums = _bincount(np.tile(np.arange(n_pairs), n), samples, n_pairs)
         mean_by_pair = {pair: sums[i] / n for i, pair in enumerate(STRATEGY_PAIRS)}
-        lo = math.floor(float(samples.min()) / BIN_WIDTH) * BIN_WIDTH
-        hi = math.ceil(float(samples.max()) / BIN_WIDTH) * BIN_WIDTH
-        if hi <= lo:
-            hi = lo + BIN_WIDTH
-        n_bins = int(round((hi - lo) / BIN_WIDTH))
-        edges = tuple(lo + BIN_WIDTH * i for i in range(n_bins + 1))
+        width, lo, n_bins = _histogram_grid(float(samples.min()), float(samples.max()))
+        edges = tuple(lo + width * i for i in range(n_bins + 1))
         # Truncation toward zero, as int() does; every sample is >= lo up to
         # rounding, so no quotient reaches -1.
-        positions = ((samples - lo) / BIN_WIDTH).astype(np.int64)
+        positions = ((samples - lo) / width).astype(np.int64)
         counts = tuple(_bincount(np.minimum(positions, n_bins - 1), size=n_bins))
     else:
         mean_by_pair = {pair: math.nan for pair in STRATEGY_PAIRS}

@@ -1,26 +1,168 @@
-"""Finite-population simulation: validation, determinism, limit behavior."""
+"""Finite-population simulation: validation, determinism, limit behavior,
+bookkeeping, and agreement in distribution with the exact Markov chain."""
 
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from cyberevo import (
     AbmConfig,
+    AbmResult,
     ConfigError,
     GameParams,
     PopulationState,
+    field_coefficients,
     simulate,
 )
+from cyberevo.abm import _MAX_SAMPLES, _logistic
 
 from test_game import REF
 
 PARAMS = GameParams(**REF)
 
+#: Uniform draws per population per step, and steps per pregenerated block,
+#: of the step-by-step reference kernel.
+_DRAWS_PER_STEP = 5
+_BLOCK = 65536
+
+
+def stepwise_simulate(params: GameParams, config: AbmConfig) -> AbmResult:
+    """Reference kernel: the imitation process simulated one step at a time.
+
+    Each step draws five uniforms per population (focal, mutation, mutant
+    strategy, peer, imitation) and applies them literally.  It samples the
+    same Markov chain as :func:`simulate` from a different random stream.
+    """
+    k0, k1, g0, g1 = field_coefficients(params)
+    n_agents = config.population_size
+    sel = config.selection_strength
+    mut = config.mutation_rate
+    rng = np.random.default_rng(config.seed)
+    n_defending = round(config.initial_state.beta * n_agents)
+    n_attacking = round(config.initial_state.alpha * n_agents)
+
+    stride = max(1, config.steps // _MAX_SAMPLES)
+    trajectory = [(0, n_defending / n_agents, n_attacking / n_agents)]
+    sum_beta = 0
+    sum_alpha = 0
+    events = 0
+    tally_steps = config.steps - config.burn_in
+
+    step = 0
+    while step < config.steps:
+        block = min(_BLOCK, config.steps - step)
+        draws = rng.uniform(size=(block, 2, _DRAWS_PER_STEP))
+        for row in range(block):
+            step += 1
+            nd0 = n_defending
+            na0 = n_attacking
+            # Defender focal against the attackers' current mixture.
+            u_focal, u_mut, u_strat, u_peer, u_imit = draws[row, 0]
+            focal = 1 if u_focal < nd0 / n_agents else 0
+            if u_mut < mut:
+                new = 1 if u_strat < 0.5 else 0
+                n_defending += new - focal
+            else:
+                peer = 1 if u_peer < (nd0 - focal) / (n_agents - 1) else 0
+                if peer != focal:
+                    advantage = k0 + k1 * (na0 / n_agents)
+                    gap = advantage if peer == 1 else -advantage
+                    if u_imit < _logistic(sel * gap):
+                        n_defending += peer - focal
+            # Attacker focal against the defenders' start-of-step mixture.
+            u_focal, u_mut, u_strat, u_peer, u_imit = draws[row, 1]
+            focal = 1 if u_focal < na0 / n_agents else 0
+            if u_mut < mut:
+                new = 1 if u_strat < 0.5 else 0
+                n_attacking += new - focal
+            else:
+                peer = 1 if u_peer < (na0 - focal) / (n_agents - 1) else 0
+                if peer != focal:
+                    advantage = g0 + g1 * (nd0 / n_agents)
+                    gap = advantage if peer == 1 else -advantage
+                    if u_imit < _logistic(sel * gap):
+                        n_attacking += peer - focal
+            if (n_defending, n_attacking) != (nd0, na0):
+                events += 1
+            if step > config.burn_in:
+                sum_beta += n_defending
+                sum_alpha += n_attacking
+            if step % stride == 0:
+                trajectory.append(
+                    (step, n_defending / n_agents, n_attacking / n_agents)
+                )
+    if trajectory[-1][0] != config.steps:
+        trajectory.append(
+            (config.steps, n_defending / n_agents, n_attacking / n_agents)
+        )
+    return AbmResult(
+        mean_beta=sum_beta / (tally_steps * n_agents),
+        mean_alpha=sum_alpha / (tally_steps * n_agents),
+        trajectory_thinned=tuple(trajectory),
+        events=events,
+    )
+
+
+def exact_means(params: GameParams, config: AbmConfig) -> tuple[float, float]:
+    """Expected post-burn-in means, by propagating the start state through
+    the (N+1)^2-state transition matrix of the imitation chain."""
+    k0, k1, g0, g1 = field_coefficients(params)
+    size = config.population_size
+    sel = config.selection_strength
+    mut = config.mutation_rate
+
+    def one_side(count, advantage):
+        # {next count: probability} for one population, closed form.
+        imitate = 1.0 / (1.0 + math.exp(-sel * advantage))
+        up = (size - count) / size * (
+            mut / 2 + (1 - mut) * count / (size - 1) * imitate)
+        down = count / size * (
+            mut / 2 + (1 - mut) * (size - count) / (size - 1) * (1 - imitate))
+        return {count + 1: up, count - 1: down, count: 1.0 - up - down}
+
+    states = size + 1
+    matrix = np.zeros((states, states, states, states))
+    for nd in range(states):
+        for na in range(states):
+            defenders = one_side(nd, k0 + k1 * na / size)
+            attackers = one_side(na, g0 + g1 * nd / size)
+            for nd_next, p_d in defenders.items():
+                for na_next, p_a in attackers.items():
+                    if p_d > 0.0 and p_a > 0.0:
+                        matrix[nd, na, nd_next, na_next] += p_d * p_a
+    matrix = matrix.reshape(states * states, states * states)
+    assert np.allclose(matrix.sum(axis=1), 1.0)
+
+    dist = np.zeros(states * states)
+    nd0 = round(config.initial_state.beta * size)
+    na0 = round(config.initial_state.alpha * size)
+    dist[nd0 * states + na0] = 1.0
+    occupancy = np.zeros(states * states)
+    for step in range(1, config.steps + 1):
+        dist = dist @ matrix
+        if step > config.burn_in:
+            occupancy += dist
+    occupancy = occupancy.reshape(states, states) / (config.steps - config.burn_in)
+    counts = np.arange(states)
+    return (
+        float(occupancy.sum(axis=1) @ counts) / size,
+        float(occupancy.sum(axis=0) @ counts) / size,
+    )
+
 
 def test_config_validation():
     AbmConfig(population_size=2, steps=10, burn_in=0)
+    config = AbmConfig(population_size=np.int64(10), steps=np.int32(100),
+                       burn_in=np.uint16(10), seed=np.uint64(2**63 + 1))
+    assert simulate(PARAMS, config) == simulate(
+        PARAMS, AbmConfig(population_size=10, steps=100, burn_in=10, seed=2**63 + 1))
     with pytest.raises(ConfigError, match="population_size"):
         AbmConfig(population_size=1)
-    with pytest.raises(ConfigError, match="selection_strength"):
-        AbmConfig(selection_strength=-1.0)
+    for strength in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="selection_strength"):
+            AbmConfig(selection_strength=strength)
     with pytest.raises(ConfigError, match="mutation_rate"):
         AbmConfig(mutation_rate=1.5)
     with pytest.raises(ConfigError, match="steps"):
@@ -29,6 +171,15 @@ def test_config_validation():
         AbmConfig(steps=100, burn_in=100)
     with pytest.raises(ConfigError, match="seed"):
         AbmConfig(seed=-2)
+    for field, value in [
+        ("population_size", 10.5), ("population_size", 10.0),
+        ("population_size", True), ("steps", 100.5), ("steps", 100.0),
+        ("burn_in", 1.5), ("burn_in", False), ("seed", True), ("seed", 1.5),
+        ("seed", "1"),
+    ]:
+        settings = {"population_size": 10, "steps": 100, "burn_in": 0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            AbmConfig(**settings)
 
 
 def test_deterministic_per_seed():
@@ -40,6 +191,7 @@ def test_deterministic_per_seed():
         PARAMS, AbmConfig(population_size=100, steps=30000, burn_in=1000, seed=12)
     )
     assert (first.mean_beta, first.mean_alpha) != (other.mean_beta, other.mean_alpha)
+    assert 0 < first.events <= config.steps
 
 
 def test_monomorphic_state_absorbing_without_mutation():
@@ -56,8 +208,71 @@ def test_monomorphic_state_absorbing_without_mutation():
     result = simulate(PARAMS, config)
     assert result.mean_beta == 1.0
     assert result.mean_alpha == 0.0
+    assert result.events == 0
     assert all(beta == 1.0 and alpha == 0.0
                for _, beta, alpha in result.trajectory_thinned)
+
+
+def test_held_corner_bookkeeping_across_burn_in_and_partial_stride():
+    # One null run covers the whole run: it crosses burn_in, and the stride
+    # (30) does not divide the step count, so the last row is the extra one.
+    config = AbmConfig(
+        population_size=50,
+        mutation_rate=0.0,
+        steps=30001,
+        burn_in=7777,
+        seed=4,
+        initial_state=PopulationState(0.0, 1.0),
+    )
+    result = simulate(PARAMS, config)
+    assert result == stepwise_simulate(PARAMS, config)
+    assert result.events == 0
+    assert (result.mean_beta, result.mean_alpha) == (0.0, 1.0)
+    assert [step for step, _, _ in result.trajectory_thinned] == [
+        *range(0, 30001, 30), 30001]
+
+
+def test_sums_and_events_follow_the_recorded_path():
+    # Below 1,000 steps every step is recorded, so the post-burn-in sums and
+    # the event count can be recomputed from the trajectory; null runs here
+    # often cross burn_in.
+    config = AbmConfig(population_size=10, selection_strength=2.0,
+                       mutation_rate=0.02, steps=999, burn_in=400, seed=6)
+    result = simulate(PARAMS, config)
+    rows = result.trajectory_thinned
+    assert [step for step, _, _ in rows] == list(range(1000))
+    tally = config.steps - config.burn_in
+    assert result.mean_beta == sum(
+        round(beta * 10) for _, beta, _ in rows[401:]) / (tally * 10)
+    assert result.mean_alpha == sum(
+        round(alpha * 10) for _, _, alpha in rows[401:]) / (tally * 10)
+    changes = sum(a[1:] != b[1:] for a, b in zip(rows, rows[1:]))
+    assert result.events == changes
+    assert 0 < result.events < config.steps
+
+
+@pytest.mark.parametrize("kernel", [simulate, stepwise_simulate],
+                         ids=["event", "stepwise"])
+@pytest.mark.parametrize("config", [
+    # Near-stationary: light mutation, burn-in, long averaging window.
+    AbmConfig(population_size=10, selection_strength=3.0, mutation_rate=0.05,
+              steps=2000, burn_in=500, initial_state=PopulationState(0.2, 0.3)),
+    # Transient from a corner, where both populations often move in the same
+    # step: the means follow the per-step move probabilities to first order.
+    AbmConfig(population_size=10, selection_strength=3.0, mutation_rate=0.5,
+              steps=40, burn_in=0, initial_state=PopulationState(0.0, 0.0)),
+], ids=["stationary", "transient"])
+def test_means_match_exact_chain(kernel, config):
+    expected = exact_means(PARAMS, config)
+    seeds = 300
+    means = np.array([
+        (result.mean_beta, result.mean_alpha)
+        for result in (kernel(PARAMS, replace(config, seed=seed)) for seed in range(seeds))
+    ])
+    standard_error = means.std(axis=0, ddof=1) / math.sqrt(seeds)
+    assert np.all(standard_error > 0.0)
+    assert np.all(np.abs(means.mean(axis=0) - expected) < 4 * standard_error), (
+        means.mean(axis=0), expected, standard_error)
 
 
 def test_pure_mutation_drives_frequencies_to_half():

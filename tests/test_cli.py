@@ -244,6 +244,7 @@ def test_abm_json_and_determinism(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     doc = json.loads((out1 / "abm_result.json").read_text())
     assert 0.8 <= doc["result"]["mean_beta"] <= 1.0
+    assert 0 < doc["result"]["events"] <= 20000
     assert doc["provenance"]["config"]["abm"]["seed"] == 9
 
 

@@ -31,7 +31,13 @@ from cyberevo import (
     welfare_analytics,
 )
 from cyberevo import ensemble
-from cyberevo.ensemble import BLOCK_SIZE, records_digest, summarize
+from cyberevo.ensemble import (
+    BIN_WIDTH,
+    BLOCK_SIZE,
+    MAX_HISTOGRAM_BINS,
+    records_digest,
+    summarize,
+)
 
 
 def test_sampler_config_validation():
@@ -201,6 +207,28 @@ def test_welfare_analytics_synthetic_records():
         social_welfare(params, pair) for pair in STRATEGY_PAIRS
     ) / 4)
     assert all(math.isnan(binned[i]) for i in range(10) if i != 2)
+
+
+def test_welfare_histogram_bin_count_is_capped():
+    # Attacker benefits up to 1e6 spread welfare over about a million units;
+    # at width 0.1 that took about ten million bins, almost all empty.
+    config = SamplerConfig(count=1500, master_seed=11, b_a_upper=1e6,
+                           scenario=FineScenario(0.2, 5.0))
+    table, summary = run_ensemble(config)
+    stats = summary.welfare_stats
+    counts, edges = stats.histogram_counts, stats.histogram_edges
+    assert 10 < len(counts) <= MAX_HISTOGRAM_BINS
+    assert len(edges) == len(counts) + 1
+    assert sum(counts) == 4 * config.count
+    widths = np.diff(edges)
+    multiple = round(widths[0] / BIN_WIDTH)
+    assert multiple > 1
+    assert widths == pytest.approx(multiple * BIN_WIDTH)
+    assert edges[0] == pytest.approx(round(edges[0] / widths[0]) * widths[0])
+    # One multiple fewer would need more bins than the cap.
+    narrower = (multiple - 1) * BIN_WIDTH
+    low, high = float(table.welfare.min()), float(table.welfare.max())
+    assert math.ceil(high / narrower) - math.floor(low / narrower) > MAX_HISTOGRAM_BINS
 
 
 def test_records_digest_sensitive_to_order_and_content():
