@@ -71,6 +71,16 @@ _STR_KEYS = {("output", "directory"), ("output", "format")}
 _LIST_KEYS = {("fines", "levels"), ("phase", "starts")}
 
 
+def _number(where: str, raw: Any, expected: str) -> float:
+    """``raw`` as a float if it is a finite number (not a bool); else ConfigError."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"config value {where} must {expected}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"config value {where} must be finite")
+    return value
+
+
 def _coerce(section: str, key: str, raw: Any) -> Any:
     """Validate one config value and normalize its type."""
     where = f"{section}.{key}"
@@ -83,30 +93,22 @@ def _coerce(section: str, key: str, raw: Any) -> Any:
     if (section, key) == ("fines", "levels"):
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ConfigError(f"config value {where} must be a non-empty list")
-        levels = []
-        for item in raw:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"config value {where} must contain numbers")
-            levels.append(float(item))
-        return tuple(levels)
+        return tuple(_number(where, item, "contain numbers") for item in raw)
     if (section, key) == ("phase", "starts"):
+        shape = "be a list of [beta, alpha] numbers"
         if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"config value {where} must be a list of [beta, alpha]")
+            raise ConfigError(f"config value {where} must {shape}")
         starts = []
         for item in raw:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigError(f"config value {where} must be a list of [beta, alpha]")
-            starts.append((float(item[0]), float(item[1])))
+                raise ConfigError(f"config value {where} must {shape}")
+            starts.append(tuple(_number(where, x, shape) for x in item))
         return tuple(starts)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"config value {where} must be a number")
+    value = _number(where, raw, "be a number")
     if (section, key) in _INT_KEYS:
-        if float(raw) != int(raw):
+        if not value.is_integer():
             raise ConfigError(f"config value {where} must be an integer")
         return int(raw)
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ConfigError(f"config value {where} must be finite")
     return value
 
 

@@ -7,10 +7,12 @@ advantage over its own population's mean, which reduces to
     d_beta/dt  = beta (1 - beta) (k0 + k1 alpha)
     d_alpha/dt = alpha (1 - alpha) (g0 + g1 beta)
 
-with the coefficients of :func:`cyberevo.game.field_coefficients`
+with the brackets of :func:`cyberevo.game.brackets`, where f_s and f_u are
+the game's expected fines m p and n s (``fine_successful``,
+``fine_unsuccessful``):
 
-    k0 = b_d - c_d                      g0 = b_a - c_a - m p
-    k1 = v b_d - b_d + v w              g1 = v (m p - b_a - n s)
+    k0 = b_d - c_d                      g0 = b_a - c_a - f_s
+    k1 = v b_d - b_d + v w              g1 = v (f_s - b_a - f_u)
 
 The field is a cubic polynomial on the compact square, so a fixed-step
 classical Runge-Kutta scheme is accurate and keeps every run deterministic.

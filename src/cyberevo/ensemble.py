@@ -5,15 +5,17 @@ constraint by construction, one independent RNG substream per game index,
 so results are identical for any worker count.  An ensemble is held as a
 columnar :class:`GameTable`: per game, the six drawn parameters, the
 stable set, the social welfare of the four pure pairs and whether an
-interior point exists, each column one numpy array.  Array formulas fill
-it with the floating-point operations of :func:`sample_game`,
-:func:`~cyberevo.equilibria.stable_set`, :func:`~cyberevo.game.social_welfare`
-and :func:`~cyberevo.equilibria.interior_equilibrium`, in the same order,
-so every row holds the bits those functions return; a row the formulas
-cannot vouch for is recomputed by them.  Aggregates cover the
-stable-count distribution, per-kind counts/ratios, indicator correlations,
-defence-intensity frequency curves, parameter-impact histograms, fine
-scenarios, and social-welfare statistics.
+interior point exists, each column one numpy array.  It is filled by the
+algebra of :mod:`cyberevo.game` and :mod:`cyberevo.equilibria` applied to
+whole columns (constraints, brackets, Jacobian entries, payoff pairs),
+the functions that :class:`~cyberevo.game.GameParams`,
+:func:`~cyberevo.equilibria.stable_set` and
+:func:`~cyberevo.game.social_welfare` call, so every row holds the bits
+those give; a row the column path cannot vouch for is recomputed by them.
+Aggregates cover the stable-count distribution, per-kind counts/ratios,
+indicator correlations, defence-intensity frequency curves,
+parameter-impact histograms, fine scenarios, and social-welfare
+statistics.
 """
 
 from __future__ import annotations
@@ -28,17 +30,22 @@ import numpy as np
 
 from .errors import ConfigError
 from .game import (
+    PARAMETERS,
     STRATEGY_PAIRS,
     FineScenario,
     GameParams,
     StrategyPair,
     ZERO_FINES,
+    brackets,
+    constraints,
+    payoff_pairs,
 )
 from .equilibria import (
     DENOMINATOR_FLOOR,
     HYPERBOLICITY_EPSILON,
     INTERIOR_MARGIN,
     EquilibriumKind,
+    jacobian_entries,
     stable_set,
 )
 
@@ -100,10 +107,6 @@ IMPACT_PARAMETERS: tuple[str, ...] = ("c_d", "c_a", "v", "w", "b_a", "b_d")
 #: Parameters against which mean welfare is binned.
 WELFARE_BIN_PARAMETERS: tuple[str, ...] = ("v", "c_a", "c_d")
 
-#: Columns of ``GameTable.params`` and of ``GameTable.fines``.
-PARAM_COLUMNS: tuple[str, ...] = ("w", "c_a", "c_d", "b_a", "b_d", "v")
-FINE_COLUMNS: tuple[str, ...] = ("m", "n", "p", "s")
-
 #: Columns of ``GameTable.stable``.
 _KINDS: tuple[EquilibriumKind, ...] = tuple(EquilibriumKind)
 _E2, _E3, _E4 = 1, 2, 3
@@ -116,9 +119,6 @@ _KIND_LABELS: tuple[str, ...] = tuple(
     ",".join(kind.value for bit, kind in enumerate(_KINDS) if mask >> bit & 1)
     for mask in range(1 << len(_KINDS))
 )
-
-#: Any valid game: fine scenarios are applied to it to read their fields.
-_PROBE = GameParams(w=1.0, c_a=0.5, c_d=0.5, b_a=1.0, b_d=1.0, v=1.0)
 
 
 def _is_integer(value: object) -> bool:
@@ -179,10 +179,10 @@ class GameTable(Sequence[GameRecord]):
     """Analyzed games as columns, one row per game.
 
     ``indices`` (n,) int64 game indices; ``params`` (n, 6) float64 in
-    :data:`PARAM_COLUMNS` order; ``stable`` (n, 5) bool, one column per
-    :class:`EquilibriumKind` E1..E5; ``welfare`` (n, 4) float64 in
-    ``STRATEGY_PAIRS`` order; ``interior`` (n,) bool.  ``fines`` holds the
-    (m, n, p, s) that every row shares, as its scenario installs them.
+    :data:`~cyberevo.game.PARAMETERS` order; ``stable`` (n, 5) bool, one
+    column per :class:`EquilibriumKind` E1..E5; ``welfare`` (n, 4) float64
+    in ``STRATEGY_PAIRS`` order; ``interior`` (n,) bool.  ``fines`` holds
+    the (fine_successful, fine_unsuccessful) that every row shares.
 
     A table is also a read-only sequence of :class:`GameRecord`: records
     are built on access, a slice is a table, and a table equals another
@@ -194,29 +194,29 @@ class GameTable(Sequence[GameRecord]):
     stable: np.ndarray
     welfare: np.ndarray
     interior: np.ndarray
-    fines: tuple[float, float, float, float]
+    fines: tuple[float, float]
 
     @classmethod
     def from_records(cls, records: Sequence[GameRecord]) -> GameTable:
         """Columns of ``records`` (a table is returned as it is).
 
-        The records must share their fine fields (m, n, p, s).
+        The records must share their fines.
         """
         if isinstance(records, GameTable):
             return records
         fines = {
-            tuple(float(getattr(r.params, name)) for name in FINE_COLUMNS)
+            (float(r.params.fine_successful), float(r.params.fine_unsuccessful))
             for r in records
         }
         if len(fines) > 1:
-            raise ConfigError("records with different fines (m, n, p, s) in one table")
+            raise ConfigError("records with different fines in one table")
         n = len(records)
         return cls(
             indices=np.array([r.index for r in records], dtype=np.int64),
             params=np.array(
-                [[getattr(r.params, name) for name in PARAM_COLUMNS] for r in records],
+                [[getattr(r.params, name) for name in PARAMETERS] for r in records],
                 dtype=float,
-            ).reshape(n, len(PARAM_COLUMNS)),
+            ).reshape(n, len(PARAMETERS)),
             stable=np.array(
                 [[kind in r.stable_kinds for kind in _KINDS] for r in records],
                 dtype=bool,
@@ -226,7 +226,7 @@ class GameTable(Sequence[GameRecord]):
                 dtype=float,
             ).reshape(n, len(STRATEGY_PAIRS)),
             interior=np.array([r.interior_present for r in records], dtype=bool),
-            fines=fines.pop() if fines else (0.0, 0.0, 0.0, 0.0),
+            fines=fines.pop() if fines else (0.0, 0.0),
         )
 
     def __len__(self) -> int:
@@ -369,55 +369,37 @@ def _draw(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
 def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable:
     """Check, classify and evaluate games ``start..start+n-1`` drawn for ``config``.
 
-    Every row must pass :class:`GameParams`' constraints and the sampler's
+    Every row must pass :func:`~cyberevo.game.constraints` and the sampler's
     ceiling b_a <= b_a_upper; any row that does not (a draw that hit an
-    excluded endpoint) is redrawn by :func:`sample_game`.  The rest repeats
-    the scalar functions' operations in their order, so each row holds the
-    bits :func:`sample_game`, :func:`stable_set`, ``social_welfare`` and
-    ``interior_equilibrium`` give for that game.
+    excluded endpoint) is redrawn by :func:`sample_game`.  The rest applies
+    the scalar functions' algebra to columns, so each row holds the bits
+    :func:`sample_game`, :func:`stable_set`, ``social_welfare`` and
+    ``interior_equilibrium`` give for that game.  Only the interior rule is
+    written here a second time, as a mask: the scalar form returns early
+    where a slope is too small to divide by.
     """
-    probe = config.scenario.apply(_PROBE)  # validates the fines as a game would
-    fines = tuple(getattr(probe, name) for name in FINE_COLUMNS)
-    w, c_a, c_d, b_a, b_d, v = params.T
-    valid = (
-        np.isfinite(params).all(axis=1)
-        & (0.0 < w) & (w <= 1.0)
-        & (0.0 < c_a) & (c_a < w)
-        & (0.0 < c_d) & (c_d < w)
-        & (c_a < b_a) & (b_a <= config.b_a_upper)
-        & (c_d < b_d) & (b_d <= w)
-        & (0.0 < v) & (v <= 1.0)
-    )
+    fines = (float(config.scenario.f_s), float(config.scenario.f_u))
+    valid = params[:, PARAMETERS.index("b_a")] <= config.b_a_upper
+    for _, holds in constraints(*params.T, *fines):
+        valid &= holds
     redraw = np.flatnonzero(~valid)
     if redraw.size:
         params = params.copy()
         for row in redraw.tolist():
-            game = sample_game(config, start + row)
-            params[row] = [getattr(game, name) for name in PARAM_COLUMNS]
-        w, c_a, c_d, b_a, b_d, v = params.T
+            params[row] = sample_game(config, start + row).as_tuple()[:6]
+    game = (*params.T, *fines)
+    coeffs = brackets(*game)
+    k0, k1, g0, g1 = coeffs
 
-    # field_coefficients
-    fine_s = probe.fine_successful
-    fine_u = probe.fine_unsuccessful
-    k0 = b_d - c_d
-    k1 = v * b_d - b_d + v * w
-    g0 = b_a - c_a - fine_s
-    g1 = v * (fine_s - b_a - fine_u)
-
-    # Corner Jacobians are diagonal (jacobian(); acceptance criterion 3), so
-    # a corner is Stable when both diagonal entries are below -epsilon.
+    # Corner Jacobians are diagonal (acceptance criterion 3), so a corner is
+    # Stable when both diagonal entries are below -epsilon.
     eps = HYPERBOLICITY_EPSILON
-    corners = (
-        (k0, g0),
-        (k0 + k1, -g0),
-        (-k0, g0 + g1),
-        (-(k0 + k1), -(g0 + g1)),
-    )
     stable = np.zeros((len(params), len(_KINDS)), dtype=bool)
-    for column, (j11, j22) in enumerate(corners):
+    for column, kind in enumerate(_KINDS[:4]):
+        j11, _, _, j22 = jacobian_entries(*coeffs, *kind.corner)
         stable[:, column] = (j11 < -eps) & (j22 < -eps)
 
-    # interior_equilibrium
+    # interior_equilibrium's rule, as a mask.
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = -g0 / g1
         alpha = -k0 / k1
@@ -426,24 +408,17 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
             & (INTERIOR_MARGIN < beta) & (beta < 1.0 - INTERIOR_MARGIN)
             & (INTERIOR_MARGIN < alpha) & (alpha < 1.0 - INTERIOR_MARGIN)
         )
-        trace = (1.0 - 2.0 * beta) * (k0 + k1 * alpha) + (
-            1.0 - 2.0 * alpha
-        ) * (g0 + g1 * beta)
+        j11, _, _, j22 = jacobian_entries(*coeffs, beta, alpha)
     # Both real parts of E5's eigenvalues are below -epsilon only if the
     # Jacobian's trace is at most -2 epsilon; it is about zero at a true
     # interior point, so these rows are rare and take the scalar path.
-    for row in np.flatnonzero(interior & (trace <= -2.0 * eps)).tolist():
+    for row in np.flatnonzero(interior & (j11 + j22 <= -2.0 * eps)).tolist():
         kinds = stable_set(GameParams(*params[row].tolist(), *fines))
         stable[row] = [kind in kinds for kind in _KINDS]
 
-    # social_welfare: defender plus attacker payoff of build_payoff_matrix.
     welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
-    welfare[:, 0] = 0.0 + 0.0
-    welfare[:, 1] = -w + (-c_a + b_a - fine_s)
-    welfare[:, 2] = -c_d + b_d + 0.0
-    welfare[:, 3] = (-c_d + v * b_d - w * (1.0 - v)) + (
-        -c_a + b_a * (1.0 - v) - v * fine_u - (1.0 - v) * fine_s
-    )
+    for column, (defender, attacker) in enumerate(payoff_pairs(*game)):
+        welfare[:, column] = defender + attacker
     return GameTable(
         indices=np.arange(start, start + len(params), dtype=np.int64),
         params=params,
@@ -544,7 +519,7 @@ def _summary(
     # Bins [0, 0.1), ..., [0.9, 1.0]; the last bin is closed so 1.0 lands in it.
     bins = {
         name: np.minimum(table.params[:, i] / BIN_WIDTH, 9.0).astype(np.int64)
-        for i, name in enumerate(PARAM_COLUMNS)
+        for i, name in enumerate(PARAMETERS)
     }
     kind_counts = dict(zip(_KINDS, stable.sum(axis=0).tolist()))
     total_pairs = sum(kind_counts.values())
@@ -697,8 +672,8 @@ def fines_study(
     """
     configs = []
     for level in levels:
-        if level < 0:
-            raise ConfigError(f"fine level must be >= 0 (got {level!r})")
+        if not (math.isfinite(level) and level >= 0):
+            raise ConfigError(f"fine level must be finite and >= 0 (got {level!r})")
         configs.append(SamplerConfig(
             count=count,
             master_seed=master_seed,
@@ -716,10 +691,10 @@ def fines_study(
 def records_digest(records: Sequence[GameRecord]) -> str:
     """SHA-256 over a canonical rendering of the records.
 
-    One line per game: index, the ten parameters, the stable kinds, the
-    four welfare values and the interior flag, with full-precision floats
-    via ``repr``; used to verify that runs with equal (count, master_seed,
-    scenario) are identical regardless of worker count.
+    One line per game: index, the six drawn parameters, the two fines, the
+    stable kinds, the four welfare values and the interior flag, with
+    full-precision floats via ``repr``; used to verify that runs with equal
+    (count, master_seed, scenario) are identical regardless of worker count.
     """
     table = GameTable.from_records(records)
     hasher = hashlib.sha256()

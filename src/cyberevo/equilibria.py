@@ -32,6 +32,7 @@ __all__ = [
     "Classification",
     "EquilibriumReport",
     "jacobian",
+    "jacobian_entries",
     "eigenvalues",
     "classify",
     "interior_equilibrium",
@@ -124,26 +125,32 @@ class EquilibriumReport:
     classification: Classification
 
 
-def jacobian(params: GameParams, state: PopulationState) -> Jacobian2:
-    """Closed-form Jacobian of the replicator field at a state.
+def jacobian_entries(k0, k1, g0, g1, beta, alpha):
+    """(j11, j12, j21, j22) of the replicator field's Jacobian at (beta, alpha).
 
     With brackets k0 + k1*alpha and g0 + g1*beta (see
-    :func:`cyberevo.game.field_coefficients`):
+    :func:`cyberevo.game.brackets`):
 
         j11 = (1 - 2 beta)(k0 + k1 alpha)    j12 = beta(1 - beta) k1
         j21 = alpha(1 - alpha) g1            j22 = (1 - 2 alpha)(g0 + g1 beta)
 
     At every corner the off-diagonal entries are exactly zero because the
     logistic prefactors vanish, so corner eigenvalues are the diagonal.
+    Takes one game's floats or a table's columns alike; this is the only
+    place the entries are written.
     """
-    k0, k1, g0, g1 = field_coefficients(params)
-    beta = state.beta
-    alpha = state.alpha
+    return (
+        (1.0 - 2.0 * beta) * (k0 + k1 * alpha),
+        beta * (1.0 - beta) * k1,
+        alpha * (1.0 - alpha) * g1,
+        (1.0 - 2.0 * alpha) * (g0 + g1 * beta),
+    )
+
+
+def jacobian(params: GameParams, state: PopulationState) -> Jacobian2:
+    """Closed-form Jacobian of the field at a state (:func:`jacobian_entries`)."""
     return Jacobian2(
-        j11=(1.0 - 2.0 * beta) * (k0 + k1 * alpha),
-        j12=beta * (1.0 - beta) * k1,
-        j21=alpha * (1.0 - alpha) * g1,
-        j22=(1.0 - 2.0 * alpha) * (g0 + g1 * beta),
+        *jacobian_entries(*field_coefficients(params), state.beta, state.alpha)
     )
 
 

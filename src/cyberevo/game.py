@@ -1,7 +1,7 @@
 """Parameter model and payoff structure of the attack-defence game.
 
 Two populations interact: defenders choose between NoDefence and Defence,
-attackers between NoAttack and Attack.  A game is described by ten
+attackers between NoAttack and Attack.  A game is described by eight
 parameters:
 
 ======  ======================================================  ============
@@ -14,17 +14,18 @@ b_a     attacker's benefit from a successful attack             c_a < b_a
 b_d     defender's benefit from running a defended system       c_d < b_d <= w
 v       probability that an implemented defence defeats an      0 < v <= 1
         attack (defence intensity)
-m       probability of catching the attacker on an unsecured    0 <= m <= 1
-        system
-n       probability of catching the attacker on a secured       0 <= n <= 1
-        system
-p       penalty for a successful attack                         p >= 0
-s       penalty for an unsuccessful attack                      s >= 0
+f_s     ``fine_successful``: expected fine m*p on a successful  f_s >= 0
+        attack
+f_u     ``fine_unsuccessful``: expected fine n*s on an          f_u >= 0
+        unsuccessful attack
 ======  ======================================================  ============
 
-Payoffs depend on (m, p, n, s) only through the two products m*p and n*s,
-the expected fines for successful and unsuccessful attacks.  The default
-construction sets all four to zero (no fines).
+The paper's fines (m, n the chances of catching the attacker on an
+unsecured and a secured system, p, s the penalties for a successful and an
+unsuccessful attack) enter the payoffs only through m*p and n*s, so a game
+holds the two products and "no fines" is the default 0.0.  Every
+parameter must be finite.  The constraints, payoff pairs and brackets are
+each written once and take one game's floats or a table's columns alike.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -44,12 +47,16 @@ __all__ = [
     "AttackerMove",
     "StrategyPair",
     "STRATEGY_PAIRS",
+    "PARAMETERS",
     "GameParams",
     "FineScenario",
     "ZERO_FINES",
     "PayoffMatrix",
     "FitnessProfile",
     "build_payoff_matrix",
+    "constraints",
+    "payoff_pairs",
+    "brackets",
     "field_coefficients",
     "fitness_profile",
     "social_welfare",
@@ -99,12 +106,41 @@ def _require(condition: bool, constraint: str, **values: float) -> None:
         raise ParameterError(f"constraint violated: {constraint} ({shown})")
 
 
+#: The six parameters a game is drawn from, in :class:`GameParams` field order.
+PARAMETERS: tuple[str, ...] = ("w", "c_a", "c_d", "b_a", "b_d", "v")
+
+#: All fields of :class:`GameParams`, in order.
+_FIELDS = PARAMETERS + ("fine_successful", "fine_unsuccessful")
+
+
+def constraints(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
+    """Each constraint on a game's parameters, as ``(constraint, holds)``.
+
+    Takes one game's floats or a table's columns alike; ``holds`` is a bool
+    or a boolean array.  Finiteness comes first, so a NaN or an infinity is
+    named as such.
+    """
+    values = (w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful)
+    return (
+        *((f"{name} finite", np.isfinite(x)) for name, x in zip(_FIELDS, values)),
+        ("0 < w <= 1", (0.0 < w) & (w <= 1.0)),
+        ("0 < c_a < w", (0.0 < c_a) & (c_a < w)),
+        ("0 < c_d < w", (0.0 < c_d) & (c_d < w)),
+        ("c_a < b_a", c_a < b_a),
+        ("c_d < b_d <= w", (c_d < b_d) & (b_d <= w)),
+        ("0 < v <= 1", (0.0 < v) & (v <= 1.0)),
+        ("fine_successful >= 0", fine_successful >= 0.0),
+        ("fine_unsuccessful >= 0", fine_unsuccessful >= 0.0),
+    )
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Validated parameter set of one attack-defence game.
 
-    Construction rejects any constraint violation; nothing is clamped
-    silently.  Instances are immutable and safe to share across workers.
+    Construction rejects any violation of :func:`constraints`; nothing is
+    clamped silently.  Instances are immutable and safe to share across
+    workers.
     """
 
     w: float
@@ -113,61 +149,43 @@ class GameParams:
     b_a: float
     b_d: float
     v: float
-    m: float = 0.0
-    n: float = 0.0
-    p: float = 0.0
-    s: float = 0.0
+    fine_successful: float = 0.0
+    fine_unsuccessful: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("w", "c_a", "c_d", "b_a", "b_d", "v", "m", "n", "p", "s"):
-            value = getattr(self, name)
-            _require(math.isfinite(value), f"{name} finite", **{name: value})
-        _require(0.0 < self.w <= 1.0, "0 < w <= 1", w=self.w)
-        _require(0.0 < self.c_a < self.w, "0 < c_a < w", c_a=self.c_a, w=self.w)
-        _require(0.0 < self.c_d < self.w, "0 < c_d < w", c_d=self.c_d, w=self.w)
-        _require(self.c_a < self.b_a, "c_a < b_a", c_a=self.c_a, b_a=self.b_a)
-        _require(
-            self.c_d < self.b_d <= self.w,
-            "c_d < b_d <= w",
-            c_d=self.c_d,
-            b_d=self.b_d,
-            w=self.w,
+        for constraint, holds in constraints(*self.as_tuple()):
+            _require(holds, constraint, **{
+                name: getattr(self, name)
+                for name in constraint.split() if name in _FIELDS
+            })
+
+    def as_tuple(self) -> tuple[float, ...]:
+        """The eight fields in order, as the algebra functions take them."""
+        return (
+            self.w, self.c_a, self.c_d, self.b_a, self.b_d, self.v,
+            self.fine_successful, self.fine_unsuccessful,
         )
-        _require(0.0 < self.v <= 1.0, "0 < v <= 1", v=self.v)
-        _require(0.0 <= self.m <= 1.0, "0 <= m <= 1", m=self.m)
-        _require(0.0 <= self.n <= 1.0, "0 <= n <= 1", n=self.n)
-        _require(self.p >= 0.0, "p >= 0", p=self.p)
-        _require(self.s >= 0.0, "s >= 0", s=self.s)
-
-    @property
-    def fine_successful(self) -> float:
-        """Expected fine m*p levied on a successful attack."""
-        return self.m * self.p
-
-    @property
-    def fine_unsuccessful(self) -> float:
-        """Expected fine n*s levied on an unsuccessful attack."""
-        return self.n * self.s
 
 
 @dataclass(frozen=True)
 class FineScenario:
     """Composite attacker fines: f_u for unsuccessful, f_s for successful attacks.
 
-    Payoffs depend on (m, p, n, s) only through the products m*p and n*s, so
-    a scenario is applied by setting m = 1, p = f_s, n = 1, s = f_u.
+    Applied to a game, ``f_s`` becomes its ``fine_successful`` and ``f_u``
+    its ``fine_unsuccessful``.
     """
 
     f_u: float = 0.0
     f_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(self.f_u >= 0.0, "f_u >= 0", f_u=self.f_u)
-        _require(self.f_s >= 0.0, "f_s >= 0", f_s=self.f_s)
+        for name, value in (("f_u", self.f_u), ("f_s", self.f_s)):
+            _require(math.isfinite(value), f"{name} finite", **{name: value})
+            _require(value >= 0.0, f"{name} >= 0", **{name: value})
 
     def apply(self, params: GameParams) -> GameParams:
         """Return a copy of ``params`` with this scenario's fines installed."""
-        return replace(params, m=1.0, p=self.f_s, n=1.0, s=self.f_u)
+        return replace(params, fine_successful=self.f_s, fine_unsuccessful=self.f_u)
 
 
 #: The no-fines default scenario.
@@ -212,62 +230,54 @@ class FitnessProfile:
     mean_attacker: float
 
 
-def build_payoff_matrix(params: GameParams) -> PayoffMatrix:
-    """Construct the bimatrix payoffs for one game.
+def payoff_pairs(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
+    """(defender, attacker) payoffs of the pure pairs, in ``STRATEGY_PAIRS`` order.
 
-    Parameters
-    ----------
-    params : GameParams
-        Validated game parameters.
-
-    Returns
-    -------
-    PayoffMatrix
-        For (NoDefence, NoAttack) both payoffs are zero.  An undefended
-        attack costs the defender the asset value w and nets the attacker
-        b_a - c_a minus the successful-attack fine m*p.  A defended system
-        yields b_d - c_d against no attack; against an attack the defence
-        succeeds with probability v, mixing the defended and undefended
-        outcomes and the two fines accordingly.
+    Takes one game's floats (:meth:`GameParams.as_tuple`) or a table's
+    columns alike; this is the only place the payoffs are written.  For
+    (NoDefence, NoAttack) both payoffs are zero.  An undefended attack costs
+    the defender the asset value w and nets the attacker b_a - c_a minus the
+    successful-attack fine.  A defended system yields b_d - c_d against no
+    attack; against an attack the defence succeeds with probability v,
+    mixing the defended and undefended outcomes and the two fines
+    accordingly.
     """
-    w, c_a, c_d, b_a, b_d, v = (
-        params.w,
-        params.c_a,
-        params.c_d,
-        params.b_a,
-        params.b_d,
-        params.v,
-    )
-    fine_s = params.fine_successful
-    fine_u = params.fine_unsuccessful
-    entries = {
-        STRATEGY_PAIRS[0]: (0.0, 0.0),
-        STRATEGY_PAIRS[1]: (-w, -c_a + b_a - fine_s),
-        STRATEGY_PAIRS[2]: (-c_d + b_d, 0.0),
-        STRATEGY_PAIRS[3]: (
-            -c_d + v * b_d - w * (1.0 - v),
-            -c_a + b_a * (1.0 - v) - v * fine_u - (1.0 - v) * fine_s,
+    return (
+        (0.0, 0.0),
+        (-w, -c_a + b_a - fine_successful),
+        (-c_d + b_d, 0.0),
+        (
+            -c_d + b_d * v - w * (1.0 - v),
+            -c_a + b_a * (1.0 - v)
+            - v * fine_unsuccessful - (1.0 - v) * fine_successful,
         ),
-    }
-    return PayoffMatrix(entries)
+    )
 
 
-def field_coefficients(params: GameParams) -> tuple[float, float, float, float]:
+def brackets(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
     """Return (k0, k1, g0, g1): the payoff advantages as linear functions.
 
     ``k0 + k1 * alpha`` is the defender's payoff advantage of Defence over
     NoDefence against attack frequency alpha; ``g0 + g1 * beta`` is the
     attacker's advantage of Attack over NoAttack against defence frequency
-    beta.  They are the brackets of the replicator field and the only place
-    this algebra is written.
+    beta.  Takes one game's floats (:meth:`GameParams.as_tuple`) or a
+    table's columns alike; this is the only place the brackets are written.
     """
-    fine_s = params.fine_successful
-    fine_u = params.fine_unsuccessful
-    k0 = params.b_d - params.c_d
-    k1 = params.v * params.b_d - params.b_d + params.v * params.w
-    g0 = params.b_a - params.c_a - fine_s
-    g1 = params.v * (fine_s - params.b_a - fine_u)
+    k0 = b_d - c_d
+    k1 = v * b_d - b_d + v * w
+    g0 = b_a - c_a - fine_successful
+    g1 = v * (fine_successful - b_a - fine_unsuccessful)
     return k0, k1, g0, g1
+
+
+def build_payoff_matrix(params: GameParams) -> PayoffMatrix:
+    """The bimatrix payoffs of one game (see :func:`payoff_pairs`)."""
+    return PayoffMatrix(dict(zip(STRATEGY_PAIRS, payoff_pairs(*params.as_tuple()))))
+
+
+def field_coefficients(params: GameParams) -> tuple[float, float, float, float]:
+    """The field brackets (k0, k1, g0, g1) of one game (see :func:`brackets`)."""
+    return brackets(*params.as_tuple())
 
 
 def fitness_profile(params: GameParams, state: "PopulationState") -> FitnessProfile:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 from .dynamics import (
@@ -142,10 +142,7 @@ def render_phase_svg(
     k0, k1, g0, g1 = field_coefficients(params)
 
     meta: dict[str, object] = {
-        "params": {
-            name: getattr(params, name)
-            for name in ("w", "c_a", "c_d", "b_a", "b_d", "v", "m", "n", "p", "s")
-        },
+        "params": asdict(params),
         "resolution": portrait.resolution,
         "trajectory_starts": [[s.beta, s.alpha] for s in portrait.starts],
     }

@@ -119,6 +119,14 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli.main(["analyze", "--config", str(bad_type)]) == 2
     assert "ensemble.count" in capsys.readouterr().err
 
+    # A start coordinate must be a number, and a bool is not one.
+    for start in (["a", 0.5], [True, 0.5]):
+        bad_start = tmp_path / "start.json"
+        bad_start.write_text(json.dumps({"phase": {"starts": [start]}}))
+        assert cli.main(["phase", *REF_FLAGS, "--config", str(bad_start)]) == 2
+        err = capsys.readouterr().err
+        assert "phase.starts must be a list of [beta, alpha] numbers" in err
+
 
 EXPECTED_ENSEMBLE_FILES = [
     "ensemble_summary.json",
@@ -296,9 +304,25 @@ def test_fines_rejects_fixed_fines(tmp_path, capsys, flag):
     assert flag in capsys.readouterr().err
 
 
-def test_fines_rejects_bad_levels(capsys):
+def test_seed_beyond_float_precision_is_an_integer(tmp_path):
+    # 2**53 + 1 has no exact float, but it is an integer seed.
+    out = tmp_path / "e"
+    assert cli.main(["ensemble", "--count", "10", "--seed", str(2**53 + 1),
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "ensemble_summary.json").read_text())
+    assert doc["provenance"]["config"]["ensemble"]["master_seed"] == 2**53 + 1
+
+
+def test_fines_rejects_bad_levels(tmp_path, capsys):
     assert cli.main(["fines", "--count", "10", "--levels", "0.1,x"]) == 2
     assert "--levels" in capsys.readouterr().err
+    for level in ("inf", "nan"):
+        assert cli.main(["fines", "--count", "10", "--levels", f"0.1,{level}"]) == 2
+        assert "fines.levels must be finite" in capsys.readouterr().err
+    config = tmp_path / "levels.json"
+    config.write_text('{"fines": {"levels": [0.1, Infinity]}}')
+    assert cli.main(["fines", "--count", "10", "--config", str(config)]) == 2
+    assert "fines.levels must be finite" in capsys.readouterr().err
 
 
 def test_integration_failure_maps_to_compute_exit_code(monkeypatch, capsys):

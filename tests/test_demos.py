@@ -28,6 +28,7 @@ def _run(script, cwd):
     ("random_game_ensemble.py", [], "analyzed 20000 games (master_seed=1)"),
     ("attacker_fines.py", [], "at level 0.50 the frequency ordering is E3 > E2 > E4"),
     ("finite_population_check.py", [], "mean defence frequency beta = 0.99"),
+    ("finite_population_check.py", [], "\n  step   40000  beta="),
 ])
 def test_demo_runs(tmp_path, script, outputs, printed):
     result = _run(script, tmp_path)

@@ -38,6 +38,9 @@ from cyberevo.ensemble import (
     records_digest,
     summarize,
 )
+from cyberevo.game import PARAMETERS
+
+from test_game import DRAWN_VIOLATIONS, REF
 
 
 def test_sampler_config_validation():
@@ -115,7 +118,27 @@ def test_scenario_changes_fines_not_draws():
         a, b = sample_game(base, index), sample_game(fined, index)
         assert (a.w, a.c_a, a.c_d, a.b_a, a.b_d, a.v) == \
             (b.w, b.c_a, b.c_d, b.b_a, b.b_d, b.v)
-        assert (b.m, b.p, b.n, b.s) == (1.0, 0.5, 1.0, 0.5)
+        assert (b.fine_successful, b.fine_unsuccessful) == (0.5, 0.5)
+
+
+def test_no_fines_has_one_representation():
+    config = SamplerConfig(count=2, master_seed=5)
+    sampled = sample_game(config, 0)
+    built = GameParams(*(getattr(sampled, name) for name in PARAMETERS))
+    assert sampled == built
+    table, _ = run_ensemble(config)
+    record = table[0]
+    other = GameRecord(
+        1, built, record.stable_kinds, record.welfare, record.interior_present
+    )
+    assert GameTable.from_records([record, other]).fines == (0.0, 0.0)
+
+
+def test_integer_fines_render_as_the_record_view_does():
+    config = SamplerConfig(count=20, master_seed=1, scenario=FineScenario(1, 1))
+    table, summary = run_ensemble(config)
+    assert table.fines == (1.0, 1.0)
+    assert summary.records_digest == records_digest(list(table))
 
 
 def test_run_ensemble_worker_count_invariant():
@@ -253,8 +276,9 @@ def test_fines_study_reuses_draws_and_validates_levels():
         summaries[0.5].kind_counts[EquilibriumKind.E4]
         < summaries[0.0].kind_counts[EquilibriumKind.E4]
     )
-    with pytest.raises(ConfigError, match="fine level"):
-        fines_study(count=10, master_seed=1, levels=(-0.1,))
+    for level in (-0.1, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="fine level"):
+            fines_study(count=10, master_seed=1, levels=(level,))
 
 
 def test_summarize_empty_free():
@@ -317,6 +341,17 @@ def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):
     assert [record.params for record in table] == [
         sample_game(config, i) for i in range(5)
     ]
+
+    # GameParams and the block share one constraint table: each violation
+    # that GameParams names on the six drawn parameters, set between valid
+    # rows, sends exactly its own row to sample_game.
+    valid = [REF[name] for name in PARAMETERS]
+    rows = [valid]
+    for bad, _ in DRAWN_VIOLATIONS:
+        rows += [[{**REF, **bad}[name] for name in PARAMETERS], valid]
+    calls.clear()
+    ensemble._analyze(config, np.array(rows), 0)
+    assert calls == list(range(1, len(rows), 2))
 
 
 def test_corner_within_epsilon_of_zero_is_not_stable():

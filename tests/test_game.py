@@ -31,19 +31,19 @@ def random_params(rng, with_fines=False):
     v = 1.0 - rng.uniform()
     extra = {}
     if with_fines:
-        extra = dict(
-            m=rng.uniform(), n=rng.uniform(),
-            p=rng.uniform(0.0, 2.0), s=rng.uniform(0.0, 2.0),
-        )
+        # The paper's catch probabilities m, n and penalties p, s, held as
+        # the expected fines m*p and n*s.
+        m, n = rng.uniform(), rng.uniform()
+        p, s = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+        extra = dict(fine_successful=m * p, fine_unsuccessful=n * s)
     return GameParams(w=w, c_a=c_a, c_d=c_d, b_a=b_a, b_d=b_d, v=v, **extra)
 
 
 def test_valid_construction():
     params = GameParams(**REF)
     assert params.w == 0.98
-    assert params.m == params.n == params.p == params.s == 0.0
-    assert params.fine_successful == 0.0
-    assert params.fine_unsuccessful == 0.0
+    assert params.fine_successful == params.fine_unsuccessful == 0.0
+    assert len(dataclasses.fields(params)) == 8
 
 
 def test_params_immutable():
@@ -52,27 +52,36 @@ def test_params_immutable():
         params.w = 0.5
 
 
+#: One violation of each constraint on the six drawn parameters, as a change
+#: to REF and the constraint it must be reported under.
+DRAWN_VIOLATIONS = [
+    (dict(w=0.0), "0 < w <= 1"),
+    (dict(w=1.5), "0 < w <= 1"),
+    (dict(c_a=0.0), "0 < c_a < w"),
+    (dict(c_a=0.99), "0 < c_a < w"),
+    (dict(c_d=0.0), "0 < c_d < w"),
+    (dict(c_d=0.98), "0 < c_d < w"),
+    (dict(b_a=0.51), "c_a < b_a"),
+    (dict(b_d=0.99), "c_d < b_d <= w"),
+    (dict(b_d=0.1), "c_d < b_d <= w"),
+    (dict(v=0.0), "0 < v <= 1"),
+    (dict(v=1.01), "0 < v <= 1"),
+    (dict(w=math.nan), "w finite"),
+    (dict(b_a=math.inf), "b_a finite"),
+]
+
+FINE_VIOLATIONS = [
+    (dict(fine_successful=math.inf), "fine_successful finite"),
+    (dict(fine_unsuccessful=math.nan), "fine_unsuccessful finite"),
+    (dict(fine_successful=-1.0), "fine_successful >= 0"),
+    (dict(fine_unsuccessful=-1.0), "fine_unsuccessful >= 0"),
+]
+
+
+# The fine cases sit between the range and the finiteness cases, so each
+# case's index in its test id stays fixed.
 @pytest.mark.parametrize(
-    "bad, named",
-    [
-        (dict(w=0.0), "0 < w <= 1"),
-        (dict(w=1.5), "0 < w <= 1"),
-        (dict(c_a=0.0), "0 < c_a < w"),
-        (dict(c_a=0.99), "0 < c_a < w"),
-        (dict(c_d=0.0), "0 < c_d < w"),
-        (dict(c_d=0.98), "0 < c_d < w"),
-        (dict(b_a=0.51), "c_a < b_a"),
-        (dict(b_d=0.99), "c_d < b_d <= w"),
-        (dict(b_d=0.1), "c_d < b_d <= w"),
-        (dict(v=0.0), "0 < v <= 1"),
-        (dict(v=1.01), "0 < v <= 1"),
-        (dict(m=-0.1), "0 <= m <= 1"),
-        (dict(n=1.1), "0 <= n <= 1"),
-        (dict(p=-1.0), "p >= 0"),
-        (dict(s=-1.0), "s >= 0"),
-        (dict(w=math.nan), "w finite"),
-        (dict(b_a=math.inf), "b_a finite"),
-    ],
+    "bad, named", DRAWN_VIOLATIONS[:-2] + FINE_VIOLATIONS + DRAWN_VIOLATIONS[-2:]
 )
 def test_constraint_violations_named(bad, named):
     with pytest.raises(ParameterError, match="constraint violated") as info:
@@ -95,27 +104,32 @@ def test_payoff_matrix_reference_values():
 
 
 def test_fines_enter_only_via_products():
-    # (m, p) and (n, s) act through m*p and n*s alone: equal products,
-    # equal payoffs.
-    a = GameParams(**REF, m=0.5, p=0.4, n=0.25, s=0.8)
-    b = GameParams(**REF, m=1.0, p=0.2, n=1.0, s=0.2)
-    ma, mb = build_payoff_matrix(a), build_payoff_matrix(b)
-    for pair in STRATEGY_PAIRS:
-        assert ma[pair] == pytest.approx(mb[pair], abs=1e-15)
+    # The expected fines m*p and n*s lower only the attacker's payoffs: by
+    # m*p after a successful attack, by n*s after a defeated one.
+    base = build_payoff_matrix(GameParams(**REF))
+    fined = build_payoff_matrix(
+        GameParams(**REF, fine_successful=0.5 * 0.4, fine_unsuccessful=0.25 * 0.4)
+    )
+    v = REF["v"]
+    drops = [0.0, 0.2, 0.0, (1.0 - v) * 0.2 + v * 0.1]
+    for pair, drop in zip(STRATEGY_PAIRS, drops):
+        assert fined.defender(pair) == base.defender(pair)
+        drop_seen = base.attacker(pair) - fined.attacker(pair)
+        assert drop_seen == pytest.approx(drop, abs=1e-15)
 
 
 def test_fine_scenario_apply():
     params = GameParams(**REF)
     fined = FineScenario(f_u=0.3, f_s=0.7).apply(params)
-    assert (fined.m, fined.p, fined.n, fined.s) == (1.0, 0.7, 1.0, 0.3)
-    assert fined.fine_successful == 0.7
-    assert fined.fine_unsuccessful == 0.3
+    assert (fined.fine_successful, fined.fine_unsuccessful) == (0.7, 0.3)
     # Non-fine parameters untouched.
     assert (fined.w, fined.c_a, fined.b_a) == (params.w, params.c_a, params.b_a)
-    zeroed = ZERO_FINES.apply(params)
-    assert zeroed.fine_successful == 0.0
-    assert zeroed.fine_unsuccessful == 0.0
-    assert build_payoff_matrix(zeroed).entries == build_payoff_matrix(params).entries
+    # "No fines" has one representation.
+    assert ZERO_FINES.apply(params) == params
+    for bad, named in [(dict(f_u=-0.1), "f_u >= 0"), (dict(f_s=math.inf), "f_s finite"),
+                       (dict(f_u=math.nan), "f_u finite")]:
+        with pytest.raises(ParameterError, match=named):
+            FineScenario(**bad)
 
 
 def test_fines_reduce_attacker_payoffs_only():

@@ -36,7 +36,7 @@ def test_to_jsonable_containers_and_dataclasses():
     params = GameParams(**REF)
     as_dict = to_jsonable(params)
     assert as_dict["w"] == 0.98
-    assert as_dict["m"] == 0.0
+    assert as_dict["fine_successful"] == 0.0
     mapping = to_jsonable({EquilibriumKind.E2: 3, STRATEGY_PAIRS[0]: 1.0})
     assert mapping == {"E2": 3, "NoDefence,NoAttack": 1.0}
     assert to_jsonable(frozenset({EquilibriumKind.E3, EquilibriumKind.E2})) == [
