@@ -34,10 +34,8 @@ from .ensemble import (
     WelfareStats,
     correlation_matrix,
     fines_study,
-    parameter_impact,
     run_ensemble,
     sample_game,
-    v_frequency_curves,
     welfare_analytics,
 )
 from .equilibria import (
@@ -115,7 +113,6 @@ __all__ = [
     "integrate",
     "interior_equilibrium",
     "jacobian",
-    "parameter_impact",
     "phase_portrait",
     "render_phase_svg",
     "replicator_field",
@@ -124,6 +121,5 @@ __all__ = [
     "simulate",
     "social_welfare",
     "stable_set",
-    "v_frequency_curves",
     "welfare_analytics",
 ]

@@ -57,24 +57,41 @@ _DEFAULT_FORMAT = {
 _BIN_EDGES = tuple((i / 10.0, (i + 1) / 10.0) for i in range(10))
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+_GAME_FLAGS = (
+    ("--w", "attack damage w"),
+    ("--ca", "attack cost c_a"),
+    ("--cd", "defence cost c_d"),
+    ("--ba", "attacker benefit b_a"),
+    ("--bd", "defender benefit b_d"),
+    ("--v", "defence intensity v"),
+)
+
+
+def _subcommand(subs, name: str, doc: str, handler, *, game: bool, seed: bool,
+                count: bool) -> argparse.ArgumentParser:
+    """A subparser with the shared flags; ``game``, ``seed`` and ``count``
+    add the six game flags, --seed and --count, for handlers that read them.
+
+    Abbreviations are off, so a prefix of a flag the subcommand lacks (--w)
+    is not taken for one it has (--workers).
+    """
+    sub = subs.add_parser(name, help=doc, allow_abbrev=False)
+    sub.set_defaults(handler=handler)
     sub.add_argument("--config", metavar="PATH", help="JSON config file")
-    sub.add_argument("--seed", type=int, help="seed (ensemble master seed / abm seed)")
-    sub.add_argument("--count", type=int, help="number of sampled games")
+    if seed:
+        sub.add_argument("--seed", type=int, help="seed (ensemble master seed / abm seed)")
+    if count:
+        sub.add_argument("--count", type=int, help="number of sampled games")
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--format", choices=("csv", "json", "svg"),
                      help="stdout format when --out is not given")
-    for flag, doc in (
-        ("--w", "attack damage w"),
-        ("--ca", "attack cost c_a"),
-        ("--cd", "defence cost c_d"),
-        ("--ba", "attacker benefit b_a"),
-        ("--bd", "defender benefit b_d"),
-        ("--v", "defence intensity v"),
+    for flag, text in (
+        *(_GAME_FLAGS if game else ()),
         ("--fu", "fine level for unsuccessful attacks"),
         ("--fs", "fine level for successful attacks"),
     ):
-        sub.add_argument(flag, type=float, help=doc)
+        sub.add_argument(flag, type=float, help=text)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,37 +103,33 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"cyberevo {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    analyze = subs.add_parser("analyze", help="analyze one game")
-    _add_common_flags(analyze)
-    analyze.set_defaults(handler=cmd_analyze)
+    _subcommand(subs, "analyze", "analyze one game", cmd_analyze,
+                game=True, seed=False, count=False)
 
-    ensemble = subs.add_parser("ensemble", help="run a random-game ensemble")
-    _add_common_flags(ensemble)
+    ensemble = _subcommand(subs, "ensemble", "run a random-game ensemble", cmd_ensemble,
+                           game=False, seed=True, count=True)
     ensemble.add_argument("--workers", type=int, help="parallel worker processes")
-    ensemble.set_defaults(handler=cmd_ensemble)
 
-    phase = subs.add_parser("phase", help="render a phase portrait")
-    _add_common_flags(phase)
+    phase = _subcommand(subs, "phase", "render a phase portrait", cmd_phase,
+                        game=True, seed=False, count=False)
     phase.add_argument("--resolution", type=int, help="arrow lattice points per axis")
     phase.add_argument("--start", action="append", metavar="BETA,ALPHA",
                        help="trajectory start (repeatable)")
     phase.add_argument("--horizon", type=float, help="trajectory time horizon")
-    phase.set_defaults(handler=cmd_phase)
 
-    abm = subs.add_parser("abm", help="finite-population simulation")
-    _add_common_flags(abm)
+    abm = _subcommand(subs, "abm", "finite-population simulation", cmd_abm,
+                      game=True, seed=True, count=False)
     abm.add_argument("--population", type=int, help="population size per side")
     abm.add_argument("--steps", type=int, help="simulation steps")
     abm.add_argument("--burn-in", dest="burn_in", type=int,
                      help="steps discarded before averaging")
-    abm.set_defaults(handler=cmd_abm)
 
-    fines = subs.add_parser("fines", help="ensembles across fine levels")
-    _add_common_flags(fines)
+    # fines registers --fu/--fs only to reject them by name (see cmd_fines).
+    fines = _subcommand(subs, "fines", "ensembles across fine levels", cmd_fines,
+                        game=False, seed=True, count=True)
     fines.add_argument("--levels", metavar="L1,L2,...",
                        help="comma-separated fine levels")
     fines.add_argument("--workers", type=int, help="parallel worker processes")
-    fines.set_defaults(handler=cmd_fines)
     return parser
 
 
@@ -147,38 +160,31 @@ def _parse_levels(raw: Optional[str]) -> Optional[tuple[float, ...]]:
     return levels
 
 
+#: (flag dest, config section, config key) of each plain flag override; a
+#: flag its subcommand does not register reads as None and is skipped.
+_OVERRIDES = (
+    *((key, "game", key) for key in ("w", "ca", "cd", "ba", "bd", "v", "fu", "fs")),
+    ("count", "ensemble", "count"),
+    ("out", "output", "directory"),
+    ("format", "output", "format"),
+    ("seed", "ensemble", "master_seed"),
+    ("seed", "abm", "seed"),
+    ("workers", "ensemble", "workers"),
+    ("resolution", "phase", "resolution"),
+    ("horizon", "phase", "trajectory_horizon"),
+    ("population", "abm", "population_size"),
+    ("steps", "abm", "steps"),
+    ("burn_in", "abm", "burn_in"),
+)
+
+
 def _load(args: argparse.Namespace) -> RunConfig:
     overrides: list[tuple[str, str, Any]] = [
-        ("game", "w", args.w),
-        ("game", "ca", args.ca),
-        ("game", "cd", args.cd),
-        ("game", "ba", args.ba),
-        ("game", "bd", args.bd),
-        ("game", "v", args.v),
-        ("game", "fu", args.fu),
-        ("game", "fs", args.fs),
-        ("ensemble", "count", args.count),
-        ("output", "directory", args.out),
-        ("output", "format", args.format),
+        (section, key, getattr(args, dest, None)) for dest, section, key in _OVERRIDES
     ]
-    if args.seed is not None:
-        overrides.append(("ensemble", "master_seed", args.seed))
-        overrides.append(("abm", "seed", args.seed))
-    if getattr(args, "workers", None) is not None:
-        overrides.append(("ensemble", "workers", args.workers))
-    if getattr(args, "resolution", None) is not None:
-        overrides.append(("phase", "resolution", args.resolution))
-    if getattr(args, "horizon", None) is not None:
-        overrides.append(("phase", "trajectory_horizon", args.horizon))
     starts = _parse_starts(getattr(args, "start", None))
     if starts is not None:
         overrides.append(("phase", "starts", starts))
-    if getattr(args, "population", None) is not None:
-        overrides.append(("abm", "population_size", args.population))
-    if getattr(args, "steps", None) is not None:
-        overrides.append(("abm", "steps", args.steps))
-    if getattr(args, "burn_in", None) is not None:
-        overrides.append(("abm", "burn_in", args.burn_in))
     levels = _parse_levels(getattr(args, "levels", None))
     if levels is not None:
         overrides.append(("fines", "levels", levels))

@@ -36,8 +36,6 @@ from .game import FineScenario, GameParams
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]
 
-_GAME_KEYS = ("w", "ca", "cd", "ba", "bd", "v", "fu", "fs")
-
 DEFAULTS: Mapping[str, Mapping[str, Any]] = {
     "game": {key: None for key in ("w", "ca", "cd", "ba", "bd", "v")}
     | {"fu": 0.0, "fs": 0.0},
@@ -68,7 +66,6 @@ _INT_KEYS = {
     ("phase", "resolution"),
 }
 _STR_KEYS = {("output", "directory"), ("output", "format")}
-_LIST_KEYS = {("fines", "levels"), ("phase", "starts")}
 
 
 def _number(where: str, raw: Any, expected: str) -> float:
@@ -84,10 +81,8 @@ def _number(where: str, raw: Any, expected: str) -> float:
 def _coerce(section: str, key: str, raw: Any) -> Any:
     """Validate one config value and normalize its type."""
     where = f"{section}.{key}"
-    if raw is None and (section, key) in {("output", "directory"), ("output", "format")}:
-        return None
     if (section, key) in _STR_KEYS:
-        if not isinstance(raw, str):
+        if raw is not None and not isinstance(raw, str):
             raise ConfigError(f"config value {where} must be a string")
         return raw
     if (section, key) == ("fines", "levels"):

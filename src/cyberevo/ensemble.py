@@ -60,8 +60,6 @@ __all__ = [
     "summarize",
     "correlation_matrix",
     "CORRELATION_LABELS",
-    "v_frequency_curves",
-    "parameter_impact",
     "fines_study",
     "welfare_analytics",
     "records_digest",
@@ -175,18 +173,17 @@ _COLUMNS = ("indices", "params", "stable", "welfare", "interior")
 
 
 @dataclass(frozen=True, eq=False)
-class GameTable(Sequence[GameRecord]):
+class GameTable:
     """Analyzed games as columns, one row per game.
 
     ``indices`` (n,) int64 game indices; ``params`` (n, 6) float64 in
     :data:`~cyberevo.game.PARAMETERS` order; ``stable`` (n, 5) bool, one
     column per :class:`EquilibriumKind` E1..E5; ``welfare`` (n, 4) float64
     in ``STRATEGY_PAIRS`` order; ``interior`` (n,) bool.  ``fines`` holds
-    the (fine_successful, fine_unsuccessful) that every row shares.
+    the (fine_successful, fine_unsuccessful) that every row shares, so row
+    ``i`` is the game ``GameParams(*params[i].tolist(), *fines)``.
 
-    A table is also a read-only sequence of :class:`GameRecord`: records
-    are built on access, a slice is a table, and a table equals another
-    table, or a sequence of records, holding the same games.
+    Two tables are equal when their columns and fines are.
     """
 
     indices: np.ndarray
@@ -197,7 +194,7 @@ class GameTable(Sequence[GameRecord]):
     fines: tuple[float, float]
 
     @classmethod
-    def from_records(cls, records: Sequence[GameRecord]) -> GameTable:
+    def from_records(cls, records: GameTable | Sequence[GameRecord]) -> GameTable:
         """Columns of ``records`` (a table is returned as it is).
 
         The records must share their fines.
@@ -232,29 +229,13 @@ class GameTable(Sequence[GameRecord]):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return GameTable(*(getattr(self, name)[key] for name in _COLUMNS), self.fines)
-        row = range(len(self))[key]
-        return GameRecord(
-            index=int(self.indices[row]),
-            params=GameParams(*self.params[row].tolist(), *self.fines),
-            stable_kinds=frozenset(
-                kind for kind, flag in zip(_KINDS, self.stable[row]) if flag
-            ),
-            welfare=dict(zip(STRATEGY_PAIRS, self.welfare[row].tolist())),
-            interior_present=bool(self.interior[row]),
-        )
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GameTable):
-            return self.fines == other.fines and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in _COLUMNS
-            )
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, GameTable):
+            return NotImplemented
+        return self.fines == other.fines and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMNS
+        )
 
 
 @dataclass(frozen=True)
@@ -509,10 +490,9 @@ def _bincount(bins: np.ndarray, weights: np.ndarray | None = None, size: int = 1
 
 
 def _summary(
-    records: Sequence[GameRecord], config: SamplerConfig | None, digest: str
+    table: GameTable, config: SamplerConfig | None, digest: str
 ) -> EnsembleSummary:
     """The one reduction behind every aggregate, in row order."""
-    table = GameTable.from_records(records)
     n = len(table)
     stable = table.stable
     n_stable = stable.sum(axis=1)
@@ -618,41 +598,27 @@ def _welfare_stats(welfare: np.ndarray, bins: dict[str, np.ndarray]) -> WelfareS
     )
 
 
-def summarize(records: Sequence[GameRecord], config: SamplerConfig) -> EnsembleSummary:
+def summarize(
+    records: GameTable | Sequence[GameRecord], config: SamplerConfig
+) -> EnsembleSummary:
     """Reduce an analyzed table, or a sequence of records, to an :class:`EnsembleSummary`."""
     table = GameTable.from_records(records)
     return _summary(table, config, records_digest(table))
 
 
-def correlation_matrix(records: Sequence[GameRecord]) -> np.ndarray:
+def correlation_matrix(records: GameTable | Sequence[GameRecord]) -> np.ndarray:
     """Pearson correlations of per-game stability indicators.
 
     Columns follow :data:`CORRELATION_LABELS`: 1{E3 stable}, 1{E2 stable},
     1{E4 stable}, and the per-game count of stable kinds.  Any column with
     zero variance yields NaN entries (undefined correlation, not 0).
     """
-    return np.array(_summary(records, None, "").correlation)
+    return np.array(_summary(GameTable.from_records(records), None, "").correlation)
 
 
-def v_frequency_curves(
-    records: Sequence[GameRecord],
-) -> dict[EquilibriumKind, tuple[int, ...]]:
-    """Counts of games stable at E3, E2, E4 per defence-intensity bin."""
-    return _summary(records, None, "").v_binned_kind_frequency
-
-
-def parameter_impact(records: Sequence[GameRecord], parameter: str) -> tuple[int, ...]:
-    """Histogram of E4-stable games per bin of one parameter."""
-    if parameter not in IMPACT_PARAMETERS:
-        raise ConfigError(
-            f"unknown parameter {parameter!r}; expected one of {IMPACT_PARAMETERS}"
-        )
-    return _summary(records, None, "").param_binned_stability[parameter]
-
-
-def welfare_analytics(records: Sequence[GameRecord]) -> WelfareStats:
+def welfare_analytics(records: GameTable | Sequence[GameRecord]) -> WelfareStats:
     """Per-pair means, all-sample histogram, and parameter-binned means."""
-    return _summary(records, None, "").welfare_stats
+    return _summary(GameTable.from_records(records), None, "").welfare_stats
 
 
 def fines_study(
@@ -668,12 +634,14 @@ def fines_study(
     attacker-benefit ceiling ``b_a_upper`` (see :class:`SamplerConfig`).
     Fines are applied after the parameter draw, so the games are drawn
     once and classified again per level; differences between levels are
-    attributable to the fines alone.
+    attributable to the fines alone.  Each level may be given once.
     """
     configs = []
     for level in levels:
         if not (math.isfinite(level) and level >= 0):
             raise ConfigError(f"fine level must be finite and >= 0 (got {level!r})")
+        if any(config.scenario.f_u == level for config in configs):
+            raise ConfigError(f"fine level {level!r} is repeated")
         configs.append(SamplerConfig(
             count=count,
             master_seed=master_seed,
@@ -688,8 +656,8 @@ def fines_study(
     }
 
 
-def records_digest(records: Sequence[GameRecord]) -> str:
-    """SHA-256 over a canonical rendering of the records.
+def records_digest(records: GameTable | Sequence[GameRecord]) -> str:
+    """SHA-256 over a canonical rendering of the games.
 
     One line per game: index, the six drawn parameters, the two fines, the
     stable kinds, the four welfare values and the interior flag, with
@@ -699,24 +667,25 @@ def records_digest(records: Sequence[GameRecord]) -> str:
     table = GameTable.from_records(records)
     hasher = hashlib.sha256()
     for start in range(0, len(table), BLOCK_SIZE):
-        hasher.update(_digest_text(table[start:start + BLOCK_SIZE]))
+        hasher.update(_digest_text(table, slice(start, start + BLOCK_SIZE)))
     return hasher.hexdigest()
 
 
-def _digest_text(table: GameTable) -> bytes:
+def _digest_text(table: GameTable, rows: slice = slice(None)) -> bytes:
+    """The :func:`records_digest` lines of ``table``'s ``rows``."""
     line = (
         "{}|{!r}|{!r}|{!r}|{!r}|{!r}|{!r}|"
         + "|".join(repr(value) for value in table.fines)
         + "|{}|{!r},{!r},{!r},{!r}|{:d}\n"
     )
-    masks = table.stable @ (1 << np.arange(len(_KINDS)))
+    masks = table.stable[rows] @ (1 << np.arange(len(_KINDS)))
     return "".join(
         line.format(index, *params, _KIND_LABELS[mask], *welfare, interior)
         for index, params, mask, welfare, interior in zip(
-            table.indices.tolist(),
-            table.params.tolist(),
+            table.indices[rows].tolist(),
+            table.params[rows].tolist(),
             masks.tolist(),
-            table.welfare.tolist(),
-            table.interior.tolist(),
+            table.welfare[rows].tolist(),
+            table.interior[rows].tolist(),
         )
     ).encode("ascii")

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .dynamics import PopulationState
 from .game import GameParams, field_coefficients
 
@@ -93,9 +91,6 @@ class Jacobian2:
     j12: float
     j21: float
     j22: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.j11, self.j12], [self.j21, self.j22]])
 
     @property
     def trace(self) -> float:

@@ -56,9 +56,9 @@ MASTER_SEED = 1
 def big_run():
     config = SamplerConfig(count=COUNT, master_seed=MASTER_SEED)
     start = time.perf_counter()
-    records, summary = run_ensemble(config, workers=1)
+    table, summary = run_ensemble(config, workers=1)
     elapsed = time.perf_counter() - start
-    return records, summary, elapsed
+    return table, summary, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +67,9 @@ def paper_run():
         count=COUNT, master_seed=MASTER_SEED, b_a_upper=PAPER_B_A_UPPER
     )
     start = time.perf_counter()
-    records, summary = run_ensemble(config, workers=1)
+    table, summary = run_ensemble(config, workers=1)
     elapsed = time.perf_counter() - start
-    return records, summary, elapsed
+    return table, summary, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ def test_criterion_05_ensemble_headline_numbers(capsys, paper_run):
     # E4-ratio window confirms that fit rather than testing it; the count
     # distribution, the E4>E3>E2 ordering and the other figures were not
     # fitted and still test the measure.
-    records, summary, elapsed = paper_run
+    _, summary, elapsed = paper_run
     distribution = summary.stable_count_distribution
     one = distribution["1"] / COUNT
     two = distribution["2"] / COUNT
@@ -310,9 +310,14 @@ def test_criterion_09_jacobian_vs_finite_differences(capsys):
     ])
 
 
-def _basin_mismatch(finals_row, record):
+def _game(table, row):
+    return GameParams(*table.params[row].tolist(), *table.fines)
+
+
+def _basin_mismatch(finals_row, stable_row):
     stable_corners = [
-        kind.corner for kind in record.stable_kinds if kind.corner is not None
+        kind.corner for kind, stable in zip(EquilibriumKind, stable_row)
+        if stable and kind.corner is not None
     ]
     if not stable_corners:
         return True
@@ -322,16 +327,16 @@ def _basin_mismatch(finals_row, record):
 
 
 def test_criterion_10_classifier_vs_basin_oracle(capsys, big_run):
-    records, _, _ = big_run
+    table, _, _ = big_run
     hyperbolic = []
-    for record in records:
-        reports = analyze_equilibria(record.params)
+    for row in range(len(table)):
+        reports = analyze_equilibria(_game(table, row))
         if all(r.classification is not Classification.NON_HYPERBOLIC for r in reports):
-            hyperbolic.append(record)
+            hyperbolic.append(row)
         if len(hyperbolic) == 1000:
             break
     assert len(hyperbolic) == 1000
-    games = [record.params for record in hyperbolic]
+    games = [_game(table, row) for row in hyperbolic]
     axis = np.linspace(1e-3, 1.0 - 1e-3, 4)
     starts = [PopulationState(float(b), float(a)) for b in axis for a in axis]
     finals = batch_final_states(games, starts)
@@ -342,9 +347,9 @@ def test_criterion_10_classifier_vs_basin_oracle(capsys, big_run):
     # Residual disagreements are trajectories that hug an edge until the
     # off-edge coordinate underflows and a transiently-visited corner
     # becomes absorbing in float64; the 1% slack covers them.
+    stable = table.stable[hyperbolic]
     unresolved = [
-        i for i, record in enumerate(hyperbolic)
-        if _basin_mismatch(finals[i], record)
+        i for i in range(len(games)) if _basin_mismatch(finals[i], stable[i])
     ]
     for retry_step, retry_horizon in ((0.5, 100_000.0), (1.0, 1_000_000.0)):
         if not unresolved:
@@ -354,11 +359,9 @@ def test_criterion_10_classifier_vs_basin_oracle(capsys, big_run):
             step=retry_step, horizon=retry_horizon,
         )
         finals[unresolved] = sub
-        unresolved = [
-            i for i in unresolved if _basin_mismatch(finals[i], hyperbolic[i])
-        ]
+        unresolved = [i for i in unresolved if _basin_mismatch(finals[i], stable[i])]
     disagreements = [
-        (hyperbolic[i].index, hyperbolic[i].params) for i in unresolved
+        (int(table.indices[hyperbolic[i]]), games[i]) for i in unresolved
     ]
     agreement = 1.0 - len(disagreements) / len(hyperbolic)
     logged = "; ".join(
@@ -375,13 +378,17 @@ def test_criterion_10_classifier_vs_basin_oracle(capsys, big_run):
 
 
 def test_criterion_11_abm_agreement(capsys, big_run):
-    records, _, _ = big_run
-    picked = [r for r in records if len(r.stable_kinds) == 1][:20]
+    table, _, _ = big_run
+    picked = np.flatnonzero(table.stable.sum(axis=1) == 1)[:20].tolist()
     assert len(picked) == 20
+    kinds = list(EquilibriumKind)
     worst = 0.0
     failures = []
-    for record in picked:
-        (kind,) = record.stable_kinds
+    for row in picked:
+        (column,) = np.flatnonzero(table.stable[row]).tolist()
+        kind = kinds[column]
+        index = int(table.indices[row])
+        params = _game(table, row)
         corner_beta, corner_alpha = kind.corner
         # Step counts sized for the weakest payoff gradient among the 20
         # reference games (about 5e-3): its transient excursion decays at
@@ -391,9 +398,9 @@ def test_criterion_11_abm_agreement(capsys, big_run):
             population_size=1000,
             steps=1_200_000,
             burn_in=600_000,
-            seed=1000 + record.index,
+            seed=1000 + index,
         )
-        result = simulate(record.params, config)
+        result = simulate(params, config)
         err = max(
             abs(result.mean_beta - corner_beta),
             abs(result.mean_alpha - corner_alpha),
@@ -401,8 +408,8 @@ def test_criterion_11_abm_agreement(capsys, big_run):
         worst = max(worst, err)
         if err > 0.05:
             failures.append(
-                f"game {record.index} ({kind.value}): means=({result.mean_beta:.4f},"
-                f"{result.mean_alpha:.4f}) params={record.params}"
+                f"game {index} ({kind.value}): means=({result.mean_beta:.4f},"
+                f"{result.mean_alpha:.4f}) params={params}"
             )
     _report(capsys, 11, [
         (

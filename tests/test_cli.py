@@ -31,6 +31,25 @@ def test_unknown_flag_is_usage_error(capsys):
     assert cli.main(["analyze", "--nope", "1"]) == 2
 
 
+GAME_FLAGS = REF_FLAGS[::2]
+
+#: (subcommand, flag) pairs where the flag would be ignored by the handler.
+IGNORED_FLAGS = [
+    *((command, flag) for command in ("analyze", "phase") for flag in ("--count", "--seed")),
+    ("abm", "--count"),
+    *((command, flag) for command in ("ensemble", "fines") for flag in GAME_FLAGS),
+]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS)
+def test_subcommand_rejects_flags_it_ignores(capsys, command, flag):
+    # An ignored flag would change nothing but the recorded provenance.  For
+    # ensemble and fines, --w must not be read as an abbreviated --workers.
+    valid = ["--count", "10"] if command in ("ensemble", "fines") else REF_FLAGS
+    assert cli.main([command, *valid, flag, "2"]) == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 def test_analyze_json_report(capsys):
     assert cli.main(["analyze", *REF_FLAGS]) == 0
     doc = _stdout_json(capsys)
@@ -323,6 +342,8 @@ def test_fines_rejects_bad_levels(tmp_path, capsys):
     config.write_text('{"fines": {"levels": [0.1, Infinity]}}')
     assert cli.main(["fines", "--count", "10", "--config", str(config)]) == 2
     assert "fines.levels must be finite" in capsys.readouterr().err
+    assert cli.main(["fines", "--count", "10", "--levels", "0.1,0.10"]) == 2
+    assert "fine level 0.1 is repeated" in capsys.readouterr().err
 
 
 def test_integration_failure_maps_to_compute_exit_code(monkeypatch, capsys):

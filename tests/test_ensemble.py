@@ -22,12 +22,10 @@ from cyberevo import (
     correlation_matrix,
     fines_study,
     interior_equilibrium,
-    parameter_impact,
     run_ensemble,
     sample_game,
     social_welfare,
     stable_set,
-    v_frequency_curves,
     welfare_analytics,
 )
 from cyberevo import ensemble
@@ -121,40 +119,52 @@ def test_scenario_changes_fines_not_draws():
         assert (b.fine_successful, b.fine_unsuccessful) == (0.5, 0.5)
 
 
+def _scalar_record(config, index):
+    params = sample_game(config, index)
+    return GameRecord(
+        index=index,
+        params=params,
+        stable_kinds=stable_set(params),
+        welfare={pair: social_welfare(params, pair) for pair in STRATEGY_PAIRS},
+        interior_present=interior_equilibrium(params) is not None,
+    )
+
+
 def test_no_fines_has_one_representation():
     config = SamplerConfig(count=2, master_seed=5)
     sampled = sample_game(config, 0)
     built = GameParams(*(getattr(sampled, name) for name in PARAMETERS))
     assert sampled == built
     table, _ = run_ensemble(config)
-    record = table[0]
+    record = _scalar_record(config, 0)
     other = GameRecord(
         1, built, record.stable_kinds, record.welfare, record.interior_present
     )
-    assert GameTable.from_records([record, other]).fines == (0.0, 0.0)
+    assert GameTable.from_records([record, other]).fines == table.fines == (0.0, 0.0)
 
 
 def test_integer_fines_render_as_the_record_view_does():
     config = SamplerConfig(count=20, master_seed=1, scenario=FineScenario(1, 1))
     table, summary = run_ensemble(config)
     assert table.fines == (1.0, 1.0)
-    assert summary.records_digest == records_digest(list(table))
+    records = [_scalar_record(config, i) for i in range(config.count)]
+    assert summary.records_digest == records_digest(records)
 
 
 def test_run_ensemble_worker_count_invariant():
     config = SamplerConfig(count=600, master_seed=2)
-    records1, summary1 = run_ensemble(config, workers=1)
-    records2, summary2 = run_ensemble(config, workers=2)
-    assert records1 == records2
+    table1, summary1 = run_ensemble(config, workers=1)
+    table2, summary2 = run_ensemble(config, workers=2)
+    assert table1 == table2
     assert summary1 == summary2
-    assert summary1.records_digest == records_digest(records1)
+    assert summary1.records_digest == records_digest(table1)
     with pytest.raises(ConfigError, match="workers"):
         run_ensemble(config, workers=0)
 
 
 def test_summary_counts_are_consistent():
     config = SamplerConfig(count=3000, master_seed=1)
-    records, summary = run_ensemble(config)
+    _, summary = run_ensemble(config)
     distribution = summary.stable_count_distribution
     assert sum(distribution.values()) == config.count
     assert distribution["3+"] == 0
@@ -165,11 +175,9 @@ def test_summary_counts_are_consistent():
     assert sum(summary.kind_ratios.values()) == pytest.approx(1.0, abs=1e-12)
     for kind, curve in summary.v_binned_kind_frequency.items():
         assert sum(curve) == summary.kind_counts[kind]
-    assert summary.param_binned_stability == {
-        name: parameter_impact(records, name)
-        for name in ("c_d", "c_a", "v", "w", "b_a", "b_d")
-    }
-    assert summary.v_binned_kind_frequency == v_frequency_curves(records)
+    assert list(summary.param_binned_stability) == ["c_d", "c_a", "v", "w", "b_a", "b_d"]
+    for histogram in summary.param_binned_stability.values():
+        assert sum(histogram) == summary.kind_counts[EquilibriumKind.E4]
 
 
 def _record(index, params, kinds):
@@ -201,17 +209,12 @@ def test_correlation_matrix_nan_for_constant_indicators():
 
 def test_correlation_matrix_symmetric_unit_diagonal():
     config = SamplerConfig(count=2000, master_seed=9)
-    records, _ = run_ensemble(config)
-    matrix = correlation_matrix(records)
+    table, _ = run_ensemble(config)
+    matrix = correlation_matrix(table)
     assert np.allclose(matrix, matrix.T, equal_nan=True)
     assert np.allclose(np.diag(matrix), 1.0)
     finite = matrix[np.isfinite(matrix)]
     assert ((-1.0 - 1e-12 <= finite) & (finite <= 1.0 + 1e-12)).all()
-
-
-def test_parameter_impact_rejects_unknown_parameter():
-    with pytest.raises(ConfigError, match="unknown parameter"):
-        parameter_impact([], "q")
 
 
 def test_welfare_analytics_synthetic_records():
@@ -256,8 +259,9 @@ def test_welfare_histogram_bin_count_is_capped():
 
 def test_records_digest_sensitive_to_order_and_content():
     config = SamplerConfig(count=50, master_seed=4)
-    records, summary = run_ensemble(config)
-    assert summary.records_digest == records_digest(records)
+    table, summary = run_ensemble(config)
+    records = [_scalar_record(config, i) for i in range(config.count)]
+    assert summary.records_digest == records_digest(table) == records_digest(records)
     assert records_digest(records) != records_digest(records[::-1])
     assert records_digest(records[:-1]) != records_digest(records)
 
@@ -279,24 +283,16 @@ def test_fines_study_reuses_draws_and_validates_levels():
     for level in (-0.1, math.inf, math.nan):
         with pytest.raises(ConfigError, match="fine level"):
             fines_study(count=10, master_seed=1, levels=(level,))
+    # A repeated level would be analyzed twice and kept once.
+    with pytest.raises(ConfigError, match="fine level 0.1 is repeated"):
+        fines_study(count=50, master_seed=1, levels=[0.1, 0.1, 0.10])
 
 
 def test_summarize_empty_free():
     config = SamplerConfig(count=1, master_seed=1)
-    records, _ = run_ensemble(config)
-    summary = summarize(records, config)
+    table, _ = run_ensemble(config)
+    summary = summarize(table, config)
     assert sum(summary.stable_count_distribution.values()) == 1
-
-
-def _scalar_record(config, index):
-    params = sample_game(config, index)
-    return GameRecord(
-        index=index,
-        params=params,
-        stable_kinds=stable_set(params),
-        welfare={pair: social_welfare(params, pair) for pair in STRATEGY_PAIRS},
-        interior_present=interior_equilibrium(params) is not None,
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,8 +311,7 @@ def test_table_rows_equal_the_scalar_path(master_seed, index, b_a_upper, f_u, f_
     ((table, text),) = ensemble._analyze_block([config], index, index + 3)
     expected = [_scalar_record(config, i) for i in range(index, index + 3)]
     # Exact equality: parameters, stable sets and welfare bit for bit.
-    assert table == expected
-    assert list(table) == expected
+    assert table == GameTable.from_records(expected)
     assert records_digest(table) == records_digest(expected)
 
 
@@ -338,9 +333,7 @@ def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):
     table, _ = run_ensemble(config)
     assert calls == [1, 3]
     # The redrawn rows come from the true substreams, as do the others.
-    assert [record.params for record in table] == [
-        sample_game(config, i) for i in range(5)
-    ]
+    assert table == GameTable.from_records([_scalar_record(config, i) for i in range(5)])
 
     # GameParams and the block share one constraint table: each violation
     # that GameParams names on the six drawn parameters, set between valid
@@ -364,10 +357,12 @@ def test_corner_within_epsilon_of_zero_is_not_stable():
     table = ensemble._analyze(config, params, 0)
     e4 = list(EquilibriumKind).index(EquilibriumKind.E4)
     assert table.stable[:, e4].tolist() == [False, False, True]
-    for record in table:
-        reports = {r.kind: r.classification for r in analyze_equilibria(record.params)}
-        assert record.stable_kinds == stable_set(record.params)
-        if EquilibriumKind.E4 not in record.stable_kinds:
+    for row, stable in zip(table.params, table.stable):
+        game = GameParams(*row.tolist(), *table.fines)
+        kinds = stable_set(game)
+        assert stable.tolist() == [kind in kinds for kind in EquilibriumKind]
+        reports = {r.kind: r.classification for r in analyze_equilibria(game)}
+        if EquilibriumKind.E4 not in kinds:
             assert reports[EquilibriumKind.E4] is Classification.NON_HYPERBOLIC
 
 
@@ -376,19 +371,20 @@ def test_worker_count_invariant_across_partial_blocks():
     tables, summaries = zip(*(run_ensemble(config, workers=w) for w in (1, 2, 3)))
     assert summaries[0] == summaries[1] == summaries[2]
     assert tables[0] == tables[1] == tables[2]
-    assert summaries[0].records_digest == records_digest(list(tables[0]))
+    assert summaries[0].records_digest == records_digest(tables[0])
 
 
-def test_game_table_is_a_sequence_of_records():
-    table, summary = run_ensemble(SamplerConfig(count=40, master_seed=3))
-    records = list(table)
-    assert table[-1] == records[-1] and table[39] == records[39]
-    with pytest.raises(IndexError):
-        table[40]
-    assert table[5:9] == records[5:9]
-    assert isinstance(table[::-1], GameTable)
+def test_game_table_round_trips_from_records():
+    config = SamplerConfig(count=40, master_seed=3)
+    table, summary = run_ensemble(config)
+    records = [_scalar_record(config, i) for i in range(config.count)]
     assert GameTable.from_records(records) == table
-    assert summarize(records, summary.config) == summarize(table, summary.config)
+    assert GameTable.from_records(table) is table
+    assert summarize(records, config) == summarize(table, config)
+    # Records only go in: a table compares with tables and has no rows.
+    assert table != records
+    with pytest.raises(TypeError):
+        table[0]
     with pytest.raises(ConfigError, match="fines"):
         GameTable.from_records([records[0], GameRecord(
             0, FineScenario(0.1, 0.1).apply(records[0].params),
