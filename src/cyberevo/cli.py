@@ -8,9 +8,15 @@ phase     SVG phase portrait plus tabular field/marker/trajectory data.
 abm       Finite-population simulation for one game.
 fines     Ensembles re-run under attacker fine levels on identical draws.
 
-Inputs come from flags and an optional JSON config file (flags win).
-With ``--out DIR`` every artifact is written there; otherwise the artifacts
-selected by ``--format`` are printed to stdout.
+Each subcommand is declared once, in ``_COMMANDS``: its help, its default
+``--format``, its flags, each of which sets one config value, and the
+config values it reads.  Inputs come from flags and an optional JSON
+config file (flags win).  :func:`main` resolves them, checks that ``--out``
+is writable, runs the subcommand's ``cmd_<name>`` handler and writes or
+prints the artifacts it filled.  Their provenance records the tool
+version, the subcommand and the config values that subcommand reads,
+nothing else.  With ``--out DIR`` every artifact is written there;
+otherwise the artifacts selected by ``--format`` are printed to stdout.
 
 Exit codes: 0 success; 2 usage, configuration, or I/O errors; 3 game
 parameter constraint violations; 4 numerical integration failures.
@@ -21,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from ._version import __version__
 from .abm import simulate
@@ -46,96 +52,10 @@ from .phaseplot import phase_portrait, render_phase_svg
 
 __all__ = ["main", "build_parser"]
 
-_DEFAULT_FORMAT = {
-    "analyze": "json",
-    "ensemble": "csv",
-    "phase": "svg",
-    "abm": "json",
-    "fines": "csv",
-}
-
 _BIN_EDGES = tuple((i / 10.0, (i + 1) / 10.0) for i in range(10))
 
 
-_GAME_FLAGS = (
-    ("--w", "attack damage w"),
-    ("--ca", "attack cost c_a"),
-    ("--cd", "defence cost c_d"),
-    ("--ba", "attacker benefit b_a"),
-    ("--bd", "defender benefit b_d"),
-    ("--v", "defence intensity v"),
-)
-
-
-def _subcommand(subs, name: str, doc: str, handler, *, game: bool, seed: bool,
-                count: bool) -> argparse.ArgumentParser:
-    """A subparser with the shared flags; ``game``, ``seed`` and ``count``
-    add the six game flags, --seed and --count, for handlers that read them.
-
-    Abbreviations are off, so a prefix of a flag the subcommand lacks (--w)
-    is not taken for one it has (--workers).
-    """
-    sub = subs.add_parser(name, help=doc, allow_abbrev=False)
-    sub.set_defaults(handler=handler)
-    sub.add_argument("--config", metavar="PATH", help="JSON config file")
-    if seed:
-        sub.add_argument("--seed", type=int, help="seed (ensemble master seed / abm seed)")
-    if count:
-        sub.add_argument("--count", type=int, help="number of sampled games")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
-    sub.add_argument("--format", choices=("csv", "json", "svg"),
-                     help="stdout format when --out is not given")
-    for flag, text in (
-        *(_GAME_FLAGS if game else ()),
-        ("--fu", "fine level for unsuccessful attacks"),
-        ("--fs", "fine level for successful attacks"),
-    ):
-        sub.add_argument(flag, type=float, help=text)
-    return sub
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyberevo",
-        description="Evolutionary attacker/defender game analysis toolkit.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"cyberevo {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(subs, "analyze", "analyze one game", cmd_analyze,
-                game=True, seed=False, count=False)
-
-    ensemble = _subcommand(subs, "ensemble", "run a random-game ensemble", cmd_ensemble,
-                           game=False, seed=True, count=True)
-    ensemble.add_argument("--workers", type=int, help="parallel worker processes")
-
-    phase = _subcommand(subs, "phase", "render a phase portrait", cmd_phase,
-                        game=True, seed=False, count=False)
-    phase.add_argument("--resolution", type=int, help="arrow lattice points per axis")
-    phase.add_argument("--start", action="append", metavar="BETA,ALPHA",
-                       help="trajectory start (repeatable)")
-    phase.add_argument("--horizon", type=float, help="trajectory time horizon")
-
-    abm = _subcommand(subs, "abm", "finite-population simulation", cmd_abm,
-                      game=True, seed=True, count=False)
-    abm.add_argument("--population", type=int, help="population size per side")
-    abm.add_argument("--steps", type=int, help="simulation steps")
-    abm.add_argument("--burn-in", dest="burn_in", type=int,
-                     help="steps discarded before averaging")
-
-    # fines registers --fu/--fs only to reject them by name (see cmd_fines).
-    fines = _subcommand(subs, "fines", "ensembles across fine levels", cmd_fines,
-                        game=False, seed=True, count=True)
-    fines.add_argument("--levels", metavar="L1,L2,...",
-                       help="comma-separated fine levels")
-    fines.add_argument("--workers", type=int, help="parallel worker processes")
-    return parser
-
-
-def _parse_starts(raw: Optional[Sequence[str]]) -> Optional[tuple[tuple[float, float], ...]]:
-    if not raw:
-        return None
+def _parse_starts(raw: Sequence[str]) -> tuple[tuple[float, float], ...]:
     starts = []
     for item in raw:
         pieces = item.split(",")
@@ -148,84 +68,156 @@ def _parse_starts(raw: Optional[Sequence[str]]) -> Optional[tuple[tuple[float, f
     return tuple(starts)
 
 
-def _parse_levels(raw: Optional[str]) -> Optional[tuple[float, ...]]:
-    if raw is None:
-        return None
+def _parse_levels(raw: str) -> tuple[float, ...]:
     try:
-        levels = tuple(float(piece) for piece in raw.split(","))
+        return tuple(float(piece) for piece in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"--levels expects comma-separated numbers (got {raw!r})") from exc
-    if not levels:
-        raise ConfigError("--levels expects at least one level")
-    return levels
 
 
-#: (flag dest, config section, config key) of each plain flag override; a
-#: flag its subcommand does not register reads as None and is skipped.
-_OVERRIDES = (
-    *((key, "game", key) for key in ("w", "ca", "cd", "ba", "bd", "v", "fu", "fs")),
-    ("count", "ensemble", "count"),
-    ("out", "output", "directory"),
-    ("format", "output", "format"),
-    ("seed", "ensemble", "master_seed"),
-    ("seed", "abm", "seed"),
-    ("workers", "ensemble", "workers"),
-    ("resolution", "phase", "resolution"),
-    ("horizon", "phase", "trajectory_horizon"),
-    ("population", "abm", "population_size"),
-    ("steps", "abm", "steps"),
-    ("burn_in", "abm", "burn_in"),
+class _Flag(NamedTuple):
+    """A flag and the one config value, ``target`` ("section.key"), it sets.
+
+    ``options`` go to ``add_argument``; ``parse`` turns the parsed value
+    into the config value, raising ConfigError on malformed input.
+    """
+
+    name: str
+    target: str
+    options: dict[str, Any]
+    parse: Callable[[Any], Any]
+
+
+def _flag(name: str, target: str, help: str, type: Callable[[str], Any] = float,
+          parse: Callable[[Any], Any] = lambda raw: raw, **options: Any) -> _Flag:
+    return _Flag(name, target, {"help": help, "type": type, **options}, parse)
+
+
+class _Command(NamedTuple):
+    """One subcommand, run by the module's ``cmd_<name>`` handler.
+
+    ``reads`` names the config values the subcommand reads, each a
+    "section" or a "section.key"; they, and only they, are its provenance.
+    """
+
+    help: str
+    format: str
+    flags: tuple[_Flag, ...]
+    reads: tuple[str, ...]
+
+
+_GAME = tuple(_flag(f"--{key}", f"game.{key}", text) for key, text in (
+    ("w", "attack damage w"),
+    ("ca", "attack cost c_a"),
+    ("cd", "defence cost c_d"),
+    ("ba", "attacker benefit b_a"),
+    ("bd", "defender benefit b_d"),
+    ("v", "defence intensity v"),
+    ("fu", "fine level for unsuccessful attacks"),
+    ("fs", "fine level for successful attacks"),
+))
+_FINES = _GAME[6:]
+_COUNT = _flag("--count", "ensemble.count", "number of sampled games", int)
+_MASTER_SEED = _flag("--seed", "ensemble.master_seed", "ensemble master seed", int)
+_WORKERS = _flag("--workers", "ensemble.workers", "parallel worker processes", int)
+
+#: Flags of every subcommand besides --config.
+_OUTPUT = (
+    _flag("--out", "output.directory", "output directory", str, metavar="DIR"),
+    _flag("--format", "output.format", "stdout format when --out is not given",
+          str, choices=("csv", "json", "svg")),
 )
 
+#: The ensemble values a result depends on.  Worker count and output
+#: location cannot change any result, so no subcommand records them:
+#: identical analyses must produce byte-identical artifacts.
+_SAMPLER = ("ensemble.count", "ensemble.master_seed", "ensemble.b_a_upper")
 
-def _load(args: argparse.Namespace) -> RunConfig:
-    overrides: list[tuple[str, str, Any]] = [
-        (section, key, getattr(args, dest, None)) for dest, section, key in _OVERRIDES
-    ]
-    starts = _parse_starts(getattr(args, "start", None))
-    if starts is not None:
-        overrides.append(("phase", "starts", starts))
-    levels = _parse_levels(getattr(args, "levels", None))
-    if levels is not None:
-        overrides.append(("fines", "levels", levels))
+_COMMANDS = {
+    "analyze": _Command("analyze one game", "json", _GAME, ("game",)),
+    "ensemble": _Command(
+        "run a random-game ensemble", "csv",
+        (_MASTER_SEED, _COUNT, *_FINES, _WORKERS),
+        ("game.fu", "game.fs", *_SAMPLER),
+    ),
+    "phase": _Command("render a phase portrait", "svg", (
+        *_GAME,
+        _flag("--resolution", "phase.resolution", "arrow lattice points per axis", int),
+        _flag("--start", "phase.starts", "trajectory start (repeatable)", str,
+              _parse_starts, action="append", metavar="BETA,ALPHA"),
+        _flag("--horizon", "phase.trajectory_horizon", "trajectory time horizon"),
+    ), ("game", "phase")),
+    "abm": _Command("finite-population simulation", "json", (
+        *_GAME,
+        _flag("--seed", "abm.seed", "agent-based seed", int),
+        _flag("--population", "abm.population_size", "population size per side", int),
+        _flag("--steps", "abm.steps", "simulation steps", int),
+        _flag("--burn-in", "abm.burn_in", "steps discarded before averaging", int),
+    ), ("game", "abm")),
+    # fines takes both fines from --levels, so it has no --fu/--fs.
+    "fines": _Command("ensembles across fine levels", "csv", (
+        _MASTER_SEED,
+        _COUNT,
+        _flag("--levels", "fines.levels", "comma-separated fine levels", str,
+              _parse_levels, metavar="L1,L2,..."),
+        _WORKERS,
+    ), (*_SAMPLER, "fines")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subparser's flags store under their config target.
+
+    Abbreviations are off, so a prefix of a flag the subcommand lacks (--w)
+    is not taken for one it has (--workers).
+    """
+    parser = argparse.ArgumentParser(
+        prog="cyberevo",
+        description="Evolutionary attacker/defender game analysis toolkit.",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"cyberevo {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
+        sub.add_argument("--config", metavar="PATH", help="JSON config file")
+        for flag in (*command.flags, *_OUTPUT):
+            sub.add_argument(flag.name, dest=flag.target, **flag.options)
+    return parser
+
+
+def _load(args: argparse.Namespace, flags: Sequence[_Flag]) -> RunConfig:
+    overrides = []
+    for flag in flags:
+        raw = getattr(args, flag.target)
+        if raw is not None:
+            overrides.append((*flag.target.split("."), flag.parse(raw)))
     return load_run_config(args.config, overrides)
 
 
-def _provenance(command: str, runcfg: RunConfig) -> dict[str, Any]:
-    # Worker count and output location cannot change any result, so they are
-    # excluded: identical analyses must produce byte-identical artifacts.
-    resolved = runcfg.resolved()
-    resolved["ensemble"].pop("workers", None)
-    resolved.pop("output", None)
-    return {
-        "tool": "cyberevo",
-        "version": __version__,
-        "command": command,
-        "config": resolved,
-    }
+def _recorded(runcfg: RunConfig, reads: Sequence[str]) -> dict[str, dict[str, Any]]:
+    """The config values named by ``reads``, by section."""
+    recorded: dict[str, dict[str, Any]] = {}
+    for read in reads:
+        section, _, key = read.partition(".")
+        values = runcfg.sections[section]
+        recorded.setdefault(section, {}).update({key: values[key]} if key else values)
+    return recorded
 
 
-def _emit(bundle: OutputBundle, runcfg: RunConfig, command: str) -> int:
+def _emit(bundle: OutputBundle, runcfg: RunConfig, command: str, default: str) -> None:
     out_dir = runcfg.get("output", "directory")
-    fmt = runcfg.get("output", "format") or _DEFAULT_FORMAT[command]
+    fmt = runcfg.get("output", "format") or default
     if out_dir is not None:
-        written = bundle.write(Path(out_dir))
-        for path in written:
+        for path in bundle.write(Path(out_dir)):
             print(path)
-        return 0
+        return
     kinds = {"json": bundle.documents, "csv": bundle.tables, "svg": bundle.graphics}
     if fmt not in kinds:
         raise ConfigError(f"unknown output format: {fmt}")
     if not kinds[fmt]:
         raise ConfigError(f"{command} has no {fmt} artifacts; choose another --format")
     sys.stdout.write(bundle.render_stdout(fmt))
-    return 0
-
-
-def _probe_out(runcfg: RunConfig) -> None:
-    out_dir = runcfg.get("output", "directory")
-    if out_dir is not None:
-        probe_writable(Path(out_dir))
 
 
 def _eigen_row(report) -> tuple:
@@ -242,9 +234,7 @@ def _eigen_row(report) -> tuple:
     )
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    runcfg = _load(args)
-    _probe_out(runcfg)
+def cmd_analyze(runcfg: RunConfig, bundle: OutputBundle) -> None:
     params = runcfg.game_params()
     matrix = build_payoff_matrix(params)
     reports = analyze_equilibria(params)
@@ -252,7 +242,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stable = sorted(kind.value for kind in stable_set(params))
     welfare = {pair: social_welfare(params, pair) for pair in STRATEGY_PAIRS}
 
-    bundle = OutputBundle(provenance=_provenance("analyze", runcfg))
     bundle.add_document("analysis", {
         "params": params,
         "payoffs": {
@@ -280,7 +269,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ("strategy_pair", "defender_payoff", "attacker_payoff"),
         tuple((pair.label(), *matrix[pair]) for pair in STRATEGY_PAIRS),
     ))
-    return _emit(bundle, runcfg, "analyze")
 
 
 def _vcurve_table(name: str, summary: EnsembleSummary) -> Table:
@@ -353,22 +341,16 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
     return tables
 
 
-def cmd_ensemble(args: argparse.Namespace) -> int:
-    runcfg = _load(args)
-    _probe_out(runcfg)
+def cmd_ensemble(runcfg: RunConfig, bundle: OutputBundle) -> None:
     config = runcfg.sampler_config()
     workers = runcfg.get("ensemble", "workers")
     _, summary = run_ensemble(config, workers=workers)
-    bundle = OutputBundle(provenance=_provenance("ensemble", runcfg))
     bundle.add_document("ensemble_summary", summary)
     for table in _ensemble_tables(summary):
         bundle.add_table(table)
-    return _emit(bundle, runcfg, "ensemble")
 
 
-def cmd_phase(args: argparse.Namespace) -> int:
-    runcfg = _load(args)
-    _probe_out(runcfg)
+def cmd_phase(runcfg: RunConfig, bundle: OutputBundle) -> None:
     params = runcfg.game_params()
     resolution = runcfg.get("phase", "resolution")
     if resolution < 2:
@@ -382,7 +364,6 @@ def cmd_phase(args: argparse.Namespace) -> int:
     svg_text = render_phase_svg(
         portrait, metadata={"tool": "cyberevo", "version": __version__}
     )
-    bundle = OutputBundle(provenance=_provenance("phase", runcfg))
     bundle.add_graphic("phase", svg_text)
     bundle.add_table(Table(
         "phase_field",
@@ -413,16 +394,12 @@ def cmd_phase(args: argparse.Namespace) -> int:
         ),
         "trajectories_converged": [t.converged for t in portrait.trajectories],
     })
-    return _emit(bundle, runcfg, "phase")
 
 
-def cmd_abm(args: argparse.Namespace) -> int:
-    runcfg = _load(args)
-    _probe_out(runcfg)
+def cmd_abm(runcfg: RunConfig, bundle: OutputBundle) -> None:
     params = runcfg.game_params()
     config = runcfg.abm_config()
     result = simulate(params, config)
-    bundle = OutputBundle(provenance=_provenance("abm", runcfg))
     bundle.add_document("abm_result", {
         "params": params,
         "mean_beta": result.mean_beta,
@@ -439,7 +416,6 @@ def cmd_abm(args: argparse.Namespace) -> int:
         ("step", "beta", "alpha"),
         tuple(result.trajectory_thinned),
     ))
-    return _emit(bundle, runcfg, "abm")
 
 
 def _level_table_name(level: float) -> str:
@@ -450,12 +426,10 @@ def _level_table_name(level: float) -> str:
     return "fines_" + f"{level:g}".replace(".", "p").replace("-", "m")
 
 
-def cmd_fines(args: argparse.Namespace) -> int:
-    runcfg = _load(args)
+def cmd_fines(runcfg: RunConfig, bundle: OutputBundle) -> None:
     for key in ("fu", "fs"):
         if runcfg.get("game", key) != 0.0:
             raise ConfigError(f"fines takes its fines from --levels; --{key} must be 0")
-    _probe_out(runcfg)
     ensemble_cfg = runcfg.sections["ensemble"]
     levels = runcfg.get("fines", "levels")
     summaries = fines_study(
@@ -465,7 +439,6 @@ def cmd_fines(args: argparse.Namespace) -> int:
         workers=ensemble_cfg["workers"],
         b_a_upper=ensemble_cfg["b_a_upper"],
     )
-    bundle = OutputBundle(provenance=_provenance("fines", runcfg))
     bundle.add_document("fines_summary", {
         f"{level:g}": {
             "kind_counts": summary.kind_counts,
@@ -477,7 +450,6 @@ def cmd_fines(args: argparse.Namespace) -> int:
     })
     for level, summary in summaries.items():
         bundle.add_table(_vcurve_table(_level_table_name(level), summary))
-    return _emit(bundle, runcfg, "fines")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -486,8 +458,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        runcfg = _load(args, (*command.flags, *_OUTPUT))
+        out_dir = runcfg.get("output", "directory")
+        if out_dir is not None:
+            probe_writable(Path(out_dir))
+        bundle = OutputBundle(provenance={
+            "tool": "cyberevo",
+            "version": __version__,
+            "command": args.command,
+            "config": _recorded(runcfg, command.reads),
+        })
+        # Looked up at call time, so a replaced handler is the one run.
+        globals()[f"cmd_{args.command}"](runcfg, bundle)
+        _emit(bundle, runcfg, args.command, command.format)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from .abm import AbmConfig
@@ -36,34 +36,36 @@ from .game import FineScenario, GameParams
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]
 
+_ABM = AbmConfig()
+_SAMPLER = SamplerConfig(count=100000)
+
+#: Defaults; the ensemble and abm ones are read from the dataclasses they set.
 DEFAULTS: Mapping[str, Mapping[str, Any]] = {
     "game": {key: None for key in ("w", "ca", "cd", "ba", "bd", "v")}
     | {"fu": 0.0, "fs": 0.0},
-    "ensemble": {"count": 100000, "master_seed": 1, "b_a_upper": 1.0, "workers": 1},
+    "ensemble": {
+        "count": _SAMPLER.count,
+        "master_seed": _SAMPLER.master_seed,
+        "b_a_upper": _SAMPLER.b_a_upper,
+        "workers": 1,
+    },
     "fines": {"levels": (0.1, 0.5)},
     "abm": {
-        "population_size": 1000,
-        "selection_strength": 10.0,
-        "mutation_rate": 0.001,
-        "steps": 2000000,
-        "burn_in": 500000,
-        "seed": 1,
-        "initial_beta": 0.5,
-        "initial_alpha": 0.5,
+        **{f.name: getattr(_ABM, f.name) for f in fields(AbmConfig)
+           if f.name != "initial_state"},
+        "initial_beta": _ABM.initial_state.beta,
+        "initial_alpha": _ABM.initial_state.alpha,
     },
     "phase": {"resolution": 15, "starts": (), "trajectory_horizon": 200.0},
     "output": {"directory": None, "format": None},
 }
 
+#: Keys whose default is an int take integers only.
 _INT_KEYS = {
-    ("ensemble", "count"),
-    ("ensemble", "master_seed"),
-    ("ensemble", "workers"),
-    ("abm", "population_size"),
-    ("abm", "steps"),
-    ("abm", "burn_in"),
-    ("abm", "seed"),
-    ("phase", "resolution"),
+    (section, key)
+    for section, keys in DEFAULTS.items()
+    for key, value in keys.items()
+    if type(value) is int
 }
 _STR_KEYS = {("output", "directory"), ("output", "format")}
 
@@ -155,32 +157,15 @@ class RunConfig:
         )
 
     def abm_config(self) -> AbmConfig:
-        abm = self.sections["abm"]
-        return AbmConfig(
-            population_size=abm["population_size"],
-            selection_strength=abm["selection_strength"],
-            mutation_rate=abm["mutation_rate"],
-            steps=abm["steps"],
-            burn_in=abm["burn_in"],
-            seed=abm["seed"],
-            initial_state=PopulationState(abm["initial_beta"], abm["initial_alpha"]),
-        )
+        abm = dict(self.sections["abm"])
+        state = PopulationState(abm.pop("initial_beta"), abm.pop("initial_alpha"))
+        return AbmConfig(**abm, initial_state=state)
 
     def phase_starts(self) -> Tuple[PopulationState, ...]:
         return tuple(
             PopulationState(beta, alpha)
             for beta, alpha in self.sections["phase"]["starts"]
         )
-
-    def resolved(self) -> dict[str, dict[str, Any]]:
-        """Plain nested dict of every effective setting, for provenance."""
-        return {
-            section: {
-                key: (list(value) if isinstance(value, tuple) else value)
-                for key, value in keys.items()
-            }
-            for section, keys in self.sections.items()
-        }
 
 
 def _read_file(path: str) -> Mapping[str, Any]:

@@ -489,31 +489,26 @@ def _bincount(bins: np.ndarray, weights: np.ndarray | None = None, size: int = 1
     return np.bincount(bins, weights=weights, minlength=size).tolist()
 
 
-def _summary(
-    table: GameTable, config: SamplerConfig | None, digest: str
-) -> EnsembleSummary:
-    """The one reduction behind every aggregate, in row order."""
-    n = len(table)
-    stable = table.stable
-    n_stable = stable.sum(axis=1)
-    # Bins [0, 0.1), ..., [0.9, 1.0]; the last bin is closed so 1.0 lands in it.
-    bins = {
-        name: np.minimum(table.params[:, i] / BIN_WIDTH, 9.0).astype(np.int64)
-        for i, name in enumerate(PARAMETERS)
-    }
-    kind_counts = dict(zip(_KINDS, stable.sum(axis=0).tolist()))
-    total_pairs = sum(kind_counts.values())
-    if total_pairs > 0:
-        kind_ratios = {k: c / total_pairs for k, c in kind_counts.items()}
-    else:
-        kind_ratios = {k: 0.0 for k in kind_counts}
-    e4 = stable[:, _E4]
+def _bins(params: np.ndarray, names: Iterable[str]) -> dict[str, np.ndarray]:
+    """Bin index of each named parameter column.
 
-    # Pearson correlations of the indicators (see correlation_matrix).
+    Bins [0, 0.1), ..., [0.9, 1.0]; the last bin is closed so 1.0 lands in it.
+    """
+    return {
+        name: np.minimum(
+            params[:, PARAMETERS.index(name)] / BIN_WIDTH, 9.0
+        ).astype(np.int64)
+        for name in names
+    }
+
+
+def _correlation(stable: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Pearson correlations of the indicators (see correlation_matrix)."""
+    n = len(stable)
     columns = np.empty((4, n))
     for i, kind in enumerate(_CURVE_KINDS):
         columns[i] = stable[:, kind]
-    columns[3] = n_stable
+    columns[3] = stable.sum(axis=1)
     matrix = np.full((4, 4), np.nan)
     centered = columns - columns.mean(axis=1, keepdims=True) if n else columns
     spread = np.sqrt((centered**2).mean(axis=1)) if n else np.zeros(4)
@@ -523,7 +518,21 @@ def _summary(
                 matrix[i, j] = float(
                     (centered[i] * centered[j]).mean() / (spread[i] * spread[j])
                 )
+    return tuple(tuple(float(x) for x in row) for row in matrix)
 
+
+def _summary(table: GameTable, config: SamplerConfig, digest: str) -> EnsembleSummary:
+    """The one reduction behind every summary, in row order."""
+    stable = table.stable
+    n_stable = stable.sum(axis=1)
+    bins = _bins(table.params, PARAMETERS)
+    kind_counts = dict(zip(_KINDS, stable.sum(axis=0).tolist()))
+    total_pairs = sum(kind_counts.values())
+    if total_pairs > 0:
+        kind_ratios = {k: c / total_pairs for k, c in kind_counts.items()}
+    else:
+        kind_ratios = {k: 0.0 for k in kind_counts}
+    e4 = stable[:, _E4]
     return EnsembleSummary(
         config=config,
         stable_count_distribution=dict(
@@ -532,7 +541,7 @@ def _summary(
         kind_counts=kind_counts,
         kind_ratios=kind_ratios,
         correlation_labels=CORRELATION_LABELS,
-        correlation=tuple(tuple(float(x) for x in row) for row in matrix),
+        correlation=_correlation(stable),
         v_binned_kind_frequency={
             _KINDS[kind]: tuple(_bincount(bins["v"][stable[:, kind]]))
             for kind in _CURVE_KINDS
@@ -613,12 +622,13 @@ def correlation_matrix(records: GameTable | Sequence[GameRecord]) -> np.ndarray:
     1{E4 stable}, and the per-game count of stable kinds.  Any column with
     zero variance yields NaN entries (undefined correlation, not 0).
     """
-    return np.array(_summary(GameTable.from_records(records), None, "").correlation)
+    return np.array(_correlation(GameTable.from_records(records).stable))
 
 
 def welfare_analytics(records: GameTable | Sequence[GameRecord]) -> WelfareStats:
     """Per-pair means, all-sample histogram, and parameter-binned means."""
-    return _summary(GameTable.from_records(records), None, "").welfare_stats
+    table = GameTable.from_records(records)
+    return _welfare_stats(table.welfare, _bins(table.params, WELFARE_BIN_PARAMETERS))
 
 
 def fines_study(

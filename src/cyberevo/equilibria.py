@@ -176,16 +176,16 @@ def eigenvalues(j: Jacobian2) -> EigenPair:
     return EigenPair(lam1, lam2)
 
 
-def classify(eigen: EigenPair, epsilon: float = HYPERBOLICITY_EPSILON) -> Classification:
+def classify(eigen: EigenPair) -> Classification:
     """Map eigenvalue real parts to a stability class.
 
-    Any real part within ``epsilon`` of zero yields NonHyperbolic: the
-    stability criterion is a strict sign condition and measure-zero boundary
-    cases must be surfaced, not decided.
+    Any real part within :data:`HYPERBOLICITY_EPSILON` of zero yields
+    NonHyperbolic: the stability criterion is a strict sign condition and
+    measure-zero boundary cases must be surfaced, not decided.
     """
     re1 = eigen.lambda1.real
     re2 = eigen.lambda2.real
-    if abs(re1) <= epsilon or abs(re2) <= epsilon:
+    if abs(re1) <= HYPERBOLICITY_EPSILON or abs(re2) <= HYPERBOLICITY_EPSILON:
         return Classification.NON_HYPERBOLIC
     if re1 < 0.0 and re2 < 0.0:
         return Classification.STABLE
@@ -194,55 +194,46 @@ def classify(eigen: EigenPair, epsilon: float = HYPERBOLICITY_EPSILON) -> Classi
     return Classification.SADDLE
 
 
-def interior_equilibrium(
-    params: GameParams,
-    margin: float = INTERIOR_MARGIN,
-    denominator_floor: float = DENOMINATOR_FLOOR,
-) -> Optional[PopulationState]:
+def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
     """Interior fixed point (beta*, alpha*) when it exists.
 
     The field brackets vanish at beta* = -g0/g1 and alpha* = -k0/k1.  The
-    point exists when both slopes exceed ``denominator_floor`` in magnitude
-    and both coordinates lie strictly inside (margin, 1 - margin); absence
-    is a value, not an error.
+    point exists when both slopes exceed :data:`DENOMINATOR_FLOOR` in
+    magnitude and both coordinates lie strictly inside (m, 1 - m) for
+    m = :data:`INTERIOR_MARGIN`; absence is a value, not an error.
     """
     k0, k1, g0, g1 = field_coefficients(params)
-    if abs(g1) <= denominator_floor or abs(k1) <= denominator_floor:
+    if abs(g1) <= DENOMINATOR_FLOOR or abs(k1) <= DENOMINATOR_FLOOR:
         return None
     beta_star = -g0 / g1
     alpha_star = -k0 / k1
-    if not (margin < beta_star < 1.0 - margin):
+    if not (INTERIOR_MARGIN < beta_star < 1.0 - INTERIOR_MARGIN):
         return None
-    if not (margin < alpha_star < 1.0 - margin):
+    if not (INTERIOR_MARGIN < alpha_star < 1.0 - INTERIOR_MARGIN):
         return None
     return PopulationState(beta_star, alpha_star)
 
 
 def _report(
-    params: GameParams,
-    kind: EquilibriumKind,
-    state: PopulationState,
-    epsilon: float,
+    params: GameParams, kind: EquilibriumKind, state: PopulationState
 ) -> EquilibriumReport:
     jac = jacobian(params, state)
     eig = eigenvalues(jac)
-    return EquilibriumReport(kind, state, jac, eig, classify(eig, epsilon))
+    return EquilibriumReport(kind, state, jac, eig, classify(eig))
 
 
-def analyze_equilibria(
-    params: GameParams, epsilon: float = HYPERBOLICITY_EPSILON
-) -> tuple[EquilibriumReport, ...]:
+def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
     """Reports for the four corners plus the interior point when present.
 
     Returns exactly four or five reports, in kind order E1..E5.
     """
     reports = [
-        _report(params, kind, PopulationState(float(bx), float(ax)), epsilon)
+        _report(params, kind, PopulationState(float(bx), float(ax)))
         for kind, (bx, ax) in _CORNERS.items()
     ]
     interior = interior_equilibrium(params)
     if interior is not None:
-        reports.append(_report(params, EquilibriumKind.E5, interior, epsilon))
+        reports.append(_report(params, EquilibriumKind.E5, interior))
     return tuple(reports)
 
 

@@ -3,14 +3,20 @@
 The scripts under ``bench/`` import the library at module level and inside
 functions.  A deleted or renamed name would break the benchmark with no
 other test failing, so the scripts are parsed (not run) and each imported
-name is resolved.
+name is resolved.  ``bench/workload.py --trace 1`` also times layers by
+replacing module attributes the CLI calls through; each must still be
+called once per run, or its layer would read zero.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from cyberevo import cli
+from cyberevo.output import OutputBundle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,3 +45,24 @@ def test_bench_import_resolves(script, module, name):
     if not hasattr(parent, name):
         # ``from cyberevo import cli`` names a submodule.
         importlib.import_module(f"{module}.{name}")
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("ensemble", "run_ensemble"),
+    ("fines", "fines_study"),
+])
+def test_trace_patch_points_are_each_called_once(tmp_path, monkeypatch, capsys,
+                                                  command, entry):
+    # The names bench/workload.py wraps with spans, wrapped the same way.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((cli, "load_run_config"), (cli, entry), (OutputBundle, "write")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    assert cli.main([command, "--count", "50", "--out", str(tmp_path)]) == 0
+    assert calls == {"load_run_config": 1, entry: 1, "write": 1}

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from cyberevo import FineScenario, SamplerConfig, cli, phaseplot, run_ensemble
+from cyberevo import (
+    AbmConfig,
+    FineScenario,
+    SamplerConfig,
+    cli,
+    phaseplot,
+    run_ensemble,
+)
+from cyberevo.config import load_run_config
 
 REF_FLAGS = [
     "--w", "0.98", "--ca", "0.51", "--cd", "0.20",
@@ -349,7 +357,7 @@ def test_fines_rejects_bad_levels(tmp_path, capsys):
 def test_integration_failure_maps_to_compute_exit_code(monkeypatch, capsys):
     from cyberevo.errors import IntegrationError
 
-    def boom(args):
+    def boom(runcfg, bundle):
         raise IntegrationError("non-finite state at step 3")
 
     monkeypatch.setattr(cli, "cmd_analyze", boom)
@@ -367,3 +375,66 @@ def test_provenance_has_no_timestamp_and_omits_runtime_plumbing(tmp_path):
     doc = json.loads((out / "ensemble_summary.json").read_text())
     assert "output" not in doc["provenance"]["config"]
     assert "workers" not in doc["provenance"]["config"]["ensemble"]
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    runcfg = load_run_config()
+    assert runcfg.abm_config() == AbmConfig()
+    sampler, default = runcfg.sampler_config(), SamplerConfig(count=100000)
+    assert sampler.master_seed == default.master_seed
+    assert sampler.b_a_upper == default.b_a_upper
+
+
+GAME_KEYS = {"w", "ca", "cd", "ba", "bd", "v", "fu", "fs"}
+SAMPLER_KEYS = {"count", "master_seed", "b_a_upper"}
+
+#: argv, and the config keys by section its provenance records: exactly the
+#: values the subcommand reads.
+PROVENANCE = {
+    "analyze": (REF_FLAGS, {"game": GAME_KEYS}),
+    "phase": ([*REF_FLAGS, "--resolution", "3", "--format", "json"], {
+        "game": GAME_KEYS, "phase": {"resolution", "starts", "trajectory_horizon"},
+    }),
+    "abm": ([*REF_FLAGS, "--population", "100", "--steps", "2000",
+             "--burn-in", "500", "--seed", "4"], {
+        "game": GAME_KEYS,
+        "abm": {"population_size", "selection_strength", "mutation_rate", "steps",
+                "burn_in", "seed", "initial_beta", "initial_alpha"},
+    }),
+    "ensemble": (["--count", "50", "--seed", "4", "--format", "json"], {
+        "game": {"fu", "fs"}, "ensemble": SAMPLER_KEYS,
+    }),
+    "fines": (["--count", "50", "--seed", "4", "--format", "json"], {
+        "ensemble": SAMPLER_KEYS, "fines": {"levels"},
+    }),
+}
+
+
+@pytest.mark.parametrize("command", PROVENANCE)
+def test_provenance_records_only_what_the_subcommand_reads(capsys, command):
+    argv, reads = PROVENANCE[command]
+    assert cli.main([command, *argv]) == 0
+    provenance = _stdout_json(capsys)["provenance"]
+    assert provenance["command"] == command
+    config = provenance["config"]
+    assert {section: set(keys) for section, keys in config.items()} == reads
+    # --seed sets the seed of the subcommand's own run and nothing else.
+    if command == "abm":
+        assert config["abm"]["seed"] == 4
+    elif command in ("ensemble", "fines"):
+        assert config["ensemble"]["master_seed"] == 4
+
+
+def test_ensemble_artifacts_ignore_config_it_does_not_read(tmp_path, capsys):
+    config = tmp_path / "unread.json"
+    config.write_text(json.dumps({
+        "abm": {"seed": 7}, "phase": {"resolution": 5}, "game": {"w": 0.5},
+    }))
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert cli.main(["ensemble", "--count", "200", "--out", str(plain)]) == 0
+    assert cli.main(["ensemble", "--count", "200", "--config", str(config),
+                     "--out", str(configured)]) == 0
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in configured.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (configured / name).read_bytes(), name

@@ -235,6 +235,23 @@ def test_welfare_analytics_synthetic_records():
     assert all(math.isnan(binned[i]) for i in range(10) if i != 2)
 
 
+def test_single_field_reducers_equal_the_summary_fields():
+    # Each computes only the field it returns, with the bits summarize gives.
+    config = SamplerConfig(count=20000, master_seed=4)
+    table, _ = run_ensemble(config)
+    summary = summarize(table, config)
+    assert np.array_equal(
+        correlation_matrix(table), np.array(summary.correlation), equal_nan=True
+    )
+    stats, expected = welfare_analytics(table), summary.welfare_stats
+    assert stats.mean_by_pair == expected.mean_by_pair
+    assert stats.histogram_edges == expected.histogram_edges
+    assert stats.histogram_counts == expected.histogram_counts
+    assert stats.binned_mean.keys() == expected.binned_mean.keys()
+    for name, means in stats.binned_mean.items():
+        assert np.array_equal(means, expected.binned_mean[name], equal_nan=True), name
+
+
 def test_welfare_histogram_bin_count_is_capped():
     # Attacker benefits up to 1e6 spread welfare over about a million units;
     # at width 0.1 that took about ten million bins, almost all empty.
