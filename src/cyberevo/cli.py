@@ -8,14 +8,14 @@ phase     SVG phase portrait plus tabular field/marker/trajectory data.
 abm       Finite-population simulation for one game.
 fines     Ensembles re-run under attacker fine levels on identical draws.
 
-Each subcommand is declared once, in ``_COMMANDS``: its help, its default
-``--format``, its flags, each of which sets one config value, and the
-config values it reads.  Inputs come from flags and an optional JSON
-config file (flags win).  :func:`main` resolves them, checks that ``--out``
-is writable, runs the subcommand's ``cmd_<name>`` handler and writes or
-prints the artifacts it filled.  Their provenance records the tool
-version, the subcommand and the config values that subcommand reads,
-nothing else.  With ``--out DIR`` every artifact is written there;
+Each subcommand is declared once, in ``_COMMANDS``: its help, its stdout
+formats (default first), its flags, each of which sets one config value,
+and the config values it reads.  Inputs come from flags and an optional
+JSON config file (flags win).  :func:`main` resolves them, refuses a
+stdout format the subcommand lacks or checks that ``--out`` is writable,
+runs the subcommand's ``cmd_<name>`` handler and writes or prints the
+artifacts it filled.  Their provenance records the tool version, the
+subcommand and the config values that subcommand reads, nothing else.  With ``--out DIR`` every artifact is written there;
 otherwise the artifacts selected by ``--format`` are printed to stdout.
 
 Exit codes: 0 success; 2 usage, configuration, or I/O errors; 3 game
@@ -55,53 +55,47 @@ __all__ = ["main", "build_parser"]
 _BIN_EDGES = tuple((i / 10.0, (i + 1) / 10.0) for i in range(10))
 
 
-def _parse_starts(raw: Sequence[str]) -> tuple[tuple[float, float], ...]:
-    starts = []
-    for item in raw:
-        pieces = item.split(",")
-        if len(pieces) != 2:
-            raise ConfigError(f"--start expects BETA,ALPHA (got {item!r})")
-        try:
-            starts.append((float(pieces[0]), float(pieces[1])))
-        except ValueError as exc:
-            raise ConfigError(f"--start expects numbers (got {item!r})") from exc
-    return tuple(starts)
-
-
-def _parse_levels(raw: str) -> tuple[float, ...]:
+def _numbers(text: str) -> tuple[float, ...]:
+    """The argparse type of --levels: comma-separated numbers."""
     try:
-        return tuple(float(piece) for piece in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--levels expects comma-separated numbers (got {raw!r})") from exc
+        return tuple(float(piece) for piece in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated numbers (got {text!r})") from None
 
 
-class _Flag(NamedTuple):
-    """A flag and the one config value, ``target`` ("section.key"), it sets.
+def _start(text: str) -> tuple[float, ...]:
+    """The argparse type of --start: BETA,ALPHA."""
+    start = _numbers(text)
+    if len(start) != 2:
+        raise argparse.ArgumentTypeError(f"expects BETA,ALPHA (got {text!r})")
+    return start
 
-    ``options`` go to ``add_argument``; ``parse`` turns the parsed value
-    into the config value, raising ConfigError on malformed input.
-    """
 
-    name: str
-    target: str
-    options: dict[str, Any]
-    parse: Callable[[Any], Any]
+#: A flag's name and its ``add_argument`` options.
+_Flag = tuple[str, dict[str, Any]]
 
 
 def _flag(name: str, target: str, help: str, type: Callable[[str], Any] = float,
-          parse: Callable[[Any], Any] = lambda raw: raw, **options: Any) -> _Flag:
-    return _Flag(name, target, {"help": help, "type": type, **options}, parse)
+          **options: Any) -> _Flag:
+    """A flag that sets one config value, ``target`` ("section.key").
+
+    Its ``type`` parses the flag's text into that value, which argparse
+    stores under ``target``.
+    """
+    return name, {"dest": target, "help": help, "type": type, **options}
 
 
 class _Command(NamedTuple):
     """One subcommand, run by the module's ``cmd_<name>`` handler.
 
+    ``formats`` are the stdout formats it has artifacts in, default first.
     ``reads`` names the config values the subcommand reads, each a
     "section" or a "section.key"; they, and only they, are its provenance.
     """
 
     help: str
-    format: str
+    formats: tuple[str, ...]
     flags: tuple[_Flag, ...]
     reads: tuple[str, ...]
 
@@ -121,12 +115,7 @@ _COUNT = _flag("--count", "ensemble.count", "number of sampled games", int)
 _MASTER_SEED = _flag("--seed", "ensemble.master_seed", "ensemble master seed", int)
 _WORKERS = _flag("--workers", "ensemble.workers", "parallel worker processes", int)
 
-#: Flags of every subcommand besides --config.
-_OUTPUT = (
-    _flag("--out", "output.directory", "output directory", str, metavar="DIR"),
-    _flag("--format", "output.format", "stdout format when --out is not given",
-          str, choices=("csv", "json", "svg")),
-)
+_OUT = _flag("--out", "output.directory", "output directory", str, metavar="DIR")
 
 #: The ensemble values a result depends on.  Worker count and output
 #: location cannot change any result, so no subcommand records them:
@@ -134,20 +123,20 @@ _OUTPUT = (
 _SAMPLER = ("ensemble.count", "ensemble.master_seed", "ensemble.b_a_upper")
 
 _COMMANDS = {
-    "analyze": _Command("analyze one game", "json", _GAME, ("game",)),
+    "analyze": _Command("analyze one game", ("json", "csv"), _GAME, ("game",)),
     "ensemble": _Command(
-        "run a random-game ensemble", "csv",
+        "run a random-game ensemble", ("csv", "json"),
         (_MASTER_SEED, _COUNT, *_FINES, _WORKERS),
         ("game.fu", "game.fs", *_SAMPLER),
     ),
-    "phase": _Command("render a phase portrait", "svg", (
+    "phase": _Command("render a phase portrait", ("svg", "csv", "json"), (
         *_GAME,
         _flag("--resolution", "phase.resolution", "arrow lattice points per axis", int),
-        _flag("--start", "phase.starts", "trajectory start (repeatable)", str,
-              _parse_starts, action="append", metavar="BETA,ALPHA"),
+        _flag("--start", "phase.starts", "trajectory start (repeatable)", _start,
+              action="append", metavar="BETA,ALPHA"),
         _flag("--horizon", "phase.trajectory_horizon", "trajectory time horizon"),
     ), ("game", "phase")),
-    "abm": _Command("finite-population simulation", "json", (
+    "abm": _Command("finite-population simulation", ("json", "csv"), (
         *_GAME,
         _flag("--seed", "abm.seed", "agent-based seed", int),
         _flag("--population", "abm.population_size", "population size per side", int),
@@ -155,11 +144,11 @@ _COMMANDS = {
         _flag("--burn-in", "abm.burn_in", "steps discarded before averaging", int),
     ), ("game", "abm")),
     # fines takes both fines from --levels, so it has no --fu/--fs.
-    "fines": _Command("ensembles across fine levels", "csv", (
+    "fines": _Command("ensembles across fine levels", ("csv", "json"), (
         _MASTER_SEED,
         _COUNT,
-        _flag("--levels", "fines.levels", "comma-separated fine levels", str,
-              _parse_levels, metavar="L1,L2,..."),
+        _flag("--levels", "fines.levels", "comma-separated fine levels", _numbers,
+              metavar="L1,L2,..."),
         _WORKERS,
     ), (*_SAMPLER, "fines")),
 }
@@ -181,18 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
         sub.add_argument("--config", metavar="PATH", help="JSON config file")
-        for flag in (*command.flags, *_OUTPUT):
-            sub.add_argument(flag.name, dest=flag.target, **flag.options)
+        for flag, options in (*command.flags, _OUT):
+            sub.add_argument(flag, **options)
+        sub.add_argument("--format", dest="output.format",
+                         metavar="{" + ",".join(command.formats) + "}",
+                         help="stdout format when --out is not given")
     return parser
-
-
-def _load(args: argparse.Namespace, flags: Sequence[_Flag]) -> RunConfig:
-    overrides = []
-    for flag in flags:
-        raw = getattr(args, flag.target)
-        if raw is not None:
-            overrides.append((*flag.target.split("."), flag.parse(raw)))
-    return load_run_config(args.config, overrides)
 
 
 def _recorded(runcfg: RunConfig, reads: Sequence[str]) -> dict[str, dict[str, Any]]:
@@ -203,21 +186,6 @@ def _recorded(runcfg: RunConfig, reads: Sequence[str]) -> dict[str, dict[str, An
         values = runcfg.sections[section]
         recorded.setdefault(section, {}).update({key: values[key]} if key else values)
     return recorded
-
-
-def _emit(bundle: OutputBundle, runcfg: RunConfig, command: str, default: str) -> None:
-    out_dir = runcfg.get("output", "directory")
-    fmt = runcfg.get("output", "format") or default
-    if out_dir is not None:
-        for path in bundle.write(Path(out_dir)):
-            print(path)
-        return
-    kinds = {"json": bundle.documents, "csv": bundle.tables, "svg": bundle.graphics}
-    if fmt not in kinds:
-        raise ConfigError(f"unknown output format: {fmt}")
-    if not kinds[fmt]:
-        raise ConfigError(f"{command} has no {fmt} artifacts; choose another --format")
-    sys.stdout.write(bundle.render_stdout(fmt))
 
 
 def _eigen_row(report) -> tuple:
@@ -460,10 +428,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     command = _COMMANDS[args.command]
     try:
-        runcfg = _load(args, (*command.flags, *_OUTPUT))
+        # Flags store their values under the "section.key" they set; no
+        # other destination has a dot.
+        runcfg = load_run_config(args.config, [
+            (*dest.split("."), value) for dest, value in vars(args).items() if "." in dest
+        ])
         out_dir = runcfg.get("output", "directory")
+        fmt = runcfg.get("output", "format") or command.formats[0]
         if out_dir is not None:
             probe_writable(Path(out_dir))
+        elif fmt not in command.formats:
+            raise ConfigError(f"{args.command} has no {fmt} output; its formats "
+                              f"are {', '.join(command.formats)}")
         bundle = OutputBundle(provenance={
             "tool": "cyberevo",
             "version": __version__,
@@ -472,20 +448,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         })
         # Looked up at call time, so a replaced handler is the one run.
         globals()[f"cmd_{args.command}"](runcfg, bundle)
-        _emit(bundle, runcfg, args.command, command.format)
+        if out_dir is None:
+            sys.stdout.write(bundle.render_stdout(fmt))
+        else:
+            for path in bundle.write(Path(out_dir)):
+                print(path)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, ParameterError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (3 if isinstance(exc, ParameterError)
+                else 4 if isinstance(exc, IntegrationError) else 2)
 
 
 if __name__ == "__main__":

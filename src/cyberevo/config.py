@@ -23,6 +23,7 @@ unknown sections or keys are rejected rather than ignored.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, fields
@@ -33,13 +34,15 @@ from .dynamics import PopulationState
 from .ensemble import SamplerConfig
 from .errors import ConfigError
 from .game import FineScenario, GameParams
+from .phaseplot import phase_portrait
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]
 
 _ABM = AbmConfig()
 _SAMPLER = SamplerConfig(count=100000)
+_PHASE = inspect.signature(phase_portrait).parameters
 
-#: Defaults; the ensemble and abm ones are read from the dataclasses they set.
+#: Defaults; the ensemble, abm and phase ones are read from what they set.
 DEFAULTS: Mapping[str, Mapping[str, Any]] = {
     "game": {key: None for key in ("w", "ca", "cd", "ba", "bd", "v")}
     | {"fu": 0.0, "fs": 0.0},
@@ -56,7 +59,8 @@ DEFAULTS: Mapping[str, Mapping[str, Any]] = {
         "initial_beta": _ABM.initial_state.beta,
         "initial_alpha": _ABM.initial_state.alpha,
     },
-    "phase": {"resolution": 15, "starts": (), "trajectory_horizon": 200.0},
+    "phase": {"resolution": _PHASE["resolution"].default, "starts": (),
+              "trajectory_horizon": _PHASE["trajectory_horizon"].default},
     "output": {"directory": None, "format": None},
 }
 

@@ -429,8 +429,8 @@ def _run(
     """The table and records digest of each config, on shared draws.
 
     Blocks of :data:`BLOCK_SIZE` game indices run in ``workers`` pool
-    processes (in this process when ``workers`` is 1) and are joined in
-    index order, so nothing depends on ``workers``.
+    processes, at most one per block (in this process when ``workers`` is
+    1), and are joined in index order, so nothing depends on ``workers``.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1 (got {workers!r})")
@@ -441,7 +441,8 @@ def _run(
         starts,
         [min(start + BLOCK_SIZE, count) for start in starts],
     )
-    if workers == 1 or len(starts) == 1:
+    workers = min(workers, len(starts))
+    if workers == 1:
         return _join(map(_analyze_block, *args), len(configs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _join(pool.map(_analyze_block, *args), len(configs))

@@ -14,10 +14,9 @@ import enum
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -156,53 +155,45 @@ class OutputBundle:
             ),
         ]
 
-    def _document_text(self, payload: Any) -> str:
-        body = {"provenance": to_jsonable(self.provenance), "result": to_jsonable(payload)}
-        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    def _artifacts(self) -> Iterator[tuple[str, str]]:
+        """Each artifact's file name and text: documents, tables, graphics."""
+        for name, payload in self.documents.items():
+            body = {"provenance": to_jsonable(self.provenance),
+                    "result": to_jsonable(payload)}
+            yield f"{name}.json", json.dumps(
+                body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        lines = self._provenance_lines()
+        for name, table in self.tables.items():
+            yield f"{name}.csv", table.render(lines)
+        for name, svg_text in self.graphics.items():
+            yield f"{name}.svg", svg_text + ("" if svg_text.endswith("\n") else "\n")
 
     def write(self, directory: Path) -> list[Path]:
         """Write every artifact under ``directory``; returns written paths."""
         directory.mkdir(parents=True, exist_ok=True)
-        lines = self._provenance_lines()
         written: list[Path] = []
-        for name, payload in self.documents.items():
-            path = directory / f"{name}.json"
-            path.write_text(self._document_text(payload), encoding="utf-8")
-            written.append(path)
-        for name, table in self.tables.items():
-            path = directory / f"{name}.csv"
-            path.write_text(table.render(lines), encoding="utf-8")
-            written.append(path)
-        for name, svg_text in self.graphics.items():
-            path = directory / f"{name}.svg"
-            path.write_text(svg_text + ("" if svg_text.endswith("\n") else "\n"),
-                            encoding="utf-8")
+        for name, text in self._artifacts():
+            path = directory / name
+            path.write_text(text, encoding="utf-8")
             written.append(path)
         return written
 
     def render_stdout(self, fmt: str) -> str:
-        """Concatenate artifacts for stdout when no output directory is set."""
-        lines = self._provenance_lines()
-        chunks: list[str] = []
-        if fmt == "json":
-            for name, payload in self.documents.items():
-                chunks.append(f"### {name}.json")
-                chunks.append(self._document_text(payload).rstrip("\n"))
-        elif fmt == "csv":
-            for name, table in self.tables.items():
-                chunks.append(f"### {name}.csv")
-                chunks.append(table.render(lines).rstrip("\n"))
-        elif fmt == "svg":
-            for name, svg_text in self.graphics.items():
-                chunks.append(f"### {name}.svg")
-                chunks.append(svg_text.rstrip("\n"))
-        else:
+        """Concatenate the ``fmt`` artifacts for stdout when no output
+        directory is set."""
+        if fmt not in ("json", "csv", "svg"):
             raise ValueError(f"unknown output format: {fmt}")
-        return "\n".join(chunks) + "\n"
+        return "\n".join(
+            f"### {name}\n" + text.rstrip("\n")
+            for name, text in self._artifacts() if name.endswith(f".{fmt}")
+        ) + "\n"
 
 
 def probe_writable(directory: Path) -> None:
     """Fail fast if ``directory`` cannot be created or written.
+
+    The directories the probe creates are removed again, deepest first, so
+    a run that fails before writing leaves nothing behind.
 
     Raises
     ------
@@ -210,8 +201,13 @@ def probe_writable(directory: Path) -> None:
         If the directory cannot be created or a probe file cannot be
         written there.
     """
-    directory.mkdir(parents=True, exist_ok=True)
-    probe = directory / ".write_probe"
-    with open(probe, "w", encoding="utf-8") as handle:
-        handle.write("")
-    os.remove(probe)
+    missing = [path for path in (directory, *directory.parents) if not path.exists()]
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        probe = directory / ".write_probe"
+        probe.write_text("", encoding="utf-8")
+        probe.unlink()
+    finally:
+        for path in missing:
+            if path.is_dir():
+                path.rmdir()

@@ -10,12 +10,13 @@ called once per run, or its layer would read zero.
 
 import ast
 import importlib
+import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cyberevo import cli
+from cyberevo import PAPER_B_A_UPPER, cli
 from cyberevo.output import OutputBundle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -53,7 +54,8 @@ def test_bench_import_resolves(script, module, name):
 ])
 def test_trace_patch_points_are_each_called_once(tmp_path, monkeypatch, capsys,
                                                   command, entry):
-    # The names bench/workload.py wraps with spans, wrapped the same way.
+    # The names bench/workload.py wraps with spans, wrapped the same way, and
+    # the argv shapes it passes.
     calls = Counter()
 
     def counting(name, fn):
@@ -64,5 +66,12 @@ def test_trace_patch_points_are_each_called_once(tmp_path, monkeypatch, capsys,
 
     for owner, name in ((cli, "load_run_config"), (cli, entry), (OutputBundle, "write")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    assert cli.main([command, "--count", "50", "--out", str(tmp_path)]) == 0
+    config = tmp_path / "fines_config.json"
+    config.write_text(json.dumps({"ensemble": {"count": 50, "b_a_upper": PAPER_B_A_UPPER}}))
+    argv = {
+        "ensemble": ["ensemble", "--count", "50", "--seed", "3", "--workers", "2"],
+        "fines": ["fines", "--config", str(config), "--levels", "0.1,0.5",
+                  "--workers", "1", "--seed", "3"],
+    }[command]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert calls == {"load_run_config": 1, entry: 1, "write": 1}

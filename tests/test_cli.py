@@ -1,5 +1,6 @@
 """Command-line surface: flags, config files, outputs, exit codes."""
 
+import inspect
 import json
 
 import pytest
@@ -354,7 +355,7 @@ def test_fines_rejects_bad_levels(tmp_path, capsys):
     assert "fine level 0.1 is repeated" in capsys.readouterr().err
 
 
-def test_integration_failure_maps_to_compute_exit_code(monkeypatch, capsys):
+def test_integration_failure_maps_to_compute_exit_code(tmp_path, monkeypatch, capsys):
     from cyberevo.errors import IntegrationError
 
     def boom(runcfg, bundle):
@@ -363,6 +364,19 @@ def test_integration_failure_maps_to_compute_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_analyze", boom)
     assert cli.main(["analyze", *REF_FLAGS]) == 4
     assert "non-finite state at step 3" in capsys.readouterr().err
+    assert cli.main(["analyze", *REF_FLAGS, "--out", str(tmp_path / "D")]) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ensemble", "--count", "0"], 2),
+    (["analyze", *REF_FLAGS, "--w", "2"], 3),
+    (["phase", *REF_FLAGS, "--resolution", "1"], 2),
+], ids=["ensemble-count-0", "analyze-w-2", "phase-resolution-1"])
+def test_failed_run_leaves_nothing_at_out(tmp_path, capsys, argv, code):
+    assert cli.main([*argv, "--out", str(tmp_path / "D" / "x")]) == code
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_provenance_has_no_timestamp_and_omits_runtime_plumbing(tmp_path):
@@ -383,6 +397,9 @@ def test_config_defaults_are_the_dataclass_defaults():
     sampler, default = runcfg.sampler_config(), SamplerConfig(count=100000)
     assert sampler.master_seed == default.master_seed
     assert sampler.b_a_upper == default.b_a_upper
+    portrait = inspect.signature(phaseplot.phase_portrait).parameters
+    for key in ("resolution", "trajectory_horizon"):
+        assert runcfg.get("phase", key) == portrait[key].default
 
 
 GAME_KEYS = {"w", "ca", "cd", "ba", "bd", "v", "fu", "fs"}
@@ -438,3 +455,49 @@ def test_ensemble_artifacts_ignore_config_it_does_not_read(tmp_path, capsys):
     assert names == sorted(path.name for path in configured.iterdir())
     for name in names:
         assert (plain / name).read_bytes() == (configured / name).read_bytes(), name
+
+
+#: Quick argv for each subcommand.
+RUNS = {
+    "analyze": REF_FLAGS,
+    "ensemble": ["--count", "50"],
+    "phase": [*REF_FLAGS, "--resolution", "3"],
+    "abm": [*REF_FLAGS, "--population", "100", "--steps", "2000", "--burn-in", "500"],
+    "fines": ["--count", "50"],
+}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_out_writes_each_declared_format(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, *RUNS[command], "--out", str(out)]) == 0
+    suffixes = {path.suffix[1:] for path in out.iterdir()}
+    assert suffixes == set(cli._COMMANDS[command].formats)
+
+
+#: Each subcommand with a format it has no artifacts in; ensemble at a count
+#: that would take seconds to compute.
+REFUSED = [
+    (command, fmt) for command in RUNS for fmt in ("json", "csv", "svg", "xml")
+    if fmt not in cli._COMMANDS[command].formats
+]
+
+
+@pytest.mark.parametrize("command, fmt", REFUSED)
+def test_missing_format_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                   command, fmt):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before the format was refused")
+
+    for entry in ("run_ensemble", "fines_study", "simulate", "phase_portrait",
+                  "analyze_equilibria"):
+        monkeypatch.setattr(cli, entry, forbidden)
+    argv = ["--count", "100000", "--workers", "2"] if command == "ensemble" \
+        else RUNS[command]
+    config = tmp_path / "format.json"
+    config.write_text(json.dumps({"output": {"format": fmt}}))
+    for source in (["--format", fmt], ["--config", str(config)]):
+        assert cli.main([command, *argv, *source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {command} has no {fmt} output" in captured.err

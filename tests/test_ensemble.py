@@ -391,6 +391,30 @@ def test_worker_count_invariant_across_partial_blocks():
     assert summaries[0].records_digest == records_digest(tables[0])
 
 
+def test_pool_forks_no_more_workers_than_blocks(monkeypatch):
+    # A stand-in pool that maps in this process, so no process is started.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+    config = SamplerConfig(count=2 * BLOCK_SIZE, master_seed=6)
+    _, summary = run_ensemble(config, workers=8)
+    assert sizes == [2]
+    monkeypatch.undo()
+    assert summary == run_ensemble(config, workers=1)[1]
+
+
 def test_game_table_round_trips_from_records():
     config = SamplerConfig(count=40, master_seed=3)
     table, summary = run_ensemble(config)

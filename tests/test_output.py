@@ -112,8 +112,14 @@ def test_bundle_stdout_formats():
 
 
 def test_probe_writable(tmp_path):
+    # The probe removes what it created, so a run that fails leaves nothing.
     probe_writable(tmp_path / "fresh" / "nested")
-    assert (tmp_path / "fresh" / "nested").is_dir()
+    assert not (tmp_path / "fresh").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    probe_writable(kept)
+    probe_writable(kept / "new")
+    assert kept.is_dir() and list(kept.iterdir()) == []
     blocker = tmp_path / "file"
     blocker.write_text("x")
     with pytest.raises(OSError):
