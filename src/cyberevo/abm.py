@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PopulationState
-from .ensemble import _is_integer
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .game import GameParams, field_coefficients
 
 __all__ = ["AbmConfig", "AbmResult", "simulate"]
@@ -68,7 +67,7 @@ class AbmConfig:
     initial_state: PopulationState = PopulationState(0.5, 0.5)
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.population_size) or self.population_size < 2:
+        if not is_integer(self.population_size) or self.population_size < 2:
             raise ConfigError(
                 f"population_size must be an integer >= 2 (got {self.population_size!r})"
             )
@@ -81,14 +80,14 @@ class AbmConfig:
             raise ConfigError(
                 f"mutation_rate must be in [0, 1] (got {self.mutation_rate!r})"
             )
-        if not _is_integer(self.steps) or self.steps < 1:
+        if not is_integer(self.steps) or self.steps < 1:
             raise ConfigError(f"steps must be an integer >= 1 (got {self.steps!r})")
-        if not _is_integer(self.burn_in) or not 0 <= self.burn_in < self.steps:
+        if not is_integer(self.burn_in) or not 0 <= self.burn_in < self.steps:
             raise ConfigError(
                 f"burn_in must be an integer with 0 <= burn_in < steps "
                 f"(burn_in={self.burn_in!r}, steps={self.steps!r})"
             )
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
+        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(
                 f"seed must be a 64-bit unsigned integer (got {self.seed!r})"
             )

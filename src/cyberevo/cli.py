@@ -33,26 +33,19 @@ from ._version import __version__
 from .abm import simulate
 from .config import RunConfig, load_run_config
 from .ensemble import (
+    BIN_EDGES,
     CORRELATION_LABELS,
     EnsembleSummary,
     fines_study,
     run_ensemble,
 )
-from .equilibria import (
-    Classification,
-    EquilibriumKind,
-    analyze_equilibria,
-    interior_equilibrium,
-    stable_set,
-)
+from .equilibria import EquilibriumKind, analyze_equilibria, stable_kinds
 from .errors import ConfigError, IntegrationError, ParameterError
-from .game import STRATEGY_PAIRS, build_payoff_matrix, social_welfare
+from .game import build_payoff_matrix
 from .output import OutputBundle, Table, probe_writable
 from .phaseplot import phase_portrait, render_phase_svg
 
 __all__ = ["main", "build_parser"]
-
-_BIN_EDGES = tuple((i / 10.0, (i + 1) / 10.0) for i in range(10))
 
 
 def _numbers(text: str) -> tuple[float, ...]:
@@ -206,19 +199,19 @@ def cmd_analyze(runcfg: RunConfig, bundle: OutputBundle) -> None:
     params = runcfg.game_params()
     matrix = build_payoff_matrix(params)
     reports = analyze_equilibria(params)
-    interior = interior_equilibrium(params)
-    stable = sorted(kind.value for kind in stable_set(params))
-    welfare = {pair: social_welfare(params, pair) for pair in STRATEGY_PAIRS}
+    welfare = {pair: d + a for pair, (d, a) in matrix.entries.items()}
 
     bundle.add_document("analysis", {
         "params": params,
         "payoffs": {
             pair.label(): {"defender": d, "attacker": a}
-            for pair, (d, a) in ((p, matrix[p]) for p in STRATEGY_PAIRS)
+            for pair, (d, a) in matrix.entries.items()
         },
         "equilibria": reports,
-        "stable_set": stable,
-        "interior": interior,
+        "stable_set": [kind.value for kind in stable_kinds(reports)],
+        "interior": next(
+            (r.location for r in reports if r.kind is EquilibriumKind.E5), None
+        ),
         "welfare": welfare,
     })
     bundle.add_table(Table(
@@ -230,23 +223,23 @@ def cmd_analyze(runcfg: RunConfig, bundle: OutputBundle) -> None:
     bundle.add_table(Table(
         "welfare",
         ("strategy_pair", "welfare"),
-        tuple((pair.label(), welfare[pair]) for pair in STRATEGY_PAIRS),
+        tuple((pair.label(), value) for pair, value in welfare.items()),
     ))
     bundle.add_table(Table(
         "payoffs",
         ("strategy_pair", "defender_payoff", "attacker_payoff"),
-        tuple((pair.label(), *matrix[pair]) for pair in STRATEGY_PAIRS),
+        tuple((pair.label(), *payoffs) for pair, payoffs in matrix.entries.items()),
     ))
 
 
 def _vcurve_table(name: str, summary: EnsembleSummary) -> Table:
-    kinds = (EquilibriumKind.E3, EquilibriumKind.E2, EquilibriumKind.E4)
+    curves = summary.v_binned_kind_frequency
     return Table(
         name,
-        ("bin_low", "bin_high", *(k.value for k in kinds)),
+        ("bin_low", "bin_high", *(kind.value for kind in curves)),
         tuple(
-            (lo, hi, *(summary.v_binned_kind_frequency[k][i] for k in kinds))
-            for i, (lo, hi) in enumerate(_BIN_EDGES)
+            (lo, hi, *(counts[i] for counts in curves.values()))
+            for i, (lo, hi) in enumerate(BIN_EDGES)
         ),
     )
 
@@ -256,8 +249,7 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
         Table(
             "fig6_counts",
             ("stable_count", "games"),
-            tuple((label, summary.stable_count_distribution[label])
-                  for label in ("0", "1", "2", "3+")),
+            tuple(summary.stable_count_distribution.items()),
         ),
         Table(
             "fig6_correlation",
@@ -268,8 +260,8 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
         Table(
             "fig7_ratios",
             ("kind", "count", "ratio"),
-            tuple((kind.value, summary.kind_counts[kind], summary.kind_ratios[kind])
-                  for kind in EquilibriumKind),
+            tuple((kind.value, count, summary.kind_ratios[kind])
+                  for kind, count in summary.kind_counts.items()),
         ),
         _vcurve_table("fig8_vcurves", summary),
     ]
@@ -284,12 +276,12 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
             ("bin_low", "bin_high",
              f"{col_a.replace('_', '')}_e4_count", f"{col_b.replace('_', '')}_e4_count"),
             tuple((lo, hi, stability[col_a][i], stability[col_b][i])
-                  for i, (lo, hi) in enumerate(_BIN_EDGES)),
+                  for i, (lo, hi) in enumerate(BIN_EDGES)),
         ))
     stats = summary.welfare_stats
     welfare_rows: list[tuple] = [
-        (f"mean_welfare[{pair.label()}]", stats.mean_by_pair[pair])
-        for pair in STRATEGY_PAIRS
+        (f"mean_welfare[{pair.label()}]", mean)
+        for pair, mean in stats.mean_by_pair.items()
     ]
     n_bins = len(stats.histogram_counts)
     for i, count in enumerate(stats.histogram_counts):
@@ -301,9 +293,9 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
         "fig18_welfare_params",
         ("parameter", "bin_low", "bin_high", "mean_welfare"),
         tuple(
-            (name, lo, hi, stats.binned_mean[name][i])
-            for name in ("v", "c_a", "c_d")
-            for i, (lo, hi) in enumerate(_BIN_EDGES)
+            (name, lo, hi, means[i])
+            for name, means in stats.binned_mean.items()
+            for i, (lo, hi) in enumerate(BIN_EDGES)
         ),
     ))
     return tables
@@ -356,10 +348,7 @@ def cmd_phase(runcfg: RunConfig, bundle: OutputBundle) -> None:
     bundle.add_document("phase_report", {
         "params": params,
         "equilibria": portrait.reports,
-        "stable_set": sorted(
-            r.kind.value for r in portrait.reports
-            if r.classification is Classification.STABLE
-        ),
+        "stable_set": [kind.value for kind in stable_kinds(portrait.reports)],
         "trajectories_converged": [t.converged for t in portrait.trajectories],
     })
 

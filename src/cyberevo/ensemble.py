@@ -6,12 +6,13 @@ so results are identical for any worker count.  An ensemble is held as a
 columnar :class:`GameTable`: per game, the six drawn parameters, the
 stable set, the social welfare of the four pure pairs and whether an
 interior point exists, each column one numpy array.  It is filled by the
-algebra of :mod:`cyberevo.game` and :mod:`cyberevo.equilibria` applied to
-whole columns (constraints, brackets, Jacobian entries, payoff pairs),
-the functions that :class:`~cyberevo.game.GameParams`,
-:func:`~cyberevo.equilibria.stable_set` and
-:func:`~cyberevo.game.social_welfare` call, so every row holds the bits
-those give; a row the column path cannot vouch for is recomputed by them.
+algebra of :mod:`cyberevo.game` applied to whole columns (constraints,
+brackets, payoff pairs), the functions that
+:class:`~cyberevo.game.GameParams` and
+:func:`~cyberevo.game.social_welfare` call, and by the table verdict
+:func:`~cyberevo.equilibria.stable_table`, so every row holds the bits the
+scalar path gives; a draw that breaks a constraint is redrawn by
+:func:`sample_game`.
 Aggregates cover the stable-count distribution, per-kind counts/ratios,
 indicator correlations, defence-intensity frequency curves,
 parameter-impact histograms, fine scenarios, and social-welfare
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .game import (
     PARAMETERS,
     STRATEGY_PAIRS,
@@ -40,14 +41,7 @@ from .game import (
     constraints,
     payoff_pairs,
 )
-from .equilibria import (
-    DENOMINATOR_FLOOR,
-    HYPERBOLICITY_EPSILON,
-    INTERIOR_MARGIN,
-    EquilibriumKind,
-    jacobian_entries,
-    stable_set,
-)
+from .equilibria import EquilibriumKind, stable_table
 
 __all__ = [
     "SamplerConfig",
@@ -66,6 +60,7 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "PAPER_B_A_UPPER",
     "BIN_WIDTH",
+    "BIN_EDGES",
     "MAX_HISTOGRAM_BINS",
     "BLOCK_SIZE",
 ]
@@ -84,8 +79,16 @@ DEFAULT_MASTER_SEED = 1
 #: paper's stated range once that range is in the repository.
 PAPER_B_A_UPPER = 1.33
 
-#: All binned statistics use this bin width; the last bin is closed.
-BIN_WIDTH = 0.1
+_N_BINS = 10
+
+#: All binned statistics use this bin width.
+BIN_WIDTH = 1 / _N_BINS
+
+#: (low, high) of each bin of a parameter in (0, 1]: [0, 0.1), ...,
+#: [0.9, 1.0]; the last bin is closed so 1.0 lands in it.
+BIN_EDGES: tuple[tuple[float, float], ...] = tuple(
+    (i / _N_BINS, (i + 1) / _N_BINS) for i in range(_N_BINS)
+)
 
 #: Most bins the welfare histogram may have.  A welfare range wider than
 #: this many ``BIN_WIDTH`` bins (``b_a_upper`` is unbounded above) is
@@ -119,10 +122,6 @@ _KIND_LABELS: tuple[str, ...] = tuple(
 )
 
 
-def _is_integer(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Ensemble sampling configuration.
@@ -145,9 +144,9 @@ class SamplerConfig:
     b_a_upper: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.count) or self.count < 1:
+        if not is_integer(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1 (got {self.count!r})")
-        if not _is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
+        if not is_integer(self.master_seed) or not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 f"master_seed must be a 64-bit unsigned integer (got {self.master_seed!r})"
             )
@@ -354,10 +353,8 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
     ceiling b_a <= b_a_upper; any row that does not (a draw that hit an
     excluded endpoint) is redrawn by :func:`sample_game`.  The rest applies
     the scalar functions' algebra to columns, so each row holds the bits
-    :func:`sample_game`, :func:`stable_set`, ``social_welfare`` and
-    ``interior_equilibrium`` give for that game.  Only the interior rule is
-    written here a second time, as a mask: the scalar form returns early
-    where a slope is too small to divide by.
+    :func:`sample_game`, ``stable_set``, ``social_welfare`` and
+    ``interior_equilibrium`` give for that game.
     """
     fines = (float(config.scenario.f_s), float(config.scenario.f_u))
     valid = params[:, PARAMETERS.index("b_a")] <= config.b_a_upper
@@ -369,34 +366,7 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
         for row in redraw.tolist():
             params[row] = sample_game(config, start + row).as_tuple()[:6]
     game = (*params.T, *fines)
-    coeffs = brackets(*game)
-    k0, k1, g0, g1 = coeffs
-
-    # Corner Jacobians are diagonal (acceptance criterion 3), so a corner is
-    # Stable when both diagonal entries are below -epsilon.
-    eps = HYPERBOLICITY_EPSILON
-    stable = np.zeros((len(params), len(_KINDS)), dtype=bool)
-    for column, kind in enumerate(_KINDS[:4]):
-        j11, _, _, j22 = jacobian_entries(*coeffs, *kind.corner)
-        stable[:, column] = (j11 < -eps) & (j22 < -eps)
-
-    # interior_equilibrium's rule, as a mask.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = -g0 / g1
-        alpha = -k0 / k1
-        interior = (
-            (np.abs(g1) > DENOMINATOR_FLOOR) & (np.abs(k1) > DENOMINATOR_FLOOR)
-            & (INTERIOR_MARGIN < beta) & (beta < 1.0 - INTERIOR_MARGIN)
-            & (INTERIOR_MARGIN < alpha) & (alpha < 1.0 - INTERIOR_MARGIN)
-        )
-        j11, _, _, j22 = jacobian_entries(*coeffs, beta, alpha)
-    # Both real parts of E5's eigenvalues are below -epsilon only if the
-    # Jacobian's trace is at most -2 epsilon; it is about zero at a true
-    # interior point, so these rows are rare and take the scalar path.
-    for row in np.flatnonzero(interior & (j11 + j22 <= -2.0 * eps)).tolist():
-        kinds = stable_set(GameParams(*params[row].tolist(), *fines))
-        stable[row] = [kind in kinds for kind in _KINDS]
-
+    stable, interior = stable_table(*brackets(*game))
     welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
     for column, (defender, attacker) in enumerate(payoff_pairs(*game)):
         welfare[:, column] = defender + attacker
@@ -484,20 +454,19 @@ def run_ensemble(
     return table, _summary(table, config, digest)
 
 
-def _bincount(bins: np.ndarray, weights: np.ndarray | None = None, size: int = 10):
+def _bincount(
+    bins: np.ndarray, weights: np.ndarray | None = None, size: int = _N_BINS
+):
     # bincount adds weights one at a time in row order, the order in which
     # a Python loop over the games would add them.
     return np.bincount(bins, weights=weights, minlength=size).tolist()
 
 
 def _bins(params: np.ndarray, names: Iterable[str]) -> dict[str, np.ndarray]:
-    """Bin index of each named parameter column.
-
-    Bins [0, 0.1), ..., [0.9, 1.0]; the last bin is closed so 1.0 lands in it.
-    """
+    """Bin index of each named parameter column, over :data:`BIN_EDGES`."""
     return {
         name: np.minimum(
-            params[:, PARAMETERS.index(name)] / BIN_WIDTH, 9.0
+            params[:, PARAMETERS.index(name)] / BIN_WIDTH, _N_BINS - 1.0
         ).astype(np.int64)
         for name in names
     }
@@ -598,7 +567,7 @@ def _welfare_stats(welfare: np.ndarray, bins: dict[str, np.ndarray]) -> WelfareS
         sums = _bincount(per_sample, samples)
         sizes = _bincount(per_sample)
         binned_mean[name] = tuple(
-            sums[i] / sizes[i] if sizes[i] else math.nan for i in range(10)
+            sums[i] / sizes[i] if sizes[i] else math.nan for i in range(_N_BINS)
         )
     return WelfareStats(
         mean_by_pair=mean_by_pair,

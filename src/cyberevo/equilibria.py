@@ -9,8 +9,10 @@ both field brackets have a root strictly inside (0, 1).  Stability is read
 off the Jacobian's eigenvalues: strictly negative real parts mean Stable,
 strictly positive mean Unstable, opposite signs mean Saddle, and any real
 part within the hyperbolicity tolerance of zero is surfaced as
-NonHyperbolic rather than guessed.  At the interior point the Jacobian has
-zero trace, so E5 is never asymptotically stable.
+NonHyperbolic rather than guessed.  E5 exists only where both bracket
+slopes are negative, so it is a saddle or non-hyperbolic, never Stable.
+Every stability verdict is made here: :func:`analyze_equilibria` for one
+game, :func:`stable_table` for a table's bracket columns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .dynamics import PopulationState
 from .game import GameParams, field_coefficients
@@ -35,7 +39,9 @@ __all__ = [
     "classify",
     "interior_equilibrium",
     "analyze_equilibria",
+    "stable_kinds",
     "stable_set",
+    "stable_table",
     "HYPERBOLICITY_EPSILON",
     "INTERIOR_MARGIN",
     "DENOMINATOR_FLOOR",
@@ -194,32 +200,43 @@ def classify(eigen: EigenPair) -> Classification:
     return Classification.SADDLE
 
 
-def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
-    """Interior fixed point (beta*, alpha*) when it exists.
+def _interior_point(k0, k1, g0, g1):
+    """(beta*, alpha*, present): the interior fixed point of brackets (k0, k1, g0, g1).
 
     The field brackets vanish at beta* = -g0/g1 and alpha* = -k0/k1.  The
-    point exists when both slopes exceed :data:`DENOMINATOR_FLOOR` in
+    point is present when both slopes exceed :data:`DENOMINATOR_FLOOR` in
     magnitude and both coordinates lie strictly inside (m, 1 - m) for
-    m = :data:`INTERIOR_MARGIN`; absence is a value, not an error.
+    m = :data:`INTERIOR_MARGIN`.  Takes one game's floats or a table's
+    columns alike; this is the only place the interior rule is written.
     """
-    k0, k1, g0, g1 = field_coefficients(params)
-    if abs(g1) <= DENOMINATOR_FLOOR or abs(k1) <= DENOMINATOR_FLOOR:
-        return None
-    beta_star = -g0 / g1
-    alpha_star = -k0 / k1
-    if not (INTERIOR_MARGIN < beta_star < 1.0 - INTERIOR_MARGIN):
-        return None
-    if not (INTERIOR_MARGIN < alpha_star < 1.0 - INTERIOR_MARGIN):
-        return None
-    return PopulationState(beta_star, alpha_star)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.divide(-g0, g1)
+        alpha = np.divide(-k0, k1)
+    present = (
+        (np.abs(g1) > DENOMINATOR_FLOOR) & (np.abs(k1) > DENOMINATOR_FLOOR)
+        & (INTERIOR_MARGIN < beta) & (beta < 1.0 - INTERIOR_MARGIN)
+        & (INTERIOR_MARGIN < alpha) & (alpha < 1.0 - INTERIOR_MARGIN)
+    )
+    return beta, alpha, present
 
 
-def _report(
-    params: GameParams, kind: EquilibriumKind, state: PopulationState
-) -> EquilibriumReport:
-    jac = jacobian(params, state)
-    eig = eigenvalues(jac)
-    return EquilibriumReport(kind, state, jac, eig, classify(eig))
+def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
+    """Interior fixed point (beta*, alpha*) when it exists; absence is a value."""
+    beta, alpha, present = _interior_point(*field_coefficients(params))
+    return PopulationState(float(beta), float(alpha)) if present else None
+
+
+def _reports(coeffs) -> tuple[EquilibriumReport, ...]:
+    """The reports of the game whose brackets are ``coeffs``, Python floats."""
+    beta, alpha, present = _interior_point(*coeffs)
+    points = {**_CORNERS, EquilibriumKind.E5: (beta, alpha)} if present else _CORNERS
+    reports = []
+    for kind, (bx, ax) in points.items():
+        state = PopulationState(float(bx), float(ax))
+        jac = Jacobian2(*jacobian_entries(*coeffs, state.beta, state.alpha))
+        eig = eigenvalues(jac)
+        reports.append(EquilibriumReport(kind, state, jac, eig, classify(eig)))
+    return tuple(reports)
 
 
 def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
@@ -227,20 +244,38 @@ def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
 
     Returns exactly four or five reports, in kind order E1..E5.
     """
-    reports = [
-        _report(params, kind, PopulationState(float(bx), float(ax)))
-        for kind, (bx, ax) in _CORNERS.items()
-    ]
-    interior = interior_equilibrium(params)
-    if interior is not None:
-        reports.append(_report(params, EquilibriumKind.E5, interior))
-    return tuple(reports)
+    return _reports(field_coefficients(params))
+
+
+def stable_kinds(reports: Sequence[EquilibriumReport]) -> tuple[EquilibriumKind, ...]:
+    """Kinds whose report classification is Stable, in report order."""
+    return tuple(r.kind for r in reports if r.classification is Classification.STABLE)
 
 
 def stable_set(params: GameParams) -> frozenset[EquilibriumKind]:
     """Kinds whose report classification is Stable."""
-    return frozenset(
-        r.kind
-        for r in analyze_equilibria(params)
-        if r.classification is Classification.STABLE
-    )
+    return frozenset(stable_kinds(analyze_equilibria(params)))
+
+
+def stable_table(k0, k1, g0, g1) -> tuple[np.ndarray, np.ndarray]:
+    """``stable`` (n, 5) and ``interior`` (n,) of the games with these bracket columns.
+
+    Row i holds the bits :func:`stable_set` (one column per kind E1..E5)
+    and :func:`interior_equilibrium` give for brackets k0[i], k1[i], g0[i], g1[i].
+    Corner Jacobians are diagonal, so a corner is Stable when both diagonal
+    entries are below -epsilon.  E5's trace is about zero; the rare rows
+    where it is at most -2 epsilon go through the scalar classifier.
+    """
+    coeffs = (k0, k1, g0, g1)
+    eps = HYPERBOLICITY_EPSILON
+    stable = np.zeros((len(k0), len(EquilibriumKind)), dtype=bool)
+    for column, corner in enumerate(_CORNERS.values()):
+        j11, _, _, j22 = jacobian_entries(*coeffs, *corner)
+        stable[:, column] = (j11 < -eps) & (j22 < -eps)
+    beta, alpha, interior = _interior_point(*coeffs)
+    with np.errstate(invalid="ignore"):
+        j11, _, _, j22 = jacobian_entries(*coeffs, beta, alpha)
+    for row in np.flatnonzero(interior & (j11 + j22 <= -2.0 * eps)).tolist():
+        kinds = stable_kinds(_reports([column[row].item() for column in coeffs]))
+        stable[row] = [kind in kinds for kind in EquilibriumKind]
+    return stable, interior

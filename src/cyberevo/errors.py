@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+the configuration classes that raise :class:`ConfigError`."""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -17,3 +20,8 @@ class IntegrationError(RuntimeError):
 
     The message names the step index at which the failure occurred.
     """
+
+
+def is_integer(value: object) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -30,6 +30,7 @@ from .equilibria import (
     Classification,
     EquilibriumReport,
     analyze_equilibria,
+    stable_kinds,
 )
 from .game import GameParams, field_coefficients
 
@@ -231,11 +232,7 @@ def render_phase_svg(
     # Equilibrium markers over everything else.
     parts.extend(_marker(report) for report in portrait.reports)
 
-    stable_names = ", ".join(
-        r.kind.value
-        for r in portrait.reports
-        if r.classification is Classification.STABLE
-    )
+    stable_names = ", ".join(kind.value for kind in stable_kinds(portrait.reports))
     parts.append(
         f'<text x="{_fmt(_PLOT_LO)}" y="{_fmt(_PLOT_LO - 14)}">'
         f"stable: {stable_names if stable_names else '(none)'} "

@@ -1,6 +1,7 @@
-"""Smoke runs of the demos at their shipped sizes."""
+"""Smoke runs of the demos at their shipped sizes and of the README's examples."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,15 @@ def test_demo_runs(tmp_path, script, outputs, printed):
     assert printed in result.stdout
     for name in outputs:
         assert (tmp_path / name).read_text().rstrip().endswith("</svg>"), name
+
+
+def test_readme_python_blocks_run(capsys):
+    # In order, in one namespace: later blocks use names earlier ones made,
+    # and the last is a fragment that needs the package's names.
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    exec("from cyberevo import *", namespace)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert "['E4']" in capsys.readouterr().out

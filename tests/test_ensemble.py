@@ -38,7 +38,7 @@ from cyberevo.ensemble import (
 )
 from cyberevo.game import PARAMETERS
 
-from test_game import DRAWN_VIOLATIONS, REF
+from test_game import DRAWN_VIOLATIONS, LARGE_FINES, REF, wide_rows
 
 
 def test_sampler_config_validation():
@@ -120,7 +120,10 @@ def test_scenario_changes_fines_not_draws():
 
 
 def _scalar_record(config, index):
-    params = sample_game(config, index)
+    return _analyzed_record(index, sample_game(config, index))
+
+
+def _analyzed_record(index, params):
     return GameRecord(
         index=index,
         params=params,
@@ -330,6 +333,31 @@ def test_table_rows_equal_the_scalar_path(master_seed, index, b_a_upper, f_u, f_
     # Exact equality: parameters, stable sets and welfare bit for bit.
     assert table == GameTable.from_records(expected)
     assert records_digest(table) == records_digest(expected)
+
+
+def test_table_rows_equal_the_scalar_path_for_large_brackets():
+    # Far outside the sampler's range: b_a up to about 1e15 and fines up to
+    # 1e12, with interior points common and E5 traces that round to below
+    # -2 epsilon, the rows that go through the scalar classifier.
+    rng = np.random.default_rng(47)
+    interior = scalar_e5 = 0
+    for f_s, f_u in LARGE_FINES:
+        config = SamplerConfig(
+            count=1, b_a_upper=2e15, scenario=FineScenario(f_u=f_u, f_s=f_s)
+        )
+        params = wide_rows(rng, 1000)
+        table = ensemble._analyze(config, params, 0)
+        assert np.array_equal(table.params, params)  # no row was redrawn
+        games = [GameParams(*row, f_s, f_u) for row in params.tolist()]
+        assert table == GameTable.from_records(
+            [_analyzed_record(i, game) for i, game in enumerate(games)]
+        )
+        interior += int(table.interior.sum())
+        scalar_e5 += sum(
+            analyze_equilibria(games[row])[-1].jacobian.trace <= -2e-9
+            for row in np.flatnonzero(table.interior).tolist()
+        )
+    assert interior > 500 and scalar_e5 > 0, (interior, scalar_e5)
 
 
 def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):

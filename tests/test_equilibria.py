@@ -21,7 +21,7 @@ from cyberevo import (
     stable_set,
 )
 
-from test_game import REF, random_params
+from test_game import LARGE_FINES, REF, random_params, wide_rows
 
 SINGLE_STABLE = GameParams(**REF)
 BISTABLE = GameParams(w=0.98, c_a=0.69, c_d=0.54, b_a=0.79, b_d=0.72, v=0.15)
@@ -173,6 +173,32 @@ def test_interior_point_trace_free_hence_never_stable():
             Classification.NON_HYPERBOLIC,
         )
     assert seen > 50
+
+
+def test_interior_point_forces_negative_slopes_and_is_never_stable():
+    # alpha* = -k0/k1 in (0, 1) with k0 = b_d - c_d > 0 needs k1 < -k0, and
+    # beta* = -g0/g1 in (0, 1) with v <= 1 rules out g1 > 0.  So j12 and j21
+    # are negative at E5 while its diagonal vanishes: real eigenvalues of
+    # opposite signs, or non-hyperbolic, for games of any size.
+    rng = np.random.default_rng(48)
+    seen = 0
+    for f_s, f_u in LARGE_FINES:
+        for row in wide_rows(rng, 500).tolist():
+            params = GameParams(*row, f_s, f_u)
+            interior = interior_equilibrium(params)
+            if interior is None:
+                continue
+            seen += 1
+            _, k1, _, g1 = field_coefficients(params)
+            assert k1 < 0.0 and g1 < 0.0
+            report = analyze_equilibria(params)[-1]
+            assert report.kind is EquilibriumKind.E5
+            assert report.location == interior
+            assert report.classification in (
+                Classification.SADDLE,
+                Classification.NON_HYPERBOLIC,
+            )
+    assert seen > 300, seen
 
 
 def test_interior_absent_when_bracket_slope_vanishes():

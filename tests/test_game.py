@@ -39,6 +39,31 @@ def random_params(rng, with_fines=False):
     return GameParams(w=w, c_a=c_a, c_d=c_d, b_a=b_a, b_d=b_d, v=v, **extra)
 
 
+#: (fine_successful, fine_unsuccessful) pairs from none up to 1e12.
+LARGE_FINES = (
+    (0.0, 0.0), (1e-3, 1.0), (0.0, 1e6), (1.0, 1e12), (1e6, 1e12), (1e12, 1e12),
+    (1e12, 0.0),
+)
+
+
+def wide_rows(rng, n):
+    """``n`` valid draws of the six drawn parameters, b_a up to about 1e15.
+
+    b_a - c_a is log-uniform over [1e-6, 1e15].  In every other row v lies
+    below c_d / (b_d + w), where the defender bracket's root alpha* is
+    inside (0, 1), so that with large enough fines interior points are
+    common.
+    """
+    w = 1.0 - rng.uniform(size=n)
+    c_a = w * rng.uniform(1e-6, 1.0 - 1e-6, n)
+    c_d = w * rng.uniform(1e-6, 1.0 - 1e-6, n)
+    b_a = c_a + 10.0 ** rng.uniform(-6.0, 15.0, n)
+    b_d = c_d + (w - c_d) * rng.uniform(1e-6, 1.0, n)
+    v = 1.0 - rng.uniform(size=n)
+    v[::2] *= c_d[::2] / (b_d[::2] + w[::2])
+    return np.stack([w, c_a, c_d, b_a, b_d, v], axis=1)
+
+
 def test_valid_construction():
     params = GameParams(**REF)
     assert params.w == 0.98
