@@ -340,28 +340,12 @@ def test_criterion_10_classifier_vs_basin_oracle(capsys, big_run):
     axis = np.linspace(1e-3, 1.0 - 1e-3, 4)
     starts = [PopulationState(float(b), float(a)) for b in axis for a in axis]
     finals = batch_final_states(games, starts)
-    # Near-neutral games (eigenvalues of order 1e-3 and below) need far
-    # more time than the default horizon to contract within 1e-3 of a
-    # corner; rerun only the unresolved games with longer horizons so
-    # slow convergence is not miscounted as classifier disagreement.
-    # Residual disagreements are trajectories that hug an edge until the
-    # off-edge coordinate underflows and a transiently-visited corner
-    # becomes absorbing in float64; the 1% slack covers them.
+    # A pair lands exactly on a corner if and only if the oracle resolved it.
+    unresolved_pairs = int((~np.all((finals == 0.0) | (finals == 1.0), axis=-1)).sum())
     stable = table.stable[hyperbolic]
-    unresolved = [
-        i for i in range(len(games)) if _basin_mismatch(finals[i], stable[i])
-    ]
-    for retry_step, retry_horizon in ((0.5, 100_000.0), (1.0, 1_000_000.0)):
-        if not unresolved:
-            break
-        sub = batch_final_states(
-            [games[i] for i in unresolved], starts,
-            step=retry_step, horizon=retry_horizon,
-        )
-        finals[unresolved] = sub
-        unresolved = [i for i in unresolved if _basin_mismatch(finals[i], stable[i])]
     disagreements = [
-        (int(table.indices[hyperbolic[i]]), games[i]) for i in unresolved
+        (int(table.indices[hyperbolic[i]]), games[i])
+        for i in range(len(games)) if _basin_mismatch(finals[i], stable[i])
     ]
     agreement = 1.0 - len(disagreements) / len(hyperbolic)
     logged = "; ".join(
@@ -371,7 +355,8 @@ def test_criterion_10_classifier_vs_basin_oracle(capsys, big_run):
         (
             agreement >= 0.99,
             f"agreement={agreement:.4f} over 1000 hyperbolic games, "
-            f"disagreements={len(disagreements)}"
+            f"disagreements={len(disagreements)}, "
+            f"unresolved pairs={unresolved_pairs} of {finals.shape[0] * finals.shape[1]}"
             + (f" [{logged}]" if logged else ""),
         ),
     ])

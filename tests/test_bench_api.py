@@ -5,18 +5,20 @@ functions.  A deleted or renamed name would break the benchmark with no
 other test failing, so the scripts are parsed (not run) and each imported
 name is resolved.  ``bench/workload.py --trace 1`` also times layers by
 replacing module attributes the CLI calls through; each must still be
-called once per run, or its layer would read zero.
+called once per run, or its layer would read zero.  It also reads the
+step and horizon defaults of the two integrators to count their steps.
 """
 
 import ast
 import importlib
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cyberevo import PAPER_B_A_UPPER, cli
+from cyberevo import PAPER_B_A_UPPER, batch_final_states, cli, integrate
 from cyberevo.output import OutputBundle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -46,6 +48,18 @@ def test_bench_import_resolves(script, module, name):
     if not hasattr(parent, name):
         # ``from cyberevo import cli`` names a submodule.
         importlib.import_module(f"{module}.{name}")
+
+
+@pytest.mark.parametrize("function, parameter", [
+    (batch_final_states, "step"),
+    (batch_final_states, "horizon"),
+    (integrate, "step"),
+])
+def test_signature_defaults_read_by_the_benchmark(function, parameter):
+    # bench/workload.py divides these defaults through inspect.signature; a
+    # renamed parameter would raise KeyError there and nowhere else.
+    default = inspect.signature(function).parameters[parameter].default
+    assert type(default) is float
 
 
 @pytest.mark.parametrize("command, entry", [

@@ -1,21 +1,29 @@
-"""Selection field, fixed-step integrator, grids, and the batch integrator."""
+"""Selection field, fixed-step integrator, grids, and the batch basin oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cyberevo import (
+    PAPER_B_A_UPPER,
+    Classification,
+    FineScenario,
     GameParams,
     IntegrationError,
     ParameterError,
     PopulationState,
+    SamplerConfig,
+    analyze_equilibria,
     batch_final_states,
     field_coefficients,
     field_grid,
     fitness_profile,
     integrate,
     replicator_field,
+    sample_game,
     stable_set,
 )
 
@@ -165,30 +173,205 @@ def test_field_grid_layout():
         field_grid(params, 1)
 
 
-def test_batch_final_states_matches_scalar_integration():
+#: A bistable game: E2 and E3 stable, brackets k0 0.18, k0 + k1 -0.285,
+#: g0 0.10, g0 + g1 -0.0185.
+BISTABLE = GameParams(w=0.98, c_a=0.69, c_d=0.54, b_a=0.79, b_d=0.72, v=0.15)
+
+#: A NonHyperbolic game: k0 + k1 = 0 exactly, every other bracket positive.
+#: Every interior start drifts toward the alpha = 1 edge, a line of fixed
+#: points, so no trap ever holds.
+NEUTRAL = GameParams(w=1.0, c_a=0.25, c_d=0.375, b_a=0.75, b_d=0.5, v=0.25)
+
+GRID = [PopulationState(b, a) for b in np.linspace(0.02, 0.98, 7)
+        for a in np.linspace(0.02, 0.98, 7)]
+
+
+def _on_corner(finals):
+    return np.all((finals == 0.0) | (finals == 1.0), axis=-1)
+
+
+def separatrix_labels(params, beta, alpha):
+    """Reference basin labels of a bistable game, from its first integral.
+
+    In log-odds x = logit(beta), y = logit(alpha), H = A(x) - B(y) with
+    A(x) = g0 x + g1 softplus(x) and B(y) = k0 y + k1 softplus(y) is
+    constant along trajectories.  With (x*, y*) the interior saddle,
+    u = sgn(x - x*) sqrt|A(x) - A(x*)| and s = sgn(y - y*) sqrt|B(y) - B(y*)|
+    straighten the separatrices to u = +-s, and u = s is the saddle's
+    stable manifold: a start ends at E3 when u - s > 0 and at E2 when
+    u - s < 0.  The brackets are divided by the oracle's time scale, so u
+    and s are scale-free.
+
+    Returns the label corners, shape (n, 2), and u - s, shape (n,).
+    """
+    k0, k1, g0, g1 = field_coefficients(params)
+    k0, k1, g0, g1 = np.array([k0, k1, g0, g1]) / max(
+        abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
+    x = np.log(beta) - np.log1p(-beta)
+    y = np.log(alpha) - np.log1p(-alpha)
+    x_star = np.log(g0 / -(g0 + g1))
+    y_star = np.log(k0 / -(k0 + k1))
+    a_gap = g0 * (x - x_star) + g1 * (np.logaddexp(0.0, x) - np.logaddexp(0.0, x_star))
+    b_gap = k0 * (y - y_star) + k1 * (np.logaddexp(0.0, y) - np.logaddexp(0.0, y_star))
+    u = np.sign(x - x_star) * np.sqrt(np.abs(a_gap))
+    s = np.sign(y - y_star) * np.sqrt(np.abs(b_gap))
+    labels = np.where((u - s > 0.0)[:, None], [1.0, 0.0], [0.0, 1.0])
+    return labels, u - s
+
+
+def test_batch_final_states_ends_on_the_stable_corner():
+    # A single-stable game has no interior saddle, so every interior start
+    # ends at its one sink.
     rng = np.random.default_rng(33)
-    games = [random_params(rng) for _ in range(5)]
-    starts = [
-        PopulationState(b, a)
-        for b in (0.2, 0.8)
-        for a in (0.25, 0.75)
-    ]
+    draws = [random_params(rng, with_fines=i % 2 == 1) for i in range(400)]
+    single = [params for params in draws if len(stable_set(params)) == 1]
+    assert len(single) > 300
+    finals = batch_final_states(single, GRID)
+    for g, params in enumerate(single):
+        (kind,) = stable_set(params)
+        assert (finals[g] == kind.corner).all()
+    # Wherever the scalar integrator settles within 1e-3 of a stable corner,
+    # the batch pair ends on that corner; bistable games make this a test.
+    bistable = [params for params in draws if len(stable_set(params)) == 2]
+    starts = [PopulationState(b, a) for b, a in ((0.1, 0.9), (0.9, 0.1), (0.5, 0.5), (0.7, 0.6))]
+    finals = batch_final_states(bistable, starts)
+    compared = 0
+    for g, params in enumerate(bistable):
+        for j, start in enumerate(starts):
+            end = integrate(params, start, record_stride=10**6).final_state
+            for kind in stable_set(params):
+                if max(abs(end.beta - kind.corner[0]), abs(end.alpha - kind.corner[1])) <= 1e-3:
+                    assert tuple(finals[g, j]) == kind.corner
+                    compared += 1
+    assert compared >= 20
+
+
+#: Sampling measures: the default, the paper's ceiling, and the paper's
+#: ceiling with fines.
+MEASURES = {
+    "default": {},
+    "paper": {"b_a_upper": PAPER_B_A_UPPER},
+    "fined": {"b_a_upper": PAPER_B_A_UPPER, "scenario": FineScenario(f_u=0.3, f_s=0.1)},
+}
+
+
+@st.composite
+def sampled_bistable_games(draw):
+    """The bistable games among 300 consecutive draws of one measure."""
+    config = SamplerConfig(count=1, master_seed=draw(st.integers(0, 2**64 - 1)),
+                           **MEASURES[draw(st.sampled_from(sorted(MEASURES)))])
+    first = draw(st.integers(0, 10**9))
+    games = [sample_game(config, i) for i in range(first, first + 300)]
+    return [params for params in games if len(stable_set(params)) == 2]
+
+
+@st.composite
+def wide_bistable_games(draw):
+    """One bistable game with b_a log-uniform up to 1e12.
+
+    E2 is stable when v < c_d / (b_d + w), so that k0 + k1 < 0.  E3 is
+    stable when g0 > 0 > g0 + g1; with the fine f_s = b_a - c_a - delta
+    that holds for 0 < delta < v (c_a + f_u) / (1 - v).
+    """
+    unit = st.floats(0.01, 0.99)
+    w = draw(st.floats(0.05, 1.0))
+    c_a, c_d = w * draw(unit), w * draw(unit)
+    b_d = c_d + (w - c_d) * draw(unit)
+    v = c_d / (b_d + w) * draw(unit)
+    b_a = c_a + 10.0 ** draw(st.floats(0.0, 12.0))
+    f_u = draw(st.floats(0.0, 1.0))
+    delta = min(b_a - c_a, v * (c_a + f_u) / (1.0 - v)) * draw(unit)
+    params = GameParams(w=w, c_a=c_a, c_d=c_d, b_a=b_a, b_d=b_d, v=v,
+                        fine_successful=b_a - c_a - delta, fine_unsuccessful=f_u)
+    assume(len(stable_set(params)) == 2)
+    return [params]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    games=st.one_of(sampled_bistable_games(), wide_bistable_games()),
+    extra=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                   max_size=8),
+)
+def test_batch_final_states_matches_the_separatrix_labels(games, extra):
+    assume(games)
+    starts = GRID + [PopulationState(b, a) for b, a in extra]
+    beta = np.array([s.beta for s in starts])
+    alpha = np.array([s.alpha for s in starts])
     finals = batch_final_states(games, starts)
-    assert finals.shape == (5, 4, 2)
-    for i, params in enumerate(games):
-        for j, start in enumerate(starts):
-            scalar = integrate(params, start, horizon=3000.0).final_state
-            assert finals[i, j, 0] == pytest.approx(scalar.beta, abs=1e-3)
-            assert finals[i, j, 1] == pytest.approx(scalar.alpha, abs=1e-3)
-    # Without early stopping, both paths run the same field and RK4 step on
-    # the same numbers, so they agree exactly, fines included.
-    fined = [random_params(rng, with_fines=True) for _ in range(3)]
-    finals = batch_final_states(fined, starts, step=0.05, horizon=40.0)
-    for i, params in enumerate(fined):
-        for j, start in enumerate(starts):
-            scalar = integrate(params, start, step=0.05, horizon=40.0,
-                               convergence_tol=0.0).final_state
-            assert (finals[i, j, 0], finals[i, j, 1]) == (scalar.beta, scalar.alpha)
+    for g, params in enumerate(games):
+        assert {k.value for k in stable_set(params)} == {"E2", "E3"}
+        labels, side = separatrix_labels(params, beta, alpha)
+        # The leapfrog holds a first integral perturbed by O(step^2), so a
+        # start this close to the stable manifold may fall either way:
+        # 22 of 569,800 random pairs did, all within 3.7e-4 of it.
+        clear = np.abs(side) > 1e-3
+        assert clear.mean() > 0.9
+        assert (finals[g][clear] == labels[clear]).all()
+
+
+def test_batch_final_states_is_scale_free():
+    # Multiplying every payoff by c rescales time by c; the oracle's steps
+    # are in the game's own time unit, so the finals do not move.
+    rng = np.random.default_rng(34)
+    games = [random_params(rng, with_fines=True) for _ in range(60)]
+    tiny = [
+        dataclasses.replace(params, **{
+            name: 1e-8 * getattr(params, name)
+            for name in ("w", "c_a", "c_d", "b_a", "b_d",
+                         "fine_successful", "fine_unsuccessful")
+        })
+        for params in games
+    ]
+    finals = batch_final_states(games, GRID)
+    assert _on_corner(finals).all()
+    assert np.array_equal(batch_final_states(tiny, GRID), finals)
+
+
+def test_batch_final_states_edge_and_corner_starts():
+    # A start on an edge stays on it and ends at the corner its constant
+    # bracket points to; on BISTABLE, g0 > 0, g0 + g1 < 0, k0 > 0 and
+    # k0 + k1 < 0.  g0 + g1 is -0.0185, so the beta = 1 edge is slow.
+    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    starts = [PopulationState(0.0, 0.9), PopulationState(1.0, 0.9),
+              PopulationState(0.3, 0.0), PopulationState(0.3, 1.0)]
+    starts += [PopulationState(*corner) for corner in corners]
+    finals = batch_final_states([BISTABLE], starts)[0]
+    expected = [(0.0, 1.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)] + corners
+    assert [tuple(f) for f in finals] == expected
+    # On an edge whose bracket is exactly zero the start does not move:
+    # here g0 = b_a - c_a - f_s = 0.
+    flat = GameParams(w=1.0, c_a=0.25, c_d=0.375, b_a=0.75, b_d=0.5, v=0.25,
+                      fine_successful=0.5)
+    assert field_coefficients(flat)[2] == 0.0
+    finals = batch_final_states([flat], [PopulationState(0.0, 0.3)])
+    assert tuple(finals[0, 0]) == (0.0, 0.3)
+
+
+def test_batch_final_states_corner_means_resolved():
+    rng = np.random.default_rng(35)
+    games = [random_params(rng, with_fines=True) for _ in range(30)] + [NEUTRAL]
+    settled = batch_final_states(games, GRID, horizon=2000.0)
+    resolved = _on_corner(settled)
+    assert resolved[:-1].all()
+    # NEUTRAL never enters a trap: its pairs end unresolved, strictly
+    # inside the square, without raising.
+    assert field_coefficients(NEUTRAL)[0] + field_coefficients(NEUTRAL)[1] == 0.0
+    assert any(r.classification is Classification.NON_HYPERBOLIC
+               for r in analyze_equilibria(NEUTRAL))
+    assert ((settled[-1] > 0.0) & (settled[-1] < 1.0)).all()
+    # With a shorter cap fewer pairs are resolved; each is at the corner it
+    # reaches with the long cap, and every other pair is strictly inside.
+    count = 0
+    for n_steps in (1, 8, 24, 64):
+        finals = batch_final_states(games, GRID, horizon=0.25 * n_steps)
+        corner = _on_corner(finals)
+        assert (finals[corner] == settled[corner]).all()
+        assert ((finals[~corner] > 0.0) & (finals[~corner] < 1.0)).all()
+        assert corner.sum() >= count
+        count = corner.sum()
+    assert 0 < count < resolved.sum()
 
 
 def test_batch_final_states_empty_panel():
@@ -206,3 +389,5 @@ def test_batch_final_states_argument_validation():
     # integrate rejects this span; the batch oracle used to return the starts.
     with pytest.raises(ParameterError, match="horizon >= step"):
         batch_final_states(games, starts, step=0.05, horizon=0.01)
+    with pytest.raises(IntegrationError, match="step 1"):
+        batch_final_states(games, starts, step=1.7e308, horizon=1.7e308)
