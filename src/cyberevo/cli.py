@@ -389,6 +389,15 @@ def cmd_fines(runcfg: RunConfig, bundle: OutputBundle) -> None:
             raise ConfigError(f"fines takes its fines from --levels; --{key} must be 0")
     ensemble_cfg = runcfg.sections["ensemble"]
     levels = runcfg.get("fines", "levels")
+    # Each level's summary key and table name come from f"{level:g}".
+    rendered: dict[str, float] = {}
+    for level in levels:
+        first = rendered.setdefault(f"{level:g}", level)
+        if first != level:
+            raise ConfigError(
+                f"fine levels {first!r} and {level!r} both render as {level:g}; "
+                "levels must differ within 6 significant digits"
+            )
     summaries = fines_study(
         count=ensemble_cfg["count"],
         master_seed=ensemble_cfg["master_seed"],

@@ -336,7 +336,6 @@ def batch_final_states(
         return finals
     k0, k1, g0, g1 = np.array([field_coefficients(g) for g in games], dtype=float).T
     k01, g01 = k0 + k1, g0 + g1
-    scaled_step = step / np.max(np.abs([k0, k01, g0, g01]), axis=0)
     beta = np.broadcast_to([s.beta for s in starts], finals.shape[:2])
     alpha = np.broadcast_to([s.alpha for s in starts], finals.shape[:2])
     on_beta_edge = (beta == 0.0) | (beta == 1.0)
@@ -352,19 +351,22 @@ def batch_final_states(
         alpha,
     )
 
-    # The active pairs: flat index, log-odds state and, per pair, the
-    # brackets times the scaled step and the signs of the velocities'
-    # limits as the other frequency tends to 0 or to 1.
+    # The active pairs: flat index, log-odds state and, per pair, the signs
+    # of the velocities' limits as the other frequency tends to 0 or to 1.
     pair = np.flatnonzero(~(on_beta_edge | on_alpha_edge))
     game = pair // len(starts)
     b, a = beta.ravel()[pair], alpha.ravel()[pair]
     x, y = np.log(b) - np.log1p(-b), np.log(a) - np.log1p(-a)
-    hk0, hk1, hg0, hg1 = ((scaled_step * c)[game] for c in (k0, k1, g0, g1))
     sx0, sx1, sy0, sy1 = (np.sign(c)[game] for c in (k0, k01, g0, g01))
     flat = finals.reshape(-1, 2)
     n_steps = int(round(horizon / step))
     taken = 0
+    # A huge step may overflow here or in the steps; the finiteness check
+    # below reports it as an IntegrationError.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Per pair, the brackets times the scaled step.
+        scaled_step = step / np.max(np.abs([k0, k01, g0, g01]), axis=0)
+        hk0, hk1, hg0, hg1 = ((scaled_step * c)[game] for c in (k0, k1, g0, g1))
         # dx/dt times the scaled step, carried from one step's last half-kick
         # to the next step's first.
         vx = hk0 + hk1 * _sigmoid(y)

@@ -2,7 +2,9 @@
 
 Games are drawn from nested uniform ranges that satisfy every parameter
 constraint by construction, one independent RNG substream per game index,
-so results are identical for any worker count.  An ensemble is held as a
+so results are identical for any worker count; a block's first draws are
+computed for all its indices at once, bit for bit as each index's own
+Generator gives them.  An ensemble is held as a
 columnar :class:`GameTable`: per game, the six drawn parameters, the
 stable set, the social welfare of the four pure pairs and whether an
 interior point exists, each column one numpy array.  It is filled by the
@@ -322,11 +324,142 @@ def sample_game(config: SamplerConfig, index: int) -> GameParams:
     )
 
 
+# numpy's SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
+# and the PCG64 multiplier as (high, low) 64-bit limbs (O'Neill 2014).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_MASK32 = 0xFFFFFFFF
+_LOW32 = np.uint64(_MASK32)
+
+
 def _uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """The first six uniforms of each substream ``start..stop-1``."""
+    """The first six uniforms of each substream ``start..stop-1``.
+
+    Row ``i - start`` is bit for bit ``np.random.default_rng([master_seed,
+    i]).random(6)``, computed for the whole window at once without building
+    a Generator: numpy's ``SeedSequence`` hashes the entropy words of
+    (master_seed, i) into four 64-bit words, which seed PCG64 (XSL-RR
+    128/64; O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+    Statistically Good Algorithms for Random Number Generation", 2014), and
+    each draw is the top 53 bits of one output.  Both are fixed integer
+    algorithms, evaluated here on uint32 and uint64 columns.
+    ``SeedSequence`` splits an integer into one uint32 word per started 32
+    bits, so the window is cut at every multiple of 2**32: within a piece
+    every index has the same words but the lowest.
+    """
     out = np.empty((stop - start, 6))
-    for row, index in enumerate(range(start, stop)):
-        out[row] = np.random.default_rng([master_seed, index]).random(6)
+    index = start
+    while index < stop:
+        high = index >> 32
+        end = min(stop, (high + 1) << 32)
+        n = end - index
+        entropy = [np.full(n, word, np.uint32) for word in _words(master_seed)]
+        entropy.append(np.arange(n, dtype=np.uint32) + np.uint32(index & _MASK32))
+        entropy += [np.full(n, word, np.uint32) for word in _words(high) if high]
+        out[index - start : end - start] = _pcg64_doubles(_seed_state(entropy), 6)
+        index = end
+    return out
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of ``n``, least significant first, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's ``hashmix`` on uint32 columns, from ``hash_const`` on.
+
+    The hash constant it advances is the same for every column, so it is
+    held as a Python int.
+    """
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    return hashmix
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)``, per column.
+
+    ``entropy`` holds each uint32 word as a column; the result holds each
+    uint64 state word as a column.
+    """
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> np.uint32(16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps by design
+        pool = [
+            hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)
+        ]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, np.uint64) hashes the pool, cycled, into eight
+        # uint32 words and pairs them little-endian.
+        draw = _hasher(_INIT_B, _MULT_B)
+        state = [draw(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return [state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+
+
+def _pcg64_doubles(seed: list[np.ndarray], n_draws: int) -> np.ndarray:
+    """The first ``n_draws`` doubles of PCG64 seeded with ``seed``, per column.
+
+    ``seed`` is the four uint64 words ``SeedSequence.generate_state`` gives:
+    the initial state and the stream, each as (high, low).  The 128-bit LCG
+    state is held as two uint64 limbs.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = seed
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    mult_hi, mult_lo = _PCG_MULT
+    b1, b0 = mult_lo >> np.uint64(32), mult_lo & _LOW32
+
+    def step(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (hi, lo) * mult + inc mod 2**128; the high word of lo * mult_lo
+        # comes from its four 32-bit partial products.
+        a1, a0 = lo >> np.uint64(32), lo & _LOW32
+        cross_a, cross_b = a1 * b0, a0 * b1
+        mid = (a0 * b0 >> np.uint64(32)) + (cross_a & _LOW32) + (cross_b & _LOW32)
+        carry_hi = (
+            a1 * b1 + (cross_a >> np.uint64(32)) + (cross_b >> np.uint64(32))
+            + (mid >> np.uint64(32))
+        )
+        new_lo = lo * mult_lo + inc_lo
+        new_hi = carry_hi + lo * mult_hi + hi * mult_lo + inc_hi
+        return new_hi + (new_lo < inc_lo), new_lo
+
+    out = np.empty((len(state_hi), n_draws))
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps by design
+        # Seeding steps from state 0, which gives inc, adds the initial
+        # state and steps again.
+        lo = inc_lo + state_lo
+        hi, lo = step(inc_hi + state_hi + (lo < state_lo), lo)
+        for draw in range(n_draws):
+            hi, lo = step(hi, lo)
+            # XSL-RR: the xor of the halves rotated right by the top 6 bits.
+            xored, rot = hi ^ lo, hi >> np.uint64(58)
+            word = xored >> rot | xored << (-rot & np.uint64(63))
+            out[:, draw] = (word >> np.uint64(11)) * 2.0**-53
     return out
 
 

@@ -138,13 +138,13 @@ class OutputBundle:
     graphics: dict[str, str] = field(default_factory=dict)
 
     def add_document(self, name: str, payload: Any) -> None:
-        self.documents[name] = payload
+        _add(self.documents, name, payload)
 
     def add_table(self, table: Table) -> None:
-        self.tables[table.name] = table
+        _add(self.tables, table.name, table)
 
     def add_graphic(self, name: str, svg_text: str) -> None:
-        self.graphics[name] = svg_text
+        _add(self.graphics, name, svg_text)
 
     def _provenance_lines(self) -> list[str]:
         return [
@@ -187,6 +187,13 @@ class OutputBundle:
             f"### {name}\n" + text.rstrip("\n")
             for name, text in self._artifacts() if name.endswith(f".{fmt}")
         ) + "\n"
+
+
+def _add(artifacts: dict[str, Any], name: str, artifact: Any) -> None:
+    """Add ``artifact`` under ``name``; a name already taken raises ValueError."""
+    if name in artifacts:
+        raise ValueError(f"artifact {name!r} is already in the bundle")
+    artifacts[name] = artifact
 
 
 def probe_writable(directory: Path) -> None:

@@ -355,6 +355,16 @@ def test_fines_rejects_bad_levels(tmp_path, capsys):
     assert "fine level 0.1 is repeated" in capsys.readouterr().err
 
 
+def test_fines_refuses_levels_that_render_alike(tmp_path, capsys):
+    # Both levels would write fines_0p123457.csv and the summary key
+    # "0.123457", so one level's results would be lost.
+    out = tmp_path / "D"
+    assert cli.main(["fines", "--count", "50", "--levels", "0.1234567,0.12345671",
+                     "--out", str(out)]) == 2
+    assert "both render as 0.123457" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integration_failure_maps_to_compute_exit_code(tmp_path, monkeypatch, capsys):
     from cyberevo.errors import IntegrationError
 

@@ -360,6 +360,46 @@ def test_table_rows_equal_the_scalar_path_for_large_brackets():
     assert interior > 500 and scalar_e5 > 0, (interior, scalar_e5)
 
 
+def _generator_uniforms(master_seed, start, stop):
+    """The reference: one Generator per index, as sample_game draws."""
+    rows = [np.random.default_rng([master_seed, i]).random(6) for i in range(start, stop)]
+    return np.array(rows).reshape(stop - start, 6)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("start, stop", [
+    (0, BLOCK_SIZE),
+    (10**12, 10**12 + 8),
+    # An index of 2**32 or more has one more entropy word than the index
+    # before it, so these windows hold two word counts each; a two-word seed
+    # with a three-word index makes five words and an extra mixing pass.
+    (2**32 - 4, 2**32 + 4),
+    (2**64 - 4, 2**64 + 4),
+])
+def test_uniforms_equal_the_per_index_generators(monkeypatch, master_seed, start, stop):
+    expected = _generator_uniforms(master_seed, start, stop)
+
+    def no_generator(*args):
+        raise AssertionError("_uniforms built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    # Bit for bit: every value is a multiple of 2**-53 in [0, 1).
+    assert np.array_equal(ensemble._uniforms(master_seed, start, stop), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 10**12),
+    span=st.integers(1, BLOCK_SIZE),
+)
+def test_uniforms_equal_the_per_index_generators_anywhere(master_seed, start, span):
+    assert np.array_equal(
+        ensemble._uniforms(master_seed, start, start + span),
+        _generator_uniforms(master_seed, start, start + span),
+    )
+
+
 def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):
     config = SamplerConfig(count=5, master_seed=5)
     forced = ensemble._uniforms(5, 0, 5)

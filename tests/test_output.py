@@ -102,6 +102,18 @@ def test_bundle_write_and_reread(tmp_path):
         assert path.read_bytes() == (again / path.name).read_bytes()
 
 
+def test_bundle_refuses_a_name_added_twice():
+    bundle = _bundle()
+    with pytest.raises(ValueError, match="'doc' is already"):
+        bundle.add_document("doc", {})
+    with pytest.raises(ValueError, match="'tab' is already"):
+        bundle.add_table(Table("tab", ("a",), ()))
+    with pytest.raises(ValueError, match="'pic' is already"):
+        bundle.add_graphic("pic", "<svg/>")
+    # Artifacts of different kinds are different files.
+    bundle.add_table(Table("doc", ("a",), ()))
+
+
 def test_bundle_stdout_formats():
     bundle = _bundle()
     assert "### doc.json" in bundle.render_stdout("json")
