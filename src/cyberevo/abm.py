@@ -26,6 +26,16 @@ proportion to the steps that change the state (``AbmResult.events``).
 The random stream differs from the step-by-step sampler of earlier
 versions, so per-seed results differ from theirs.
 
+Two things keep an event cheap.  The move probabilities depend only on the
+state, and a run keeps returning to the few states next to a stable corner,
+so a per-run table keyed by the state holds them once computed; it is
+emptied whenever it reaches ``_MOVE_TABLE_LIMIT`` entries (about 1.3 MB),
+so its memory depends on neither ``steps`` nor ``population_size``.  The
+four uniforms of an event are taken in order from blocks of
+``_DRAW_BLOCK`` events drawn at once; ``Generator.random`` fills float64s
+one generator output each, in sequence, so the stream and every per-seed
+result are those of one ``rng.random(4)`` per event.
+
 Determinism: a single seeded generator drives the whole run; identical
 configurations produce identical results.
 """
@@ -45,6 +55,12 @@ __all__ = ["AbmConfig", "AbmResult", "simulate"]
 
 #: Maximum number of thinned trajectory samples (plus the initial state).
 _MAX_SAMPLES = 1000
+
+#: Entries the per-run move table holds before it is emptied (about 1.3 MB).
+_MOVE_TABLE_LIMIT = 4096
+
+#: Events whose four uniforms are drawn from the generator in one call.
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -157,6 +173,12 @@ def simulate(params: GameParams, config: AbmConfig) -> AbmResult:
     distribution; with p = 0 (no mutation at a monomorphic corner) the run
     holds its state to the end.  Per-seed results differ from earlier
     versions, which drew five uniforms per population every step.
+
+    Each state's move probabilities come from :func:`_move_rates` the first
+    time the run visits it and from a bounded per-run table afterwards; the
+    uniforms come in blocks.  Neither changes a value or the order of the
+    draws, so results equal those of recomputing the rates and drawing
+    ``rng.random(4)`` at every event.
     """
     k0, k1, g0, g1 = field_coefficients(params)
     n_agents = int(config.population_size)
@@ -175,21 +197,38 @@ def simulate(params: GameParams, config: AbmConfig) -> AbmResult:
     sum_alpha = 0
     events = 0
 
+    width = n_agents + 1
+    moves: dict[int, tuple[float, float, float, float, float, float]] = {}
+    draws: list[list[float]] = []
+    drawn = 0
+
     step = 0  # the current state is the state after this step
     while True:
-        up_d, down_d = _move_rates(
-            n_defending, n_agents, k0 + k1 * (n_attacking / n_agents), sel, mut
-        )
-        up_a, down_a = _move_rates(
-            n_attacking, n_agents, g0 + g1 * (n_defending / n_agents), sel, mut
-        )
-        p_d = up_d + down_d
-        p_a = up_a + down_a
-        # Not 1 - (1-p_d)(1-p_a), which rounds to 0 when both are tiny.
-        p_move = p_d + p_a - p_d * p_a
+        key = n_defending * width + n_attacking
+        move = moves.get(key)
+        if move is None:
+            if len(moves) >= _MOVE_TABLE_LIMIT:
+                moves.clear()
+            up_d, down_d = _move_rates(
+                n_defending, n_agents, k0 + k1 * (n_attacking / n_agents), sel, mut
+            )
+            up_a, down_a = _move_rates(
+                n_attacking, n_agents, g0 + g1 * (n_defending / n_agents), sel, mut
+            )
+            p_d = up_d + down_d
+            p_a = up_a + down_a
+            # Not 1 - (1-p_d)(1-p_a), which rounds to 0 when both are tiny.
+            p_move = p_d + p_a - p_d * p_a
+            log_stay = math.log1p(-p_move) if p_move > 0.0 else 0.0
+            move = moves[key] = (up_d, p_d, up_a, p_a, p_move, log_stay)
+        up_d, p_d, up_a, p_a, p_move, log_stay = move
         if p_move > 0.0:
-            u_run, u_side, u_d, u_a = rng.random(4).tolist()
-            nulls = math.log1p(-u_run) / math.log1p(-p_move)
+            if drawn == len(draws):
+                draws = rng.random((_DRAW_BLOCK, 4)).tolist()
+                drawn = 0
+            u_run, u_side, u_d, u_a = draws[drawn]
+            drawn += 1
+            nulls = math.log1p(-u_run) / log_stay
         else:
             nulls = math.inf
         # The current state holds over steps step..event-1; an event past

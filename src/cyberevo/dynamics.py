@@ -206,8 +206,15 @@ def integrate(
     Notes
     -----
     Analytically the unit square is forward-invariant; each update is
-    clamped back to [0, 1] squared to remove floating-point escape without
-    changing any limit.
+    clamped back to [0, 1] squared to remove floating-point escape.  The
+    clamp can change the limit.  Along an edge, 1 - beta (or 1 - alpha)
+    falls below float64's spacing just below 1, the coordinate rounds to
+    exactly 1.0, and that edge becomes absorbing, so a trajectory can
+    settle on a saddle and report ``converged=True``.  On game 370 of
+    master seed 1 (single-stable, only E2 Stable) the starts with
+    alpha = 0.001 end within 4e-8 of (1, 1), the saddle E4.  Ask basin
+    questions of :func:`batch_final_states`, which reads each pair's
+    corner off exactly.
     """
     _check_span(step, horizon)
     if record_stride < 1:

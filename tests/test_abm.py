@@ -1,11 +1,14 @@
 """Finite-population simulation: validation, determinism, limit behavior,
-bookkeeping, and agreement in distribution with the exact Markov chain."""
+bookkeeping, the per-seed stream, the move table's memory bound, and
+agreement in distribution with the exact Markov chain."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyberevo import (
     AbmConfig,
@@ -16,7 +19,14 @@ from cyberevo import (
     field_coefficients,
     simulate,
 )
-from cyberevo.abm import _MAX_SAMPLES, _logistic
+from cyberevo import abm
+from cyberevo.abm import (
+    _DRAW_BLOCK,
+    _MAX_SAMPLES,
+    _MOVE_TABLE_LIMIT,
+    _logistic,
+    _move_rates,
+)
 
 from test_game import REF
 
@@ -103,6 +113,88 @@ def stepwise_simulate(params: GameParams, config: AbmConfig) -> AbmResult:
         trajectory_thinned=tuple(trajectory),
         events=events,
     )
+
+
+def event_reference(params: GameParams, config: AbmConfig) -> AbmResult:
+    """Reference for :func:`simulate`'s per-seed stream: the same event loop
+    with no move table, recomputing both populations' move rates at every
+    event and drawing its four uniforms with one ``rng.random(4)`` call."""
+    k0, k1, g0, g1 = field_coefficients(params)
+    n_agents = config.population_size
+    steps = config.steps
+    burn_in = config.burn_in
+    sel = config.selection_strength
+    mut = config.mutation_rate
+    rng = np.random.default_rng(config.seed)
+    n_defending = round(config.initial_state.beta * n_agents)
+    n_attacking = round(config.initial_state.alpha * n_agents)
+
+    stride = max(1, steps // _MAX_SAMPLES)
+    trajectory = [(0, n_defending / n_agents, n_attacking / n_agents)]
+    next_row = stride
+    sum_beta = 0
+    sum_alpha = 0
+    events = 0
+
+    step = 0
+    while True:
+        up_d, down_d = _move_rates(
+            n_defending, n_agents, k0 + k1 * (n_attacking / n_agents), sel, mut
+        )
+        up_a, down_a = _move_rates(
+            n_attacking, n_agents, g0 + g1 * (n_defending / n_agents), sel, mut
+        )
+        p_d = up_d + down_d
+        p_a = up_a + down_a
+        p_move = p_d + p_a - p_d * p_a
+        if p_move > 0.0:
+            u_run, u_side, u_d, u_a = rng.random(4).tolist()
+            nulls = math.log1p(-u_run) / math.log1p(-p_move)
+        else:
+            nulls = math.inf
+        event = step + 1 + int(nulls) if nulls < steps - step else steps + 1
+        held = event - max(step, burn_in + 1)
+        if held > 0:
+            sum_beta += held * n_defending
+            sum_alpha += held * n_attacking
+        while next_row < event:
+            trajectory.append((next_row, n_defending / n_agents, n_attacking / n_agents))
+            next_row += stride
+        if event > steps:
+            break
+        if u_side < p_d / p_move:
+            n_defending += 1 if u_d < up_d / p_d else -1
+            if u_a < up_a:
+                n_attacking += 1
+            elif u_a < p_a:
+                n_attacking -= 1
+        else:
+            n_attacking += 1 if u_a < up_a / p_a else -1
+        events += 1
+        step = event
+
+    if trajectory[-1][0] != steps:
+        trajectory.append((steps, n_defending / n_agents, n_attacking / n_agents))
+    tally_steps = steps - burn_in
+    return AbmResult(
+        mean_beta=sum_beta / (tally_steps * n_agents),
+        mean_alpha=sum_alpha / (tally_steps * n_agents),
+        trajectory_thinned=tuple(trajectory),
+        events=events,
+    )
+
+
+def count_table_fills(monkeypatch):
+    """Count :func:`simulate`'s move-table fills: each calls ``_move_rates``
+    once per population."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _move_rates(*args)
+
+    monkeypatch.setattr(abm, "_move_rates", counted)
+    return lambda: len(calls) // 2
 
 
 def exact_means(params: GameParams, config: AbmConfig) -> tuple[float, float]:
@@ -315,3 +407,92 @@ def test_short_run_trajectory_records_every_step():
     config = AbmConfig(population_size=10, steps=25, burn_in=0, seed=5)
     result = simulate(PARAMS, config)
     assert [step for step, _, _ in result.trajectory_thinned] == list(range(26))
+
+
+@pytest.mark.parametrize("config, premise", [
+    # Well over one draw block of events.
+    pytest.param(
+        AbmConfig(population_size=100, selection_strength=2.0, mutation_rate=0.02,
+                  steps=30000, burn_in=1000, seed=11),
+        lambda result, fills: result.events > 4 * _DRAW_BLOCK, id="blocks"),
+    # Pure mutation wanders over about 7,200 states, so the table is
+    # emptied mid-run.
+    pytest.param(
+        AbmConfig(population_size=10_000, selection_strength=0.0, mutation_rate=1.0,
+                  steps=30000, burn_in=0, seed=7),
+        lambda result, fills: fills > _MOVE_TABLE_LIMIT, id="refills"),
+    # p = 0 at a corner without mutation: nothing is drawn.
+    pytest.param(
+        AbmConfig(population_size=200, mutation_rate=0.0, steps=50000, burn_in=10,
+                  seed=3, initial_state=PopulationState(0.0, 1.0)),
+        lambda result, fills: fills == 1 and result.events == 0, id="still"),
+    pytest.param(
+        AbmConfig(population_size=2, steps=10, burn_in=0),
+        lambda result, fills: result.events > 0, id="n2"),
+    pytest.param(
+        AbmConfig(population_size=2, selection_strength=0.0, mutation_rate=1.0,
+                  steps=5000, burn_in=2500),
+        lambda result, fills: result.events > 0, id="n2-mutation"),
+    pytest.param(
+        AbmConfig(population_size=50, steps=20000, burn_in=5000, seed=2**64 - 1,
+                  initial_state=PopulationState(0.1, 0.9)),
+        lambda result, fills: result.events > 0, id="top-seed"),
+])
+def test_simulate_keeps_the_per_event_stream(monkeypatch, config, premise):
+    fills = count_table_fills(monkeypatch)
+    result = simulate(PARAMS, config)
+    assert result == event_reference(PARAMS, config)
+    assert premise(result, fills())
+
+
+_EDGE = st.sampled_from([0.0, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    population_size=st.integers(2, 2000),
+    selection_strength=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    mutation_rate=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    steps=st.integers(1, 100_000),
+    burn_in_share=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(
+        st.tuples(_EDGE, _EDGE),
+        st.tuples(_EDGE, st.floats(0.0, 1.0)),
+        st.tuples(st.floats(0.0, 1.0), _EDGE),
+    ),
+)
+def test_simulate_keeps_the_per_event_stream_anywhere(
+    population_size, selection_strength, mutation_rate, steps, burn_in_share,
+    seed, start,
+):
+    config = AbmConfig(
+        population_size=population_size,
+        selection_strength=selection_strength,
+        mutation_rate=mutation_rate,
+        steps=steps,
+        burn_in=int(burn_in_share * steps),
+        seed=seed,
+        initial_state=PopulationState(*start),
+    )
+    assert simulate(PARAMS, config) == event_reference(PARAMS, config)
+
+
+def test_move_table_memory_is_bounded(monkeypatch):
+    # Strong selection at N = 100,000 drifts from the centre towards the
+    # stable corner and rarely revisits a state: about 12,700 states in
+    # 13,000 events, three table limits.  An unbounded table would peak
+    # near 4 MB here; the bounded one holds about 1.3 MB.
+    config = AbmConfig(population_size=100_000, steps=30000, burn_in=0)
+    fills = count_table_fills(monkeypatch)
+    expected = simulate(PARAMS, config)
+    assert fills() > 3 * _MOVE_TABLE_LIMIT
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        result = simulate(PARAMS, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 3_000_000, peak

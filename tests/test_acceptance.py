@@ -368,6 +368,7 @@ def test_criterion_11_abm_agreement(capsys, big_run):
     assert len(picked) == 20
     kinds = list(EquilibriumKind)
     worst = 0.0
+    events = 0
     failures = []
     for row in picked:
         (column,) = np.flatnonzero(table.stable[row]).tolist()
@@ -386,6 +387,7 @@ def test_criterion_11_abm_agreement(capsys, big_run):
             seed=1000 + index,
         )
         result = simulate(params, config)
+        events += result.events
         err = max(
             abs(result.mean_beta - corner_beta),
             abs(result.mean_alpha - corner_alpha),
@@ -400,7 +402,8 @@ def test_criterion_11_abm_agreement(capsys, big_run):
         (
             not failures,
             f"20 single-stable games, worst coordinate error={worst:.4f} "
-            f"(limit 0.05)" + (f" failures: {'; '.join(failures)}" if failures else ""),
+            f"(limit 0.05), events={events}"
+            + (f" failures: {'; '.join(failures)}" if failures else ""),
         ),
     ])
 

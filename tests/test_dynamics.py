@@ -246,6 +246,31 @@ def test_batch_final_states_ends_on_the_stable_corner():
     assert compared >= 20
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="clamped RK4 lets beta round to 1.0, so the beta = 1 edge absorbs "
+           "and game 370 of master seed 1 converges on its saddle E4",
+)
+def test_integrate_never_settles_off_the_stable_corner():
+    # A single-stable game has no interior saddle, so an interior start that
+    # reports convergence must end at its one sink.  Game 370 goes first.
+    config = SamplerConfig(count=1, master_seed=1)
+    axis = np.linspace(1e-3, 1.0 - 1e-3, 4)
+    starts = [PopulationState(float(b), float(a)) for b in axis for a in axis]
+    for index in [370, *range(40)]:
+        params = sample_game(config, index)
+        stable = stable_set(params)
+        if len(stable) != 1:
+            continue
+        ((corner_beta, corner_alpha),) = [kind.corner for kind in stable]
+        for start in starts:
+            run = integrate(params, start, record_stride=10**6)
+            end = run.final_state
+            assert not run.converged or max(
+                abs(end.beta - corner_beta), abs(end.alpha - corner_alpha)
+            ) <= 1e-3, (index, start, end)
+
+
 #: Sampling measures: the default, the paper's ceiling, and the paper's
 #: ceiling with fines.
 MEASURES = {
