@@ -18,8 +18,10 @@ Two fixed-step integrators serve two needs; both are deterministic.
 
 * :func:`integrate` records trajectories for plots and tables.  The field is
   a cubic polynomial on the compact square, so classical Runge-Kutta in
-  (beta, alpha) is accurate; the field is written once, in ``_field``, and
-  the update once, in ``_rk4_step``.
+  (beta, alpha) is accurate.  ``_field`` evaluates the field at a point for
+  :func:`replicator_field` and :func:`field_grid`; the RK4 loop writes the
+  field and its four stages inline on local floats, and a test-side
+  reference loop in ``tests/test_dynamics.py`` pins its results bit for bit.
 * :func:`batch_final_states`, the basin oracle, needs only where each start
   ends.  In log-odds x = logit(beta), y = logit(alpha) the field is
 
@@ -38,6 +40,7 @@ Two fixed-step integrators serve two needs; both are deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,21 +131,13 @@ def _field(coeffs: tuple, beta: float, alpha: float) -> tuple[float, float]:
     )
 
 
-def _rk4_step(
-    coeffs: tuple, beta: float, alpha: float, h: float, f1: tuple[float, float]
-) -> tuple[float, float]:
-    # One unclamped classical Runge-Kutta step.  ``f1``, the field at
-    # (beta, alpha), comes in because integrate has it from its convergence test.
-    f2 = _field(coeffs, beta + 0.5 * h * f1[0], alpha + 0.5 * h * f1[1])
-    f3 = _field(coeffs, beta + 0.5 * h * f2[0], alpha + 0.5 * h * f2[1])
-    f4 = _field(coeffs, beta + h * f3[0], alpha + h * f3[1])
-    return (
-        beta + (h / 6.0) * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0]),
-        alpha + (h / 6.0) * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1]),
-    )
-
-
 def _check_span(step: float, horizon: float) -> None:
+    if not math.isfinite(step):
+        raise ParameterError(f"constraint violated: step finite (step={step!r})")
+    if not math.isfinite(horizon):
+        raise ParameterError(
+            f"constraint violated: horizon finite (horizon={horizon!r})"
+        )
     if step <= 0.0:
         raise ParameterError(f"constraint violated: step > 0 (step={step!r})")
     if horizon < step:
@@ -184,15 +179,16 @@ def integrate(
     start : PopulationState
         Initial state in the closed unit square.
     step : float
-        Fixed time step, > 0.
+        Fixed time step, finite and > 0.
     horizon : float
-        Total integration time, >= step.
+        Total integration time, finite and >= step.
     convergence_tol : float
         Max-norm field threshold; 100 consecutive sub-threshold steps stop
         the run early with ``converged=True``.
     record_stride : int
         Keep every ``record_stride``-th sample (step 0 and the final step
-        are always kept).
+        are always kept); an integer >= 1 (``operator.index`` must accept
+        it, so a float is refused).
 
     Returns
     -------
@@ -200,6 +196,8 @@ def integrate(
 
     Raises
     ------
+    ParameterError
+        If ``step``, ``horizon`` or ``record_stride`` breaks its constraint.
     IntegrationError
         If the state turns non-finite; the message names the step index.
 
@@ -217,34 +215,69 @@ def integrate(
     corner off exactly.
     """
     _check_span(step, horizon)
-    if record_stride < 1:
+    try:
+        stride = operator.index(record_stride)
+    except TypeError:
+        raise ParameterError(
+            f"constraint violated: record_stride integer (record_stride={record_stride!r})"
+        ) from None
+    if stride < 1:
         raise ParameterError(
             f"constraint violated: record_stride >= 1 (record_stride={record_stride!r})"
         )
-    coeffs = field_coefficients(params)
+    k0, k1, g0, g1 = field_coefficients(params)
     n_steps = int(round(horizon / step))
+    half_step, sixth_step = 0.5 * step, step / 6.0
+    tol = convergence_tol
     beta, alpha = start.beta, start.alpha
     samples: list[tuple[float, PopulationState]] = [(0.0, start)]
     quiet_steps = 0
     converged = False
-    f = _field(coeffs, beta, alpha)
+    until_record = stride
+    # ``_field`` and the four RK4 stages written out inline, in the same
+    # order of operations.  The field at the clamped state is both the
+    # convergence test's input and the next step's first stage.
+    fb = beta * (1.0 - beta) * (k0 + k1 * alpha)
+    fa = alpha * (1.0 - alpha) * (g0 + g1 * beta)
     for k in range(1, n_steps + 1):
-        beta, alpha = _rk4_step(coeffs, beta, alpha, step, f)
-        if not (math.isfinite(beta) and math.isfinite(alpha)):
-            raise IntegrationError(f"non-finite state at step {k}")
-        beta = min(1.0, max(0.0, beta))
-        alpha = min(1.0, max(0.0, alpha))
-        f = _field(coeffs, beta, alpha)
-        if max(abs(f[0]), abs(f[1])) < convergence_tol:
+        b = beta + half_step * fb
+        a = alpha + half_step * fa
+        fb2 = b * (1.0 - b) * (k0 + k1 * a)
+        fa2 = a * (1.0 - a) * (g0 + g1 * b)
+        b = beta + half_step * fb2
+        a = alpha + half_step * fa2
+        fb3 = b * (1.0 - b) * (k0 + k1 * a)
+        fa3 = a * (1.0 - a) * (g0 + g1 * b)
+        b = beta + step * fb3
+        a = alpha + step * fa3
+        fb4 = b * (1.0 - b) * (k0 + k1 * a)
+        fa4 = a * (1.0 - a) * (g0 + g1 * b)
+        beta += sixth_step * (fb + 2.0 * fb2 + 2.0 * fb3 + fb4)
+        alpha += sixth_step * (fa + 2.0 * fa2 + 2.0 * fa3 + fa4)
+        # NaN and +-inf fail the range test, so finiteness is tested there;
+        # -0.0 and negatives clamp to 0.0.
+        if not 0.0 < beta <= 1.0:
+            if not math.isfinite(beta):
+                raise IntegrationError(f"non-finite state at step {k}")
+            beta = 0.0 if beta <= 0.0 else 1.0
+        if not 0.0 < alpha <= 1.0:
+            if not math.isfinite(alpha):
+                raise IntegrationError(f"non-finite state at step {k}")
+            alpha = 0.0 if alpha <= 0.0 else 1.0
+        fb = beta * (1.0 - beta) * (k0 + k1 * alpha)
+        fa = alpha * (1.0 - alpha) * (g0 + g1 * beta)
+        until_record -= 1
+        if not until_record:
+            samples.append((k * step, PopulationState(beta, alpha)))
+            until_record = stride
+        if -tol < fb < tol and -tol < fa < tol:
             quiet_steps += 1
+            if quiet_steps == CONVERGENCE_RUN:
+                converged = True
+                break
         else:
             quiet_steps = 0
-        if k % record_stride == 0:
-            samples.append((k * step, PopulationState(beta, alpha)))
-        if quiet_steps >= CONVERGENCE_RUN:
-            converged = True
-            break
-    if k % record_stride != 0:
+    if until_record != stride:
         samples.append((k * step, PopulationState(beta, alpha)))
     final_state = samples[-1][1]
     return Trajectory(tuple(samples), converged, final_state)
@@ -332,8 +365,8 @@ def batch_final_states(
     Raises
     ------
     ParameterError
-        If ``step`` is not positive or ``horizon`` is shorter than ``step``,
-        as in :func:`integrate`.
+        If ``step`` or ``horizon`` is not finite, ``step`` is not positive
+        or ``horizon`` is shorter than ``step``, as in :func:`integrate`.
     IntegrationError
         If any state turns non-finite; the message names the step index.
     """

@@ -10,12 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 from cyberevo import (
     PAPER_B_A_UPPER,
     Classification,
+    EquilibriumKind,
     FineScenario,
     GameParams,
     IntegrationError,
     ParameterError,
     PopulationState,
     SamplerConfig,
+    Trajectory,
     analyze_equilibria,
     batch_final_states,
     field_coefficients,
@@ -140,6 +142,8 @@ def test_record_stride_thins_samples():
     assert thin.samples[0][0] == 0.0
     assert thin.samples[-1][0] == 5.0
     assert thin.final_state == full.final_state
+    assert integrate(params, PopulationState(0.3, 0.3), horizon=5.0,
+                     convergence_tol=0.0, record_stride=np.int64(100)) == thin
 
 
 def test_integrator_argument_validation():
@@ -151,12 +155,198 @@ def test_integrator_argument_validation():
         integrate(params, start, step=1.0, horizon=0.5)
     with pytest.raises(ParameterError, match="record_stride >= 1"):
         integrate(params, start, record_stride=0)
+    # A float stride used to be accepted: 2.5 recorded every 5th step.
+    with pytest.raises(ParameterError, match="record_stride integer"):
+        integrate(params, start, record_stride=2.5)
 
 
 def test_integrator_reports_nonfinite_step():
     params = GameParams(**REF)
     with pytest.raises(IntegrationError, match="step 1"):
         integrate(params, PopulationState(0.3, 0.3), step=1e100, horizon=1e100)
+
+
+@pytest.mark.parametrize("span, constraint", [
+    ({"step": math.nan}, "step finite"),
+    ({"step": math.inf}, "step finite"),
+    ({"horizon": math.nan}, "horizon finite"),
+    ({"horizon": math.inf}, "horizon finite"),
+    ({"horizon": -math.inf}, "horizon finite"),
+], ids=["step-nan", "step-inf", "horizon-nan", "horizon-inf", "horizon-minus-inf"])
+def test_non_finite_span_is_refused(span, constraint):
+    # step=nan used to raise a bare ValueError and horizon=inf an
+    # OverflowError, both from int(round(horizon / step)).
+    params, start = GameParams(**REF), PopulationState(0.5, 0.5)
+    with pytest.raises(ParameterError, match=constraint):
+        integrate(params, start, **span)
+    with pytest.raises(ParameterError, match=constraint):
+        batch_final_states([params], [start], **span)
+
+
+def integrate_reference(params, start, step=0.01, horizon=1000.0,
+                        convergence_tol=1e-9, record_stride=1):
+    """Reference for :func:`integrate`: the same fixed-step RK4 loop written
+    with one field call per stage, the clamp by ``min``/``max``, recording
+    at ``k % record_stride == 0`` and the 100-quiet-steps convergence test."""
+    k0, k1, g0, g1 = field_coefficients(params)
+
+    def field(beta, alpha):
+        return (beta * (1.0 - beta) * (k0 + k1 * alpha),
+                alpha * (1.0 - alpha) * (g0 + g1 * beta))
+
+    h = step
+    beta, alpha = start.beta, start.alpha
+    samples = [(0.0, start)]
+    quiet_steps = 0
+    converged = False
+    f1 = field(beta, alpha)
+    for k in range(1, int(round(horizon / step)) + 1):
+        f2 = field(beta + 0.5 * h * f1[0], alpha + 0.5 * h * f1[1])
+        f3 = field(beta + 0.5 * h * f2[0], alpha + 0.5 * h * f2[1])
+        f4 = field(beta + h * f3[0], alpha + h * f3[1])
+        beta = beta + (h / 6.0) * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
+        alpha = alpha + (h / 6.0) * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
+        if not (math.isfinite(beta) and math.isfinite(alpha)):
+            raise IntegrationError(f"non-finite state at step {k}")
+        beta = min(1.0, max(0.0, beta))
+        alpha = min(1.0, max(0.0, alpha))
+        f1 = field(beta, alpha)
+        if max(abs(f1[0]), abs(f1[1])) < convergence_tol:
+            quiet_steps += 1
+        else:
+            quiet_steps = 0
+        if k % record_stride == 0:
+            samples.append((k * step, PopulationState(beta, alpha)))
+        if quiet_steps >= 100:
+            converged = True
+            break
+    if k % record_stride != 0:
+        samples.append((k * step, PopulationState(beta, alpha)))
+    return Trajectory(tuple(samples), converged, samples[-1][1])
+
+
+def same_as_reference(params, start, **kwargs):
+    """Assert that :func:`integrate` returns what the reference returns, the
+    signs of zeros included, or raises the same ``IntegrationError``.
+    Returns the trajectory, or None if both raised."""
+    try:
+        expected = integrate_reference(params, start, **kwargs)
+    except IntegrationError as error:
+        with pytest.raises(IntegrationError) as raised:
+            integrate(params, start, **kwargs)
+        assert str(raised.value) == str(error)
+        return None
+    run = integrate(params, start, **kwargs)
+    assert run == expected
+    assert repr(run) == repr(expected)
+    return run
+
+
+def _seed_one_game(index):
+    return sample_game(SamplerConfig(count=1, master_seed=1), index)
+
+
+def _settles_on(kind):
+    def premise(params, runs):
+        corner = kind.corner
+        return stable_set(params) == {kind} and all(
+            run.converged and max(abs(run.final_state.beta - corner[0]),
+                                  abs(run.final_state.alpha - corner[1])) <= 1e-3
+            for run in runs
+        )
+    return premise
+
+
+#: Acceptance criterion 10's 16 starts.
+CRITERION_10_STARTS = [PopulationState(float(b), float(a))
+                       for b in np.linspace(1e-3, 1.0 - 1e-3, 4)
+                       for a in np.linspace(1e-3, 1.0 - 1e-3, 4)]
+
+#: Starts on the edges and corners, and on -0.0.
+EDGE_STARTS = [PopulationState(*start) for start in (
+    (0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, 1.0),
+    (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+    (-0.0, 0.6), (0.6, -0.0), (-0.0, -0.0),
+)]
+
+
+@pytest.mark.parametrize("params, starts, kwargs, premise", [
+    # Game 370 of master seed 1: only E2 is stable, but the beta = 1 edge
+    # absorbs and four starts converge next to the saddle E4.
+    pytest.param(
+        _seed_one_game(370), CRITERION_10_STARTS, {"record_stride": 200},
+        lambda params, runs: stable_set(params) == {EquilibriumKind.E2} and sum(
+            run.converged and run.final_state.beta > 1.0 - 1e-6
+            and run.final_state.alpha > 1.0 - 1e-6 for run in runs) == 4,
+        id="absorbing-edge"),
+    # The benchmark's trajectories: games 0, 4 and 10 of master seed 1.
+    pytest.param(_seed_one_game(0), CRITERION_10_STARTS, {"record_stride": 200},
+                 _settles_on(EquilibriumKind.E3), id="bench-E3"),
+    pytest.param(_seed_one_game(4), CRITERION_10_STARTS, {"record_stride": 200},
+                 _settles_on(EquilibriumKind.E2), id="bench-E2"),
+    pytest.param(_seed_one_game(10), CRITERION_10_STARTS, {"record_stride": 200},
+                 _settles_on(EquilibriumKind.E4), id="bench-E4"),
+    # A start on an edge stays on it; -0.0 is a valid frequency.
+    pytest.param(
+        GameParams(**REF), EDGE_STARTS, {"horizon": 50.0, "record_stride": 3},
+        lambda params, runs: all(
+            state.beta == start.beta or state.alpha == start.alpha
+            for start, run in zip(EDGE_STARTS, runs) for _, state in run.samples
+        ) and any(math.copysign(1.0, start.beta) < 0.0 for start in EDGE_STARTS),
+        id="edges"),
+    # No step is quiet, so every step is taken.
+    pytest.param(
+        GameParams(**REF), [PopulationState(0.3, 0.3)],
+        {"horizon": 20.0, "convergence_tol": 0.0},
+        lambda params, runs: not runs[0].converged and runs[0].samples[-1][0] == 20.0,
+        id="tol-0"),
+    # Every step is quiet, so the run stops at step 100.
+    pytest.param(
+        GameParams(**REF), [PopulationState(0.3, 0.3)],
+        {"convergence_tol": math.inf, "record_stride": 30},
+        lambda params, runs: runs[0].converged and runs[0].samples[-1][0] == 1.0,
+        id="tol-inf"),
+    # 7 does not divide the 500 steps: the last one is recorded as well.
+    pytest.param(
+        GameParams(**REF), [PopulationState(0.3, 0.3)],
+        {"horizon": 5.0, "convergence_tol": 0.0, "record_stride": 7},
+        lambda params, runs: [t for t, _ in runs[0].samples]
+        == [k * 0.01 for k in range(0, 500, 7)] + [5.0],
+        id="odd-stride"),
+    # The first step overflows.
+    pytest.param(
+        GameParams(**REF), [PopulationState(0.3, 0.3)],
+        {"step": 1e100, "horizon": 1e100},
+        lambda params, runs: runs == [None], id="overflow"),
+])
+def test_integrate_matches_the_reference(params, starts, kwargs, premise):
+    runs = [same_as_reference(params, start, **kwargs) for start in starts]
+    assert premise(params, runs)
+
+
+_FREQUENCY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, float(np.nextafter(1.0, 0.0)), 5e-324]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    with_fines=st.booleans(),
+    start=st.tuples(_FREQUENCY, _FREQUENCY),
+    step=st.one_of(st.sampled_from([0.01, 3.0, 50.0]), st.floats(1e-3, 100.0)),
+    n_steps=st.integers(1, 600),
+    convergence_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.1, math.inf]),
+    record_stride=st.integers(1, 500),
+)
+def test_integrate_matches_the_reference_anywhere(
+    seed, with_fines, start, step, n_steps, convergence_tol, record_stride,
+):
+    params = random_params(np.random.default_rng(seed), with_fines=with_fines)
+    same_as_reference(params, PopulationState(*start), step=step,
+                      horizon=n_steps * step, convergence_tol=convergence_tol,
+                      record_stride=record_stride)
 
 
 def test_field_grid_layout():
