@@ -45,7 +45,6 @@ from .equilibria import (
     EquilibriumReport,
     Jacobian2,
     analyze_equilibria,
-    classify,
     eigenvalues,
     interior_equilibrium,
     jacobian,
@@ -103,7 +102,6 @@ __all__ = [
     "analyze_equilibria",
     "batch_final_states",
     "build_payoff_matrix",
-    "classify",
     "correlation_matrix",
     "eigenvalues",
     "field_coefficients",

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationError, ParameterError
+from .errors import IntegrationError, ParameterError, require
 from .game import GameParams, field_coefficients
 
 __all__ = [
@@ -89,14 +89,8 @@ class PopulationState:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.beta <= 1.0):
-            raise ParameterError(
-                f"constraint violated: 0 <= beta <= 1 (beta={self.beta!r})"
-            )
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError(
-                f"constraint violated: 0 <= alpha <= 1 (alpha={self.alpha!r})"
-            )
+        require(0.0 <= self.beta <= 1.0, "0 <= beta <= 1", beta=self.beta)
+        require(0.0 <= self.alpha <= 1.0, "0 <= alpha <= 1", alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -132,18 +126,11 @@ def _field(coeffs: tuple, beta: float, alpha: float) -> tuple[float, float]:
 
 
 def _check_span(step: float, horizon: float) -> None:
-    if not math.isfinite(step):
-        raise ParameterError(f"constraint violated: step finite (step={step!r})")
-    if not math.isfinite(horizon):
-        raise ParameterError(
-            f"constraint violated: horizon finite (horizon={horizon!r})"
-        )
-    if step <= 0.0:
-        raise ParameterError(f"constraint violated: step > 0 (step={step!r})")
-    if horizon < step:
-        raise ParameterError(
-            f"constraint violated: horizon >= step (horizon={horizon!r}, step={step!r})"
-        )
+    require(math.isfinite(step), "step finite", step=step)
+    require(math.isfinite(horizon), "horizon finite", horizon=horizon)
+    require(step > 0.0, "step > 0", step=step)
+    require(horizon >= step, "horizon >= step", horizon=horizon, step=step)
+    require(math.isfinite(horizon / step), "horizon / step finite", horizon=horizon, step=step)
 
 
 def replicator_field(params: GameParams, state: PopulationState) -> FieldValue:
@@ -221,10 +208,7 @@ def integrate(
         raise ParameterError(
             f"constraint violated: record_stride integer (record_stride={record_stride!r})"
         ) from None
-    if stride < 1:
-        raise ParameterError(
-            f"constraint violated: record_stride >= 1 (record_stride={record_stride!r})"
-        )
+    require(stride >= 1, "record_stride >= 1", record_stride=record_stride)
     k0, k1, g0, g1 = field_coefficients(params)
     n_steps = int(round(horizon / step))
     half_step, sixth_step = 0.5 * step, step / 6.0
@@ -291,10 +275,7 @@ def field_grid(
     Points are returned row-major: beta ascending in the outer loop, alpha
     ascending in the inner one, ``resolution`` points per axis.
     """
-    if resolution < 2:
-        raise ParameterError(
-            f"constraint violated: resolution >= 2 (resolution={resolution!r})"
-        )
+    require(resolution >= 2, "resolution >= 2", resolution=resolution)
     out: list[tuple[PopulationState, FieldValue]] = []
     denom = resolution - 1
     for i in range(resolution):

@@ -39,7 +39,6 @@ from .game import (
     GameParams,
     StrategyPair,
     ZERO_FINES,
-    brackets,
     constraints,
     payoff_pairs,
 )
@@ -499,7 +498,7 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
         for row in redraw.tolist():
             params[row] = sample_game(config, start + row).as_tuple()[:6]
     game = (*params.T, *fines)
-    stable, interior = stable_table(*brackets(*game))
+    stable, interior = stable_table(*game)
     welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
     for column, (defender, attacker) in enumerate(payoff_pairs(*game)):
         welfare[:, column] = defender + attacker

@@ -1,18 +1,21 @@
-"""Equilibrium enumeration and eigenvalue stability classification.
+"""Equilibrium enumeration and stability classification.
 
 The replicator field has four corner fixed points for every game,
 
     E1 = (0,0)   E2 = (0,1)   E3 = (1,0)   E4 = (1,1)
 
 in the E(beta, alpha) coordinate convention, plus an interior point E5 when
-both field brackets have a root strictly inside (0, 1).  Stability is read
-off the Jacobian's eigenvalues: strictly negative real parts mean Stable,
-strictly positive mean Unstable, opposite signs mean Saddle, and any real
-part within the hyperbolicity tolerance of zero is surfaced as
-NonHyperbolic rather than guessed.  E5 exists only where both bracket
-slopes are negative, so it is a saddle or non-hyperbolic, never Stable.
-Every stability verdict is made here: :func:`analyze_equilibria` for one
-game, :func:`stable_table` for a table's bracket columns.
+both field brackets have a root strictly inside (0, 1).  Corner Jacobians
+are diagonal, with eigenvalues (D0, A0) at E1, (D1, -A0) at E2, (-D0, A1) at
+E3 and (-D1, -A1) at E4, for the edge brackets D0 = k0, D1 = k0 + k1,
+A0 = g0 and A1 = g0 + g1: both negative is Stable, both positive Unstable,
+opposite Saddle.  A sign counts only where the bracket exceeds its float64
+rounding-error bound; otherwise the corner is NonHyperbolic, "sign
+undecidable in float64", at any payoff scale.  E5 exists only where both
+slopes k1, g1 are negative, so det < 0 and it is a Saddle by theorem
+(Hofbauer & Sigmund 1998, ch. 10), or NonHyperbolic if a slope's sign is
+undecided.  The reports carry eigenvalues as output; :func:`_verdicts` is
+the one verdict, for one game's floats and a table's columns alike.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import PopulationState
-from .game import GameParams, field_coefficients
+from .game import GameParams, bracket_term_sums, brackets, field_coefficients
 
 __all__ = [
     "EquilibriumKind",
@@ -34,21 +37,29 @@ __all__ = [
     "Classification",
     "EquilibriumReport",
     "jacobian",
-    "jacobian_entries",
     "eigenvalues",
-    "classify",
     "interior_equilibrium",
     "analyze_equilibria",
     "stable_kinds",
     "stable_set",
     "stable_table",
-    "HYPERBOLICITY_EPSILON",
     "INTERIOR_MARGIN",
     "DENOMINATOR_FLOOR",
 ]
 
-#: |Re(lambda)| at or below this is treated as zero (NonHyperbolic).
-HYPERBOLICITY_EPSILON = 1e-9
+#: A bracket's sign is decided where its magnitude exceeds _SIGN_GAMMA times
+#: its term sum (:func:`~cyberevo.game.bracket_term_sums`) plus _SIGN_FLOOR.
+#: With fl(a op b) = (a op b)(1 + d), |d| <= u = 2**-53, no term of D0, D1,
+#: A0, A1, k1 or g1 meets more than four roundings (v*b_d in D1: the product,
+#: both sums of k1, k0 + k1), so a bracket errs by at most 4u/(1 - 4u) times
+#: its term sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+#: 2002, Lemma 3.1); the computed sum, its terms rounded as often, is at least
+#: (1 - 4u) times the exact one.  16u is a power of two and leaves a factor
+#: of four for the bound's own rounding.  An underflowing product errs by up
+#: to 2**-1075 absolutely; a bracket and its bound hold at most five, which
+#: 2**-1022 covers.  An overflowing bracket has an infinite term sum.
+_SIGN_GAMMA = 16.0 * 2.0**-53
+_SIGN_FLOOR = 2.0**-1022
 
 #: Interior coordinates must clear the open interval by this margin.
 INTERIOR_MARGIN = 1e-9
@@ -126,8 +137,8 @@ class EquilibriumReport:
     classification: Classification
 
 
-def jacobian_entries(k0, k1, g0, g1, beta, alpha):
-    """(j11, j12, j21, j22) of the replicator field's Jacobian at (beta, alpha).
+def jacobian(params: GameParams, state: PopulationState) -> Jacobian2:
+    """Closed-form Jacobian of the field at a state.
 
     With brackets k0 + k1*alpha and g0 + g1*beta (see
     :func:`cyberevo.game.brackets`):
@@ -137,10 +148,10 @@ def jacobian_entries(k0, k1, g0, g1, beta, alpha):
 
     At every corner the off-diagonal entries are exactly zero because the
     logistic prefactors vanish, so corner eigenvalues are the diagonal.
-    Takes one game's floats or a table's columns alike; this is the only
-    place the entries are written.
     """
-    return (
+    k0, k1, g0, g1 = field_coefficients(params)
+    beta, alpha = state.beta, state.alpha
+    return Jacobian2(
         (1.0 - 2.0 * beta) * (k0 + k1 * alpha),
         beta * (1.0 - beta) * k1,
         alpha * (1.0 - alpha) * g1,
@@ -148,56 +159,34 @@ def jacobian_entries(k0, k1, g0, g1, beta, alpha):
     )
 
 
-def jacobian(params: GameParams, state: PopulationState) -> Jacobian2:
-    """Closed-form Jacobian of the field at a state (:func:`jacobian_entries`)."""
-    return Jacobian2(
-        *jacobian_entries(*field_coefficients(params), state.beta, state.alpha)
-    )
-
-
 def eigenvalues(j: Jacobian2) -> EigenPair:
     """Eigenvalues of a 2x2 matrix from the characteristic polynomial.
 
     Triangular matrices (either off-diagonal entry zero) return the diagonal
-    entries exactly.  Otherwise the discriminant is evaluated in the
-    cancellation-free form (j11 - j22)^2 + 4 j12 j21; a negative value gives
-    a complex-conjugate pair.  Ordering is descending real part, then
-    descending imaginary part.
+    entries exactly.  Otherwise the cancellation-free discriminant
+    (j11 - j22)^2 + 4 j12 j21 is formed on the entries divided by a power of
+    two near the largest (exact unless an entry underflows), so it cannot
+    overflow; a negative value gives a complex-conjugate pair.  Ordering is
+    descending real part, then descending imaginary part.
     """
     if j.j12 == 0.0 or j.j21 == 0.0:
         lam1, lam2 = complex(j.j11), complex(j.j22)
     else:
-        tr = j.j11 + j.j22
-        disc = (j.j11 - j.j22) ** 2 + 4.0 * j.j12 * j.j21
+        _, e = math.frexp(max(abs(j.j11), abs(j.j12), abs(j.j21), abs(j.j22)))
+        j11, j12, j21, j22 = (math.ldexp(x, -e) for x in (j.j11, j.j12, j.j21, j.j22))
+        tr = j11 + j22
+        disc = (j11 - j22) ** 2 + 4.0 * j12 * j21
         if disc >= 0.0:
             root = math.sqrt(disc)
-            lam1 = complex(0.5 * (tr + root))
-            lam2 = complex(0.5 * (tr - root))
+            lam1 = complex(math.ldexp(0.5 * (tr + root), e))
+            lam2 = complex(math.ldexp(0.5 * (tr - root), e))
         else:
-            half_im = 0.5 * math.sqrt(-disc)
-            lam1 = complex(0.5 * tr, half_im)
-            lam2 = complex(0.5 * tr, -half_im)
+            half_im = math.ldexp(0.5 * math.sqrt(-disc), e)
+            lam1 = complex(math.ldexp(0.5 * tr, e), half_im)
+            lam2 = lam1.conjugate()
     if (lam1.real, lam1.imag) < (lam2.real, lam2.imag):
         lam1, lam2 = lam2, lam1
     return EigenPair(lam1, lam2)
-
-
-def classify(eigen: EigenPair) -> Classification:
-    """Map eigenvalue real parts to a stability class.
-
-    Any real part within :data:`HYPERBOLICITY_EPSILON` of zero yields
-    NonHyperbolic: the stability criterion is a strict sign condition and
-    measure-zero boundary cases must be surfaced, not decided.
-    """
-    re1 = eigen.lambda1.real
-    re2 = eigen.lambda2.real
-    if abs(re1) <= HYPERBOLICITY_EPSILON or abs(re2) <= HYPERBOLICITY_EPSILON:
-        return Classification.NON_HYPERBOLIC
-    if re1 < 0.0 and re2 < 0.0:
-        return Classification.STABLE
-    if re1 > 0.0 and re2 > 0.0:
-        return Classification.UNSTABLE
-    return Classification.SADDLE
 
 
 def _interior_point(k0, k1, g0, g1):
@@ -209,7 +198,7 @@ def _interior_point(k0, k1, g0, g1):
     m = :data:`INTERIOR_MARGIN`.  Takes one game's floats or a table's
     columns alike; this is the only place the interior rule is written.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         beta = np.divide(-g0, g1)
         alpha = np.divide(-k0, k1)
     present = (
@@ -226,17 +215,35 @@ def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
     return PopulationState(float(beta), float(alpha)) if present else None
 
 
-def _reports(coeffs) -> tuple[EquilibriumReport, ...]:
-    """The reports of the game whose brackets are ``coeffs``, Python floats."""
-    beta, alpha, present = _interior_point(*coeffs)
-    points = {**_CORNERS, EquilibriumKind.E5: (beta, alpha)} if present else _CORNERS
-    reports = []
-    for kind, (bx, ax) in points.items():
-        state = PopulationState(float(bx), float(ax))
-        jac = Jacobian2(*jacobian_entries(*coeffs, state.beta, state.alpha))
-        eig = eigenvalues(jac)
-        reports.append(EquilibriumReport(kind, state, jac, eig, classify(eig)))
-    return tuple(reports)
+#: The class of a fixed point whose eigenvalue signs are (a, b), each -1, 0
+#: (undecided) or +1: index (a + b + 4) / 2, or 0 where a or b is 0.
+_CLASSES = (Classification.NON_HYPERBOLIC, Classification.STABLE,
+            Classification.SADDLE, Classification.UNSTABLE)
+
+
+def _certified_sign(x, term_sum):
+    """+1.0 or -1.0 where the sign of ``x`` is decided (:data:`_SIGN_GAMMA`), else 0.0."""
+    bound = _SIGN_GAMMA * term_sum + _SIGN_FLOOR
+    return (x > bound) * 1.0 - (x < -bound)
+
+
+def _verdicts(game):
+    """The classes of E1..E5 as indices into :data:`_CLASSES`, floats or columns.
+
+    ``game`` is the eight values of :meth:`GameParams.as_tuple`.  E5's signs
+    are (+1, -1) where both slopes are certainly negative, else (0, 0).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0, k1, g0, g1 = brackets(*game)
+        t0, t1, s0, s1 = bracket_term_sums(*game)
+        d0, d1, a0, a1, slope_d, slope_a = (
+            _certified_sign(x, term_sum)
+            for x, term_sum in ((k0, t0), (k0 + k1, t0 + t1), (g0, s0),
+                                (g0 + g1, s0 + s1), (k1, t1), (g1, s1))
+        )
+    saddle = ((slope_d < 0.0) & (slope_a < 0.0)) * 1.0
+    pairs = ((d0, a0), (d1, -a0), (-d0, a1), (-d1, -a1), (saddle, -saddle))
+    return [(a * b != 0.0) * (a + b + 4.0) / 2.0 for a, b in pairs]
 
 
 def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
@@ -244,7 +251,15 @@ def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
 
     Returns exactly four or five reports, in kind order E1..E5.
     """
-    return _reports(field_coefficients(params))
+    beta, alpha, present = _interior_point(*field_coefficients(params))
+    points = {**_CORNERS, EquilibriumKind.E5: (beta, alpha)} if present else _CORNERS
+    reports = []
+    for (kind, (bx, ax)), verdict in zip(points.items(), _verdicts(params.as_tuple())):
+        state = PopulationState(float(bx), float(ax))
+        jac = jacobian(params, state)
+        classification = _CLASSES[int(verdict)]
+        reports.append(EquilibriumReport(kind, state, jac, eigenvalues(jac), classification))
+    return tuple(reports)
 
 
 def stable_kinds(reports: Sequence[EquilibriumReport]) -> tuple[EquilibriumKind, ...]:
@@ -257,25 +272,14 @@ def stable_set(params: GameParams) -> frozenset[EquilibriumKind]:
     return frozenset(stable_kinds(analyze_equilibria(params)))
 
 
-def stable_table(k0, k1, g0, g1) -> tuple[np.ndarray, np.ndarray]:
-    """``stable`` (n, 5) and ``interior`` (n,) of the games with these bracket columns.
+def stable_table(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
+    """``stable`` (n, 5) and ``interior`` (n,) of the games with these parameter columns.
 
     Row i holds the bits :func:`stable_set` (one column per kind E1..E5)
-    and :func:`interior_equilibrium` give for brackets k0[i], k1[i], g0[i], g1[i].
-    Corner Jacobians are diagonal, so a corner is Stable when both diagonal
-    entries are below -epsilon.  E5's trace is about zero; the rare rows
-    where it is at most -2 epsilon go through the scalar classifier.
+    and :func:`interior_equilibrium` give for game i.  The fines may be
+    floats shared by every row.
     """
-    coeffs = (k0, k1, g0, g1)
-    eps = HYPERBOLICITY_EPSILON
-    stable = np.zeros((len(k0), len(EquilibriumKind)), dtype=bool)
-    for column, corner in enumerate(_CORNERS.values()):
-        j11, _, _, j22 = jacobian_entries(*coeffs, *corner)
-        stable[:, column] = (j11 < -eps) & (j22 < -eps)
-    beta, alpha, interior = _interior_point(*coeffs)
-    with np.errstate(invalid="ignore"):
-        j11, _, _, j22 = jacobian_entries(*coeffs, beta, alpha)
-    for row in np.flatnonzero(interior & (j11 + j22 <= -2.0 * eps)).tolist():
-        kinds = stable_kinds(_reports([column[row].item() for column in coeffs]))
-        stable[row] = [kind in kinds for kind in EquilibriumKind]
+    game = (w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful)
+    stable = np.stack(_verdicts(game), axis=1) == _CLASSES.index(Classification.STABLE)
+    _, _, interior = _interior_point(*brackets(*game))
     return stable, interior

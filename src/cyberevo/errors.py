@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check of
-the configuration classes that raise :class:`ConfigError`."""
+"""Exception types shared across the package, the constraint check of the
+classes that raise :class:`ParameterError`, and the integer check of the
+configuration classes that raise :class:`ConfigError`."""
 
 import numpy as np
 
@@ -9,6 +10,13 @@ class ParameterError(ValueError):
 
     The message names the violated constraint, e.g. ``0 < c_a < w``.
     """
+
+
+def require(holds: bool, constraint: str, **values: object) -> None:
+    """Raise :class:`ParameterError` naming ``constraint`` and ``values`` unless ``holds``."""
+    if not holds:
+        shown = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        raise ParameterError(f"constraint violated: {constraint} ({shown})")
 
 
 class ConfigError(ValueError):

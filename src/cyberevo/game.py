@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import require
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import PopulationState
@@ -57,6 +57,7 @@ __all__ = [
     "constraints",
     "payoff_pairs",
     "brackets",
+    "bracket_term_sums",
     "field_coefficients",
     "fitness_profile",
     "social_welfare",
@@ -98,12 +99,6 @@ STRATEGY_PAIRS: tuple[StrategyPair, ...] = (
     StrategyPair(DefenderMove.DEFENCE, AttackerMove.NO_ATTACK),
     StrategyPair(DefenderMove.DEFENCE, AttackerMove.ATTACK),
 )
-
-
-def _require(condition: bool, constraint: str, **values: float) -> None:
-    if not condition:
-        shown = ", ".join(f"{k}={v!r}" for k, v in values.items())
-        raise ParameterError(f"constraint violated: {constraint} ({shown})")
 
 
 #: The six parameters a game is drawn from, in :class:`GameParams` field order.
@@ -154,7 +149,7 @@ class GameParams:
 
     def __post_init__(self) -> None:
         for constraint, holds in constraints(*self.as_tuple()):
-            _require(holds, constraint, **{
+            require(holds, constraint, **{
                 name: getattr(self, name)
                 for name in constraint.split() if name in _FIELDS
             })
@@ -180,8 +175,8 @@ class FineScenario:
 
     def __post_init__(self) -> None:
         for name, value in (("f_u", self.f_u), ("f_s", self.f_s)):
-            _require(math.isfinite(value), f"{name} finite", **{name: value})
-            _require(value >= 0.0, f"{name} >= 0", **{name: value})
+            require(math.isfinite(value), f"{name} finite", **{name: value})
+            require(value >= 0.0, f"{name} >= 0", **{name: value})
 
     def apply(self, params: GameParams) -> GameParams:
         """Return a copy of ``params`` with this scenario's fines installed."""
@@ -267,6 +262,20 @@ def brackets(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
     k1 = v * b_d - b_d + v * w
     g0 = b_a - c_a - fine_successful
     g1 = v * (fine_successful - b_a - fine_unsuccessful)
+    return k0, k1, g0, g1
+
+
+def bracket_term_sums(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
+    """The sums of |term| over the terms :func:`brackets` adds into k0, k1, g0, g1.
+
+    :func:`brackets` with each minus made a plus (no parameter is negative),
+    in its grouping, so an overflowing bracket has an infinite sum; they
+    scale the brackets' rounding-error bound in :mod:`cyberevo.equilibria`.
+    """
+    k0 = b_d + c_d
+    k1 = v * b_d + b_d + v * w
+    g0 = b_a + c_a + fine_successful
+    g1 = v * (fine_successful + b_a + fine_unsuccessful)
     return k0, k1, g0, g1
 
 

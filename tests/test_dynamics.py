@@ -172,10 +172,12 @@ def test_integrator_reports_nonfinite_step():
     ({"horizon": math.nan}, "horizon finite"),
     ({"horizon": math.inf}, "horizon finite"),
     ({"horizon": -math.inf}, "horizon finite"),
-], ids=["step-nan", "step-inf", "horizon-nan", "horizon-inf", "horizon-minus-inf"])
+    ({"step": 1e-300, "horizon": 1e10}, "horizon / step finite"),
+], ids=["step-nan", "step-inf", "horizon-nan", "horizon-inf", "horizon-minus-inf",
+        "step-count-overflow"])
 def test_non_finite_span_is_refused(span, constraint):
-    # step=nan used to raise a bare ValueError and horizon=inf an
-    # OverflowError, both from int(round(horizon / step)).
+    # step=nan used to raise a bare ValueError, and horizon=inf or a step
+    # count that overflows an OverflowError, all from int(round(horizon / step)).
     params, start = GameParams(**REF), PopulationState(0.5, 0.5)
     with pytest.raises(ParameterError, match=constraint):
         integrate(params, start, **span)

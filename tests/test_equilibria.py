@@ -1,25 +1,33 @@
 """Fixed points, Jacobians, eigenvalues, and stability classification."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from cyberevo import (
     Classification,
-    EigenPair,
     EquilibriumKind,
+    FineScenario,
     GameParams,
     Jacobian2,
+    ParameterError,
     PopulationState,
+    SamplerConfig,
     analyze_equilibria,
-    classify,
+    cli,
     eigenvalues,
+    ensemble,
+    equilibria,
     field_coefficients,
     interior_equilibrium,
     jacobian,
     stable_set,
 )
+from cyberevo.game import bracket_term_sums, brackets
 
 from test_game import LARGE_FINES, REF, random_params, wide_rows
 
@@ -99,26 +107,32 @@ def test_eigenvalues_characteristic_residual_and_ordering():
             assert eig.lambda1 == eig.lambda2.conjugate()
 
 
+def _unscaled_eigenvalues(j):
+    """The characteristic-polynomial roots formed without rescaling."""
+    tr = j.j11 + j.j22
+    disc = (j.j11 - j.j22) ** 2 + 4.0 * j.j12 * j.j21
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        return {complex(0.5 * (tr + root)), complex(0.5 * (tr - root))}
+    half_im = 0.5 * math.sqrt(-disc)
+    return {complex(0.5 * tr, half_im), complex(0.5 * tr, -half_im)}
+
+
+def test_eigenvalue_rescaling_changes_no_finite_result():
+    # Dividing by a power of two is exact, so wherever the unscaled formula
+    # neither overflows nor underflows the roots are the same bits.
+    rng = np.random.default_rng(49)
+    for scale in (1.0, 3.0, 1e-100, 1e100, 1e150):
+        for _ in range(500):
+            jac = Jacobian2(*(scale * rng.uniform(-2, 2) for _ in range(4)))
+            eig = eigenvalues(jac)
+            assert {eig.lambda1, eig.lambda2} == _unscaled_eigenvalues(jac)
+
+
 def test_eigenvalues_triangular_exact():
     jac = Jacobian2(j11=0.3, j12=0.0, j21=-5.0, j22=-0.7)
     eig = eigenvalues(jac)
     assert (eig.lambda1, eig.lambda2) == (complex(0.3), complex(-0.7))
-
-
-@pytest.mark.parametrize(
-    "pair, expected",
-    [
-        ((complex(-1), complex(-2)), Classification.STABLE),
-        ((complex(1), complex(2)), Classification.UNSTABLE),
-        ((complex(1), complex(-1)), Classification.SADDLE),
-        ((complex(-1e-10), complex(-1)), Classification.NON_HYPERBOLIC),
-        ((complex(1e-10), complex(1)), Classification.NON_HYPERBOLIC),
-        ((complex(-0.5, 2.0), complex(-0.5, -2.0)), Classification.STABLE),
-        ((complex(0.5, 2.0), complex(0.5, -2.0)), Classification.UNSTABLE),
-    ],
-)
-def test_classify_sign_patterns(pair, expected):
-    assert classify(EigenPair(*pair)) is expected
 
 
 def test_single_stable_reference_game():
@@ -168,10 +182,7 @@ def test_interior_point_trace_free_hence_never_stable():
         assert abs(jac.trace) < 1e-12
         report = analyze_equilibria(params)[-1]
         assert report.kind is EquilibriumKind.E5
-        assert report.classification in (
-            Classification.SADDLE,
-            Classification.NON_HYPERBOLIC,
-        )
+        assert report.classification is Classification.SADDLE
     assert seen > 50
 
 
@@ -179,7 +190,7 @@ def test_interior_point_forces_negative_slopes_and_is_never_stable():
     # alpha* = -k0/k1 in (0, 1) with k0 = b_d - c_d > 0 needs k1 < -k0, and
     # beta* = -g0/g1 in (0, 1) with v <= 1 rules out g1 > 0.  So j12 and j21
     # are negative at E5 while its diagonal vanishes: real eigenvalues of
-    # opposite signs, or non-hyperbolic, for games of any size.
+    # opposite signs, a Saddle, for games of any size.
     rng = np.random.default_rng(48)
     seen = 0
     for f_s, f_u in LARGE_FINES:
@@ -194,10 +205,7 @@ def test_interior_point_forces_negative_slopes_and_is_never_stable():
             report = analyze_equilibria(params)[-1]
             assert report.kind is EquilibriumKind.E5
             assert report.location == interior
-            assert report.classification in (
-                Classification.SADDLE,
-                Classification.NON_HYPERBOLIC,
-            )
+            assert report.classification is Classification.SADDLE
     assert seen > 300, seen
 
 
@@ -210,23 +218,163 @@ def test_interior_absent_when_bracket_slope_vanishes():
     assert interior_equilibrium(params) is None
 
 
-def test_corner_stability_condition_algebra():
-    # The eigenvalue classifier must agree with the sign conditions read
-    # directly off the closed forms.
-    rng = np.random.default_rng(44)
-    for i in range(2000):
-        params = random_params(rng, with_fines=(i % 3 == 0))
-        k0, k1, g0, g1 = field_coefficients(params)
-        d_full, b_full = k0 + k1, g0 + g1
-        eps = 1e-9
-        values = (k0, g0, d_full, b_full)
-        if any(abs(value) <= eps for value in values):
+#: The README game's sign pattern: E4 the one stable corner.
+REF_CLASSES = [
+    Classification.UNSTABLE, Classification.SADDLE, Classification.SADDLE,
+    Classification.STABLE,
+]
+
+#: A NonHyperbolic game: k0 + k1 = 0 exactly, so E2 and E4 are undecided.
+NEUTRAL = GameParams(w=1.0, c_a=0.25, c_d=0.375, b_a=0.75, b_d=0.5, v=0.25)
+
+#: A valid game with an interior point and b_a, f_u near 1e173, where the
+#: unscaled E5 discriminant overflows.
+HUGE = GameParams(
+    w=0.9, c_a=0.3, c_d=0.5, b_a=1.1439891251442615e+173, b_d=0.8,
+    v=0.25918195560174573, fine_unsuccessful=5.594696268405954e+173,
+)
+
+
+#: k0 + k1 computes to -2.8e-17, but is +5.8e-18 exactly.
+ROUNDS_WRONG = GameParams(
+    0.6069125640060286, 0.605327403857063, 0.31513684056964375, 0.9298726090717624,
+    0.44582257109556156, 0.2993505489291309, 0.3245452052146993,
+)
+
+#: Subnormal payoffs where v*b_d and v*w both round up by half a unit, so
+#: k0 + k1 computes to 2**-1074 but is exactly zero.
+SUBNORMAL_TIE = GameParams(
+    w=6 * 2.0**-1074, c_a=2.0**-1074, c_d=3 * 2.0**-1074, b_a=2 * 2.0**-1074,
+    b_d=6 * 2.0**-1074, v=0.25,
+)
+
+
+def _scaled_ref(scale):
+    """The README game with w, c_a, c_d, b_a and b_d times ``scale``."""
+    return GameParams(**{
+        name: value if name == "v" else value * scale for name, value in REF.items()
+    })
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+#: The class of each exact pair of eigenvalue signs, sorted.
+EXACT_CLASSES = {
+    (-1, -1): Classification.STABLE,
+    (1, 1): Classification.UNSTABLE,
+    (-1, 1): Classification.SADDLE,
+}
+
+
+def _exact_eigenvalue_signs(params):
+    """Each fixed point's eigenvalue signs, from the brackets in rational arithmetic.
+
+    The corners read the brackets' exact signs (see the equilibria module
+    docstring); E5 is (+1, -1) where both exact slopes are negative, else
+    (0, 0).
+    """
+    k0, k1, g0, g1 = brackets(*map(Fraction, params.as_tuple()))
+    d0, d1, a0, a1 = _sign(k0), _sign(k0 + k1), _sign(g0), _sign(g0 + g1)
+    saddle = int(k1 < 0 and g1 < 0)
+    return ((d0, a0), (d1, -a0), (-d0, a1), (-d1, -a1), (saddle, -saddle))
+
+
+@st.composite
+def valid_games(draw):
+    """Valid games of any size: b_a and both fines up to 1e300, subnormals included."""
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    fine = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+    w = draw(unit)
+    c_a, c_d = w * draw(unit), w * draw(unit)
+    b_a = c_a + draw(st.floats(0.0, 1e300, exclude_min=True))
+    b_d = c_d + (w - c_d) * draw(unit)
+    try:
+        return GameParams(w, c_a, c_d, b_a, b_d, draw(unit), draw(fine), draw(fine))
+    except ParameterError:
+        reject()
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=valid_games())
+@example(params=NEUTRAL)
+@example(params=HUGE)
+@example(params=GameParams(**REF))
+@example(params=GameParams(w=0.98, c_a=0.69, c_d=0.54, b_a=0.79, b_d=0.72, v=0.15))
+@example(params=GameParams(0.9, 0.4, 0.2, 0.8, 0.6, 0.5))
+@example(params=ROUNDS_WRONG)
+@example(params=SUBNORMAL_TIE)
+def test_decided_signs_match_exact_arithmetic(params):
+    # Every bracket sign the verdict decides is the sign of that bracket
+    # evaluated exactly, in rational arithmetic, on the same floats.
+    game = params.as_tuple()
+    k0, k1, g0, g1 = brackets(*game)
+    t0, t1, s0, s1 = bracket_term_sums(*game)
+    e0, e1, f0, f1 = brackets(*map(Fraction, game))
+    for value, term_sum, exact in (
+        (k0, t0, e0), (k0 + k1, t0 + t1, e0 + e1), (g0, s0, f0),
+        (g0 + g1, s0 + s1, f0 + f1), (k1, t1, e1), (g1, s1, f1),
+    ):
+        assert equilibria._certified_sign(value, term_sum) in (0.0, _sign(exact))
+    # So every verdict but NonHyperbolic is the exact sign pattern, and a
+    # decided corner reports eigenvalues with those signs.
+    reports = analyze_equilibria(params)
+    for report, truth in zip(reports, _exact_eigenvalue_signs(params)):
+        if report.classification is Classification.NON_HYPERBOLIC:
             continue
-        stable = stable_set(params)
-        assert (EquilibriumKind.E2 in stable) == (g0 > 0 and d_full < 0)
-        assert (EquilibriumKind.E3 in stable) == (b_full < 0)
-        assert (EquilibriumKind.E4 in stable) == (b_full > 0 and d_full > 0)
-        assert EquilibriumKind.E1 not in stable  # k0 = b_d - c_d > 0 always
+        assert report.classification is EXACT_CLASSES.get(tuple(sorted(truth)))
+        if report.kind is not EquilibriumKind.E5:
+            eigen = (report.eigen.lambda1, report.eigen.lambda2)
+            assert sorted(_sign(lam.real) for lam in eigen) == sorted(truth)
+    stable = stable_set(params)
+    assert EquilibriumKind.E1 not in stable  # k0 = b_d - c_d > 0 always
+    table, interior = equilibria.stable_table(*(np.array([value]) for value in game))
+    assert table[0].tolist() == [kind in stable for kind in EquilibriumKind]
+    assert interior[0] == (len(reports) == 5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-9, 1e-100, 1e-300])
+def test_verdict_is_scale_free(scale):
+    # Scaling every payoff (v is a probability) rescales time only, so the
+    # verdict of the README game is the same at every scale.
+    params = _scaled_ref(scale)
+    assert [r.classification for r in analyze_equilibria(params)] == REF_CLASSES
+    table, _ = equilibria.stable_table(*(np.array([value]) for value in params.as_tuple()))
+    assert table[0].tolist() == [kind is EquilibriumKind.E4 for kind in EquilibriumKind]
+
+
+def test_exact_zero_bracket_is_non_hyperbolic():
+    k0, k1, _, _ = field_coefficients(NEUTRAL)
+    assert k0 + k1 == 0.0
+    reports = {r.kind: r.classification for r in analyze_equilibria(NEUTRAL)}
+    assert reports[EquilibriumKind.E2] is Classification.NON_HYPERBOLIC
+    assert reports[EquilibriumKind.E4] is Classification.NON_HYPERBOLIC
+
+
+def test_huge_game_is_classified_everywhere(capsys):
+    # Its unscaled E5 discriminant overflowed: analyze_equilibria, stable_set,
+    # the ensemble's table verdict and ``cyberevo analyze`` all raised.
+    reports = analyze_equilibria(HUGE)
+    assert [r.classification for r in reports] == [
+        Classification.UNSTABLE, Classification.STABLE, Classification.STABLE,
+        Classification.UNSTABLE, Classification.SADDLE,
+    ]
+    for report in reports:
+        for lam in (report.eigen.lambda1, report.eigen.lambda2):
+            assert math.isfinite(lam.real) and math.isfinite(lam.imag)
+    assert stable_set(HUGE) == {EquilibriumKind.E2, EquilibriumKind.E3}
+    config = SamplerConfig(
+        count=1, b_a_upper=2e173, scenario=FineScenario(f_u=HUGE.fine_unsuccessful)
+    )
+    table = ensemble._analyze(config, np.array([HUGE.as_tuple()[:6]]), 0)
+    assert table.stable[0].tolist() == [False, True, True, False, False]
+    assert table.interior[0]
+    flags = ["--w", "0.9", "--ca", "0.3", "--cd", "0.5", "--ba", repr(HUGE.b_a),
+             "--bd", "0.8", "--v", repr(HUGE.v), "--fu", repr(HUGE.fine_unsuccessful)]
+    assert cli.main(["analyze", *flags]) == 0
+    result = json.loads(capsys.readouterr().out.split("\n", 1)[1])["result"]
+    assert result["stable_set"] == ["E2", "E3"]
 
 
 def test_multistability_is_only_the_deterrence_pair():
