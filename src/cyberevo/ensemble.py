@@ -96,8 +96,8 @@ BIN_EDGES: tuple[tuple[float, float], ...] = tuple(
 #: binned at the smallest multiple of ``BIN_WIDTH`` that fits.
 MAX_HISTOGRAM_BINS = 1000
 
-#: Games are drawn, analyzed and rendered for the digest in blocks of this
-#: many consecutive indices, in pool workers or in process.
+#: Games are drawn and analyzed in blocks of this many consecutive indices,
+#: in pool workers or in process; the digest hashes this many rows at a time.
 BLOCK_SIZE = 1024
 
 #: Indicator order of the correlation matrix rows/columns.
@@ -115,12 +115,6 @@ _E2, _E3, _E4 = 1, 2, 3
 
 #: The kinds with defence-intensity curves, in reporting order.
 _CURVE_KINDS: tuple[int, ...] = (_E3, _E2, _E4)
-
-#: ``records_digest`` rendering of each stable set, by bit mask over _KINDS.
-_KIND_LABELS: tuple[str, ...] = tuple(
-    ",".join(kind.value for bit, kind in enumerate(_KINDS) if mask >> bit & 1)
-    for mask in range(1 << len(_KINDS))
-)
 
 
 @dataclass(frozen=True)
@@ -514,21 +508,17 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
 
 def _analyze_block(
     configs: Sequence[SamplerConfig], start: int, stop: int
-) -> list[tuple[GameTable, bytes]]:
-    """Draw games ``start..stop-1`` once; analyze and render them per config.
+) -> list[GameTable]:
+    """Draw games ``start..stop-1`` once; analyze them per config.
 
-    The configs differ only in their fine scenario.  Each result pairs the
-    block's table with its :func:`records_digest` text.
+    The configs differ only in their fine scenario.
     """
     params = _draw(configs[0], start, stop)
-    tables = [_analyze(config, params, start) for config in configs]
-    return [(table, _digest_text(table)) for table in tables]
+    return [_analyze(config, params, start) for config in configs]
 
 
-def _run(
-    configs: Sequence[SamplerConfig], workers: int
-) -> list[tuple[GameTable, str]]:
-    """The table and records digest of each config, on shared draws.
+def _run(configs: Sequence[SamplerConfig], workers: int) -> list[GameTable]:
+    """The table of each config, on shared draws.
 
     Blocks of :data:`BLOCK_SIZE` game indices run in ``workers`` pool
     processes, at most one per block (in this process when ``workers`` is
@@ -545,26 +535,14 @@ def _run(
     )
     workers = min(workers, len(starts))
     if workers == 1:
-        return _join(map(_analyze_block, *args), len(configs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _join(pool.map(_analyze_block, *args), len(configs))
+        blocks = list(map(_analyze_block, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_analyze_block, *args))
+    return [_concat(parts) for parts in zip(*blocks)]
 
 
-def _join(
-    blocks: Iterable[list[tuple[GameTable, bytes]]], n_configs: int
-) -> list[tuple[GameTable, str]]:
-    parts: list[list[GameTable]] = [[] for _ in range(n_configs)]
-    hashers = [hashlib.sha256() for _ in range(n_configs)]
-    for block in blocks:
-        for part, hasher, (table, text) in zip(parts, hashers, block):
-            part.append(table)
-            hasher.update(text)
-    return [
-        (_concat(part), hasher.hexdigest()) for part, hasher in zip(parts, hashers)
-    ]
-
-
-def _concat(tables: list[GameTable]) -> GameTable:
+def _concat(tables: Sequence[GameTable]) -> GameTable:
     if len(tables) == 1:
         return tables[0]
     return GameTable(
@@ -578,12 +556,12 @@ def run_ensemble(
 ) -> tuple[GameTable, EnsembleSummary]:
     """Sample, analyze, and summarize ``config.count`` games.
 
-    Pool workers draw, analyze and render fixed blocks of game indices and
-    return arrays; the blocks are joined and reduced in index order, so the
-    output is byte-identical for any ``workers``.
+    Pool workers draw and analyze fixed blocks of game indices and return
+    arrays; the blocks are joined and reduced in index order, so the output
+    is byte-identical for any ``workers``.
     """
-    ((table, digest),) = _run([config], workers)
-    return table, _summary(table, config, digest)
+    (table,) = _run([config], workers)
+    return table, _summary(table, config)
 
 
 def _bincount(
@@ -623,7 +601,7 @@ def _correlation(stable: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in matrix)
 
 
-def _summary(table: GameTable, config: SamplerConfig, digest: str) -> EnsembleSummary:
+def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
     """The one reduction behind every summary, in row order."""
     stable = table.stable
     n_stable = stable.sum(axis=1)
@@ -652,7 +630,7 @@ def _summary(table: GameTable, config: SamplerConfig, digest: str) -> EnsembleSu
             name: tuple(_bincount(bins[name][e4])) for name in IMPACT_PARAMETERS
         },
         welfare_stats=_welfare_stats(table.welfare, bins),
-        records_digest=digest,
+        records_digest=records_digest(table),
     )
 
 
@@ -713,8 +691,7 @@ def summarize(
     records: GameTable | Sequence[GameRecord], config: SamplerConfig
 ) -> EnsembleSummary:
     """Reduce an analyzed table, or a sequence of records, to an :class:`EnsembleSummary`."""
-    table = GameTable.from_records(records)
-    return _summary(table, config, records_digest(table))
+    return _summary(GameTable.from_records(records), config)
 
 
 def correlation_matrix(records: GameTable | Sequence[GameRecord]) -> np.ndarray:
@@ -763,41 +740,44 @@ def fines_study(
     if not configs:
         return {}
     return {
-        config.scenario.f_u: _summary(table, config, digest)
-        for config, (table, digest) in zip(configs, _run(configs, workers))
+        config.scenario.f_u: _summary(table, config)
+        for config, table in zip(configs, _run(configs, workers))
     }
 
 
-def records_digest(records: GameTable | Sequence[GameRecord]) -> str:
-    """SHA-256 over a canonical rendering of the games.
+#: One :func:`records_digest` row: fixed width, little-endian, unpadded.
+_DIGEST_ROW = np.dtype([
+    ("indices", "<i8"),
+    ("params", "<f8", len(PARAMETERS)),
+    ("fines", "<f8", 2),
+    ("stable", "u1", len(_KINDS)),
+    ("welfare", "<f8", len(STRATEGY_PAIRS)),
+    ("interior", "u1"),
+])
 
-    One line per game: index, the six drawn parameters, the two fines, the
-    stable kinds, the four welfare values and the interior flag, with
-    full-precision floats via ``repr``; used to verify that runs with equal
-    (count, master_seed, scenario) are identical regardless of worker count.
+
+def records_digest(records: GameTable | Sequence[GameRecord]) -> str:
+    """SHA-256 over one fixed binary row per game, in table order.
+
+    A row is 110 bytes, each field little-endian with no padding: the game
+    index (int64); the six drawn parameters in
+    :data:`~cyberevo.game.PARAMETERS` order and the two fines
+    (fine_successful, fine_unsuccessful), float64; the stable flags of
+    E1..E5, one byte each (0 or 1); the four welfare values in
+    ``STRATEGY_PAIRS`` order, float64; the interior flag, one byte.  The
+    drawn values already depend on the sampler's ``b_a_upper``, so the
+    digest covers it through them.  Two tables have equal digests exactly
+    when their rows are equal bit for bit (so -0.0 differs from 0.0).
+    Rows are hashed :data:`BLOCK_SIZE` at a time, and the digest does not
+    depend on how the games were blocked or on the worker count.
     """
     table = GameTable.from_records(records)
     hasher = hashlib.sha256()
     for start in range(0, len(table), BLOCK_SIZE):
-        hasher.update(_digest_text(table, slice(start, start + BLOCK_SIZE)))
+        rows = slice(start, start + BLOCK_SIZE)
+        block = np.empty(len(table.indices[rows]), _DIGEST_ROW)
+        block["fines"] = table.fines
+        for name in _COLUMNS:
+            block[name] = getattr(table, name)[rows]
+        hasher.update(block)
     return hasher.hexdigest()
-
-
-def _digest_text(table: GameTable, rows: slice = slice(None)) -> bytes:
-    """The :func:`records_digest` lines of ``table``'s ``rows``."""
-    line = (
-        "{}|{!r}|{!r}|{!r}|{!r}|{!r}|{!r}|"
-        + "|".join(repr(value) for value in table.fines)
-        + "|{}|{!r},{!r},{!r},{!r}|{:d}\n"
-    )
-    masks = table.stable[rows] @ (1 << np.arange(len(_KINDS)))
-    return "".join(
-        line.format(index, *params, _KIND_LABELS[mask], *welfare, interior)
-        for index, params, mask, welfare, interior in zip(
-            table.indices[rows].tolist(),
-            table.params[rows].tolist(),
-            masks.tolist(),
-            table.welfare[rows].tolist(),
-            table.interior[rows].tolist(),
-        )
-    ).encode("ascii")

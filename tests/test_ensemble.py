@@ -1,7 +1,10 @@
 """Seeded sampling, parallel determinism, and ensemble aggregates."""
 
+import dataclasses
 import gc
+import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -286,6 +289,158 @@ def test_records_digest_sensitive_to_order_and_content():
     assert records_digest(records[:-1]) != records_digest(records)
 
 
+def text_digest(table):
+    """The records digest of earlier versions, kept as the reference.
+
+    SHA-256 over one text line per game: index, the six drawn parameters,
+    the two fines, the stable kinds, the four welfare values and the
+    interior flag, floats by ``repr``.
+    """
+    labels = [
+        ",".join(kind.value for bit, kind in enumerate(EquilibriumKind) if mask >> bit & 1)
+        for mask in range(1 << len(EquilibriumKind))
+    ]
+    line = (
+        "{}|{!r}|{!r}|{!r}|{!r}|{!r}|{!r}|"
+        + "|".join(repr(value) for value in table.fines)
+        + "|{}|{!r},{!r},{!r},{!r}|{:d}\n"
+    )
+    masks = table.stable @ (1 << np.arange(len(EquilibriumKind)))
+    text = "".join(
+        line.format(index, *params, labels[mask], *welfare, interior)
+        for index, params, mask, welfare, interior in zip(
+            table.indices.tolist(), table.params.tolist(), masks.tolist(),
+            table.welfare.tolist(), table.interior.tolist(),
+        )
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_text_digest_reproduces_the_earlier_records_digest():
+    # Digests of earlier versions (repr text), and of this one (binary rows).
+    for f, old, new in [
+        (0.0, "3091f6b04a5f365ec836a8883ded9d433dab2b5a5f0a7d14fd83fc657ddfa420",
+         "41481c373097589a49fd2c5cbeb720ff3edd7d5b1b10a96d9f9c31ca05268a9e"),
+        (0.5, "ba8fec82a890ca4fe336973f089cfdd94757d654be13a8e02dd2b012d4ed01fa",
+         "9a9f00aa47ad33b3f52ad632b35189944e0476424f9d2010b823bca88d917f27"),
+    ]:
+        config = SamplerConfig(count=200, master_seed=1, scenario=FineScenario(f, f))
+        table, summary = run_ensemble(config)
+        assert text_digest(table) == old
+        assert summary.records_digest == records_digest(table) == new
+
+
+def _set(table, column, row, col, value):
+    array = getattr(table, column).copy()
+    array[row, col] = value
+    return dataclasses.replace(table, **{column: array})
+
+
+def _perturbed_pair(table, change, row, col):
+    """Two tables that differ by ``change`` at ``row`` (and ``col``)."""
+    n = len(table)
+    if change == "same":
+        return table, dataclasses.replace(
+            table, **{name: getattr(table, name).copy() for name in ensemble._COLUMNS}
+        )
+    if change == "param ulp":
+        value = table.params[row, col % 6]
+        return table, _set(table, "params", row, col % 6, np.nextafter(value, 2.0))
+    if change == "welfare ulp":
+        value = table.welfare[row, col % 4]
+        return table, _set(table, "welfare", row, col % 4, np.nextafter(value, -np.inf))
+    if change == "welfare -0.0":
+        zero = _set(table, "welfare", row, col % 4, 0.0)
+        return zero, _set(table, "welfare", row, col % 4, -0.0)
+    if change == "fine -0.0":
+        fines = list(table.fines)
+        fines[col % 2] = 0.0
+        zero = dataclasses.replace(table, fines=tuple(fines))
+        fines[col % 2] = -0.0
+        return zero, dataclasses.replace(table, fines=tuple(fines))
+    if change == "rows swapped":
+        order = np.arange(n)
+        order[[row, (row + 1) % n]] = order[[(row + 1) % n, row]]
+        return table, GameTable(
+            *(getattr(table, name)[order] for name in ensemble._COLUMNS),
+            fines=table.fines,
+        )
+    if change == "stable bit":
+        return table, _set(table, "stable", row, col % 5, ~table.stable[row, col % 5])
+    if change == "interior bit":
+        interior = table.interior.copy()
+        interior[row] = ~interior[row]
+        return table, dataclasses.replace(table, interior=interior)
+    if change == "fine changed":
+        fines = list(table.fines)
+        fines[col % 2] += 0.25
+        return table, dataclasses.replace(table, fines=tuple(fines))
+    assert change == "last row dropped"
+    return table, GameTable(
+        *(getattr(table, name)[:-1] for name in ensemble._COLUMNS), fines=table.fines
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**64 - 1),
+    count=st.integers(2, 40),
+    fine=st.sampled_from([0.0, 0.1, 1.0]),
+    change=st.sampled_from([
+        "same", "param ulp", "welfare ulp", "welfare -0.0", "fine -0.0",
+        "rows swapped", "stable bit", "interior bit", "fine changed",
+        "last row dropped",
+    ]),
+    row=st.integers(0, 39),
+    col=st.integers(0, 5),
+)
+def test_binary_digest_equal_exactly_when_text_digest_equal(
+    master_seed, count, fine, change, row, col
+):
+    config = SamplerConfig(
+        count=count, master_seed=master_seed, scenario=FineScenario(fine, fine)
+    )
+    table, _ = run_ensemble(config)
+    a, b = _perturbed_pair(table, change, row % count, col)
+    same_text = text_digest(a) == text_digest(b)
+    assert same_text == (change == "same")
+    assert (records_digest(a) == records_digest(b)) == same_text
+
+
+def test_digest_does_not_depend_on_blocking(monkeypatch):
+    configs = {
+        f: SamplerConfig(count=50, master_seed=9, scenario=FineScenario(f, f))
+        for f in (0.1, 0.5)
+    }
+    runs = []
+    for block_size in (1, 7, 1024):
+        monkeypatch.setattr(ensemble, "BLOCK_SIZE", block_size)
+        table, summary = run_ensemble(configs[0.5])
+        assert summary.records_digest == records_digest(table)
+        study = fines_study(count=50, master_seed=9, levels=(0.1, 0.5))
+        for level, config in configs.items():
+            assert study[level].records_digest == records_digest(run_ensemble(config)[0])
+        runs.append((table, summary.records_digest))
+    for table, digest in runs[1:]:
+        assert table == runs[0][0]
+        assert digest == runs[0][1]
+
+
+def test_pool_workers_return_only_tables():
+    # No per-row text may ride back through the pool: a block's pickle is
+    # its column bytes plus a fixed overhead.
+    configs = [
+        SamplerConfig(count=1, scenario=FineScenario(f, f)) for f in (0.0, 0.5)
+    ]
+    tables = ensemble._analyze_block(configs, 0, BLOCK_SIZE)
+    assert all(isinstance(table, GameTable) for table in tables)
+    columns = sum(
+        getattr(table, name).nbytes for table in tables for name in ensemble._COLUMNS
+    )
+    assert columns == 2 * BLOCK_SIZE * 94
+    assert len(pickle.dumps(tables)) <= columns + 2048
+
+
 def test_fines_study_reuses_draws_and_validates_levels():
     summaries = fines_study(count=400, master_seed=1, levels=(0.0, 0.5))
     assert set(summaries) == {0.0, 0.5}
@@ -328,7 +483,7 @@ def test_table_rows_equal_the_scalar_path(master_seed, index, b_a_upper, f_u, f_
         count=1, master_seed=master_seed, b_a_upper=b_a_upper,
         scenario=FineScenario(f_u=f_u, f_s=f_s),
     )
-    ((table, text),) = ensemble._analyze_block([config], index, index + 3)
+    (table,) = ensemble._analyze_block([config], index, index + 3)
     expected = [_scalar_record(config, i) for i in range(index, index + 3)]
     # Exact equality: parameters, stable sets and welfare bit for bit.
     assert table == GameTable.from_records(expected)
