@@ -11,11 +11,14 @@ E3 and (-D1, -A1) at E4, for the edge brackets D0 = k0, D1 = k0 + k1,
 A0 = g0 and A1 = g0 + g1: both negative is Stable, both positive Unstable,
 opposite Saddle.  A sign counts only where the bracket exceeds its float64
 rounding-error bound; otherwise the corner is NonHyperbolic, "sign
-undecidable in float64", at any payoff scale.  E5 exists only where both
-slopes k1, g1 are negative, so det < 0 and it is a Saddle by theorem
-(Hofbauer & Sigmund 1998, ch. 10), or NonHyperbolic if a slope's sign is
-undecided.  The reports carry eigenvalues as output; :func:`_verdicts` is
-the one verdict, for one game's floats and a table's columns alike.
+undecidable in float64", at any payoff scale.  The same four signs place
+E5: alpha* = -k0/k1 lies in (0, 1) exactly when D0 and D1 differ in sign,
+beta* = -g0/g1 exactly when A0 and A1 do, and E5 is present where both
+pairs certainly differ.  Since k0 = b_d - c_d > 0 and v <= 1, presence
+forces k1 < 0 and g1 < 0, so det < 0 and E5 is a Saddle by theorem
+(Hofbauer & Sigmund 1998, ch. 10).  The reports carry eigenvalues as
+output; :func:`_verdicts` is the one rule, for one game's floats and a
+table's columns alike.
 """
 
 from __future__ import annotations
@@ -43,14 +46,12 @@ __all__ = [
     "stable_kinds",
     "stable_set",
     "stable_table",
-    "INTERIOR_MARGIN",
-    "DENOMINATOR_FLOOR",
 ]
 
 #: A bracket's sign is decided where its magnitude exceeds _SIGN_GAMMA times
 #: its term sum (:func:`~cyberevo.game.bracket_term_sums`) plus _SIGN_FLOOR.
 #: With fl(a op b) = (a op b)(1 + d), |d| <= u = 2**-53, no term of D0, D1,
-#: A0, A1, k1 or g1 meets more than four roundings (v*b_d in D1: the product,
+#: A0 or A1 meets more than four roundings (v*b_d in D1: the product,
 #: both sums of k1, k0 + k1), so a bracket errs by at most 4u/(1 - 4u) times
 #: its term sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
 #: 2002, Lemma 3.1); the computed sum, its terms rounded as often, is at least
@@ -60,12 +61,6 @@ __all__ = [
 #: 2**-1022 covers.  An overflowing bracket has an infinite term sum.
 _SIGN_GAMMA = 16.0 * 2.0**-53
 _SIGN_FLOOR = 2.0**-1022
-
-#: Interior coordinates must clear the open interval by this margin.
-INTERIOR_MARGIN = 1e-9
-
-#: Bracket slopes smaller than this give no interior root.
-DENOMINATOR_FLOOR = 1e-12
 
 
 class EquilibriumKind(Enum):
@@ -189,32 +184,6 @@ def eigenvalues(j: Jacobian2) -> EigenPair:
     return EigenPair(lam1, lam2)
 
 
-def _interior_point(k0, k1, g0, g1):
-    """(beta*, alpha*, present): the interior fixed point of brackets (k0, k1, g0, g1).
-
-    The field brackets vanish at beta* = -g0/g1 and alpha* = -k0/k1.  The
-    point is present when both slopes exceed :data:`DENOMINATOR_FLOOR` in
-    magnitude and both coordinates lie strictly inside (m, 1 - m) for
-    m = :data:`INTERIOR_MARGIN`.  Takes one game's floats or a table's
-    columns alike; this is the only place the interior rule is written.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        beta = np.divide(-g0, g1)
-        alpha = np.divide(-k0, k1)
-    present = (
-        (np.abs(g1) > DENOMINATOR_FLOOR) & (np.abs(k1) > DENOMINATOR_FLOOR)
-        & (INTERIOR_MARGIN < beta) & (beta < 1.0 - INTERIOR_MARGIN)
-        & (INTERIOR_MARGIN < alpha) & (alpha < 1.0 - INTERIOR_MARGIN)
-    )
-    return beta, alpha, present
-
-
-def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
-    """Interior fixed point (beta*, alpha*) when it exists; absence is a value."""
-    beta, alpha, present = _interior_point(*field_coefficients(params))
-    return PopulationState(float(beta), float(alpha)) if present else None
-
-
 #: The class of a fixed point whose eigenvalue signs are (a, b), each -1, 0
 #: (undecided) or +1: index (a + b + 4) / 2, or 0 where a or b is 0.
 _CLASSES = (Classification.NON_HYPERBOLIC, Classification.STABLE,
@@ -228,35 +197,58 @@ def _certified_sign(x, term_sum):
 
 
 def _verdicts(game):
-    """The classes of E1..E5 as indices into :data:`_CLASSES`, floats or columns.
+    """The fixed points of ``game``, from the certified signs of D0, D1, A0 and A1.
 
-    ``game`` is the eight values of :meth:`GameParams.as_tuple`.  E5's signs
-    are (+1, -1) where both slopes are certainly negative, else (0, 0).
+    ``game`` is the eight values of :meth:`GameParams.as_tuple`, one game's
+    floats or a table's columns.  Returns ``(classes, (beta, alpha),
+    (beta_in, alpha_in))``: the classes of E1..E5 as indices into
+    :data:`_CLASSES`; the bracket roots beta* = -g0/g1 and alpha* = -k0/k1;
+    and where A0, A1 (D0, D1) certainly differ in sign, so that beta*
+    (alpha*) lies in (0, 1).  E5 is present where both do, and is a Saddle.
+
+    There the computed numerator is positive and below the computed
+    denominator's magnitude (their sum is certainly of the denominator's
+    sign), so the correctly rounded quotient lies in [0, 1).  It is 0 only
+    by underflow, as when fines near 1e300 dwarf a benefit near 1e-300; the
+    smallest positive float then stands in for the root.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k0, k1, g0, g1 = brackets(*game)
         t0, t1, s0, s1 = bracket_term_sums(*game)
-        d0, d1, a0, a1, slope_d, slope_a = (
+        d0, d1, a0, a1 = (
             _certified_sign(x, term_sum)
-            for x, term_sum in ((k0, t0), (k0 + k1, t0 + t1), (g0, s0),
-                                (g0 + g1, s0 + s1), (k1, t1), (g1, s1))
+            for x, term_sum in ((k0, t0), (k0 + k1, t0 + t1), (g0, s0), (g0 + g1, s0 + s1))
         )
-    saddle = ((slope_d < 0.0) & (slope_a < 0.0)) * 1.0
-    pairs = ((d0, a0), (d1, -a0), (-d0, a1), (-d1, -a1), (saddle, -saddle))
-    return [(a * b != 0.0) * (a + b + 4.0) / 2.0 for a, b in pairs]
+        roots = tuple(np.maximum(np.divide(-x0, x1), 2.0**-1074)
+                      for x0, x1 in ((g0, g1), (k0, k1)))
+    beta_in, alpha_in = a0 * a1 < 0.0, d0 * d1 < 0.0
+    interior = (beta_in & alpha_in) * 1.0
+    pairs = ((d0, a0), (d1, -a0), (-d0, a1), (-d1, -a1), (interior, -interior))
+    classes = [(a * b != 0.0) * (a + b + 4.0) / 2.0 for a, b in pairs]
+    return classes, roots, (beta_in, alpha_in)
+
+
+def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
+    """Interior fixed point (beta*, alpha*) when it exists; absence is a value."""
+    _, (beta, alpha), (beta_in, alpha_in) = _verdicts(params.as_tuple())
+    return PopulationState(float(beta), float(alpha)) if beta_in and alpha_in else None
 
 
 def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
     """Reports for the four corners plus the interior point when present.
 
-    Returns exactly four or five reports, in kind order E1..E5.
+    Returns exactly four or five reports, in kind order E1..E5.  E5's
+    Jacobian has its exact diagonal, zero, so its eigenvalues are
+    +-sqrt(j12 * j21) rather than rounding residue of the brackets.
     """
-    beta, alpha, present = _interior_point(*field_coefficients(params))
-    points = {**_CORNERS, EquilibriumKind.E5: (beta, alpha)} if present else _CORNERS
+    classes, interior, (beta_in, alpha_in) = _verdicts(params.as_tuple())
+    points = {**_CORNERS, EquilibriumKind.E5: interior} if beta_in and alpha_in else _CORNERS
     reports = []
-    for (kind, (bx, ax)), verdict in zip(points.items(), _verdicts(params.as_tuple())):
+    for (kind, (bx, ax)), verdict in zip(points.items(), classes):
         state = PopulationState(float(bx), float(ax))
         jac = jacobian(params, state)
+        if kind is EquilibriumKind.E5:
+            jac = Jacobian2(0.0, jac.j12, jac.j21, 0.0)
         classification = _CLASSES[int(verdict)]
         reports.append(EquilibriumReport(kind, state, jac, eigenvalues(jac), classification))
     return tuple(reports)
@@ -280,6 +272,6 @@ def stable_table(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
     floats shared by every row.
     """
     game = (w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful)
-    stable = np.stack(_verdicts(game), axis=1) == _CLASSES.index(Classification.STABLE)
-    _, _, interior = _interior_point(*brackets(*game))
-    return stable, interior
+    classes, _, (beta_in, alpha_in) = _verdicts(game)
+    stable = np.stack(classes, axis=1) == _CLASSES.index(Classification.STABLE)
+    return stable, beta_in & alpha_in

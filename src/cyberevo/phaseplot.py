@@ -29,10 +29,11 @@ from .dynamics import (
 from .equilibria import (
     Classification,
     EquilibriumReport,
+    _verdicts,
     analyze_equilibria,
     stable_kinds,
 )
-from .game import GameParams, field_coefficients
+from .game import GameParams
 
 __all__ = ["PhasePortrait", "phase_portrait", "render_phase_svg"]
 
@@ -140,7 +141,7 @@ def render_phase_svg(
         A standalone SVG document.
     """
     params = portrait.params
-    k0, k1, g0, g1 = field_coefficients(params)
+    _, (beta_null, alpha_null), (beta_in, alpha_in) = _verdicts(params.as_tuple())
 
     meta: dict[str, object] = {
         "params": asdict(params),
@@ -199,23 +200,19 @@ def render_phase_svg(
         parts.append(_arrow(_x(state.beta), _y(state.alpha), dx, dy))
 
     # Nullclines: the defender bracket vanishes on a horizontal line, the
-    # attacker bracket on a vertical one, when the root is inside (0, 1).
-    if abs(k1) > 0.0:
-        alpha_null = -k0 / k1
-        if 0.0 < alpha_null < 1.0:
-            parts.append(
-                f'<line x1="{_fmt(_PLOT_LO)}" y1="{_fmt(_y(alpha_null))}" '
-                f'x2="{_fmt(_PLOT_HI)}" y2="{_fmt(_y(alpha_null))}" '
-                f'class="nullcline" stroke="#1565c0"/>'
-            )
-    if abs(g1) > 0.0:
-        beta_null = -g0 / g1
-        if 0.0 < beta_null < 1.0:
-            parts.append(
-                f'<line x1="{_fmt(_x(beta_null))}" y1="{_fmt(_PLOT_LO)}" '
-                f'x2="{_fmt(_x(beta_null))}" y2="{_fmt(_PLOT_HI)}" '
-                f'class="nullcline" stroke="#c62828"/>'
-            )
+    # attacker bracket on a vertical one, where its root is inside (0, 1).
+    if alpha_in:
+        parts.append(
+            f'<line x1="{_fmt(_PLOT_LO)}" y1="{_fmt(_y(alpha_null))}" '
+            f'x2="{_fmt(_PLOT_HI)}" y2="{_fmt(_y(alpha_null))}" '
+            f'class="nullcline" stroke="#1565c0"/>'
+        )
+    if beta_in:
+        parts.append(
+            f'<line x1="{_fmt(_x(beta_null))}" y1="{_fmt(_PLOT_LO)}" '
+            f'x2="{_fmt(_x(beta_null))}" y2="{_fmt(_PLOT_HI)}" '
+            f'class="nullcline" stroke="#c62828"/>'
+        )
 
     # Trajectories.
     for start, trajectory in zip(portrait.starts, portrait.trajectories):

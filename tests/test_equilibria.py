@@ -249,11 +249,22 @@ SUBNORMAL_TIE = GameParams(
 )
 
 
-def _scaled_ref(scale):
-    """The README game with w, c_a, c_d, b_a and b_d times ``scale``."""
-    return GameParams(**{
-        name: value if name == "v" else value * scale for name, value in REF.items()
-    })
+#: Game 80 of master seed 1: E2 and E3 stable, E5 at (0.9395, 0.5365).
+GAME_80 = GameParams(
+    w=0.7543810978906548, c_a=0.18066831913979656, c_d=0.2983870006211119,
+    b_a=0.19373863989058016, b_d=0.5364639476975703, v=0.07180605429917408,
+)
+
+#: Valid, with an interior point whose beta* = 1e-300 / 2e299 underflows.
+UNDERFLOWING_ROOT = GameParams(
+    w=1.0, c_a=1e-300, c_d=0.5, b_a=2e-300, b_d=0.6, v=0.2, fine_unsuccessful=1e300,
+)
+
+
+def _scaled(params, scale):
+    """``params`` with every payoff and fine (all but v) times ``scale``."""
+    w, c_a, c_d, b_a, b_d, v, f_s, f_u = params.as_tuple()
+    return GameParams(*(x * scale for x in (w, c_a, c_d, b_a, b_d)), v, f_s * scale, f_u * scale)
 
 
 def _sign(x):
@@ -272,13 +283,13 @@ def _exact_eigenvalue_signs(params):
     """Each fixed point's eigenvalue signs, from the brackets in rational arithmetic.
 
     The corners read the brackets' exact signs (see the equilibria module
-    docstring); E5 is (+1, -1) where both exact slopes are negative, else
-    (0, 0).
+    docstring); E5 is (+1, -1) where both brackets exactly change sign
+    between their edges, so both roots lie in (0, 1), else (0, 0).
     """
     k0, k1, g0, g1 = brackets(*map(Fraction, params.as_tuple()))
     d0, d1, a0, a1 = _sign(k0), _sign(k0 + k1), _sign(g0), _sign(g0 + g1)
-    saddle = int(k1 < 0 and g1 < 0)
-    return ((d0, a0), (d1, -a0), (-d0, a1), (-d1, -a1), (saddle, -saddle))
+    present = int(d0 * d1 < 0 and a0 * a1 < 0)
+    return ((d0, a0), (d1, -a0), (-d0, a1), (-d1, -a1), (present, -present))
 
 
 @st.composite
@@ -305,6 +316,8 @@ def valid_games(draw):
 @example(params=GameParams(0.9, 0.4, 0.2, 0.8, 0.6, 0.5))
 @example(params=ROUNDS_WRONG)
 @example(params=SUBNORMAL_TIE)
+@example(params=GAME_80)
+@example(params=UNDERFLOWING_ROOT)
 def test_decided_signs_match_exact_arithmetic(params):
     # Every bracket sign the verdict decides is the sign of that bracket
     # evaluated exactly, in rational arithmetic, on the same floats.
@@ -314,13 +327,18 @@ def test_decided_signs_match_exact_arithmetic(params):
     e0, e1, f0, f1 = brackets(*map(Fraction, game))
     for value, term_sum, exact in (
         (k0, t0, e0), (k0 + k1, t0 + t1, e0 + e1), (g0, s0, f0),
-        (g0 + g1, s0 + s1, f0 + f1), (k1, t1, e1), (g1, s1, f1),
+        (g0 + g1, s0 + s1, f0 + f1),
     ):
         assert equilibria._certified_sign(value, term_sum) in (0.0, _sign(exact))
     # So every verdict but NonHyperbolic is the exact sign pattern, and a
-    # decided corner reports eigenvalues with those signs.
+    # decided corner reports eigenvalues with those signs.  E5 is reported
+    # only where it exactly exists, and wherever it does once all four
+    # corners are decided.
     reports = analyze_equilibria(params)
-    for report, truth in zip(reports, _exact_eigenvalue_signs(params)):
+    truths = _exact_eigenvalue_signs(params)
+    if all(r.classification is not Classification.NON_HYPERBOLIC for r in reports[:4]):
+        assert (len(reports) == 5) == (truths[4] == (1, -1))
+    for report, truth in zip(reports, truths):
         if report.classification is Classification.NON_HYPERBOLIC:
             continue
         assert report.classification is EXACT_CLASSES.get(tuple(sorted(truth)))
@@ -334,14 +352,79 @@ def test_decided_signs_match_exact_arithmetic(params):
     assert interior[0] == (len(reports) == 5)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-9, 1e-100, 1e-300])
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-9, 1e-11, 1e-100, 1e-300])
 def test_verdict_is_scale_free(scale):
     # Scaling every payoff (v is a probability) rescales time only, so the
-    # verdict of the README game is the same at every scale.
-    params = _scaled_ref(scale)
+    # verdicts of the README game and of the bistable game 80 are the same
+    # at every scale, E5 included.
+    params = _scaled(GameParams(**REF), scale)
     assert [r.classification for r in analyze_equilibria(params)] == REF_CLASSES
     table, _ = equilibria.stable_table(*(np.array([value]) for value in params.as_tuple()))
     assert table[0].tolist() == [kind is EquilibriumKind.E4 for kind in EquilibriumKind]
+    params = _scaled(GAME_80, scale)
+    assert [r.classification for r in analyze_equilibria(params)] == [
+        Classification.UNSTABLE, Classification.STABLE, Classification.STABLE,
+        Classification.UNSTABLE, Classification.SADDLE,
+    ]
+    assert interior_equilibrium(params) is not None
+    table, interior = equilibria.stable_table(*(np.array([value]) for value in params.as_tuple()))
+    assert table[0].tolist() == [False, True, True, False, False]
+    assert interior[0]
+
+
+@st.composite
+def scaled_games(draw):
+    """:func:`valid_games`, with every payoff and fine scaled by 1 or down to 1e-300."""
+    params = draw(valid_games())
+    try:
+        return _scaled(params, draw(st.one_of(st.just(1.0), st.floats(1e-300, 1.0))))
+    except ParameterError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=scaled_games())
+@example(params=_scaled(GAME_80, 1e-11))
+@example(params=HUGE)
+@example(params=UNDERFLOWING_ROOT)
+def test_two_stable_corners_exactly_when_interior_point(params):
+    # E2 stable is D1 < 0 < A0 and E3 stable is A1 < 0 < D0; since D0 > 0
+    # and A0 < 0 < A1 cannot happen, both hold exactly when both brackets
+    # change sign along their edges, which is E5's presence.
+    present = interior_equilibrium(params) is not None
+    assert (len(stable_set(params)) == 2) == present
+    assert (len(analyze_equilibria(params)) == 5) == present
+    _, interior = equilibria.stable_table(*(np.array([value]) for value in params.as_tuple()))
+    assert interior[0] == present
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=scaled_games())
+@example(params=_scaled(GAME_80, 1e-300))
+@example(params=HUGE)
+@example(params=UNDERFLOWING_ROOT)
+def test_interior_point_lies_strictly_inside_the_square(params):
+    # The sign rule needs no margin: where it finds E5, the computed roots
+    # are inside the open interval, underflow included.
+    interior = interior_equilibrium(params)
+    if interior is not None:
+        assert 0.0 < interior.beta < 1.0 and 0.0 < interior.alpha < 1.0
+        assert analyze_equilibria(params)[-1].location == interior
+
+
+@pytest.mark.parametrize("params", [BISTABLE, GAME_80, HUGE], ids=["bistable", "game80", "huge"])
+def test_interior_eigenvalues_are_exact(params):
+    # At the exact interior point the diagonal vanishes, so the eigenvalues
+    # are +-sqrt(j12 * j21); compare with the Jacobian there in Fraction.
+    k0, k1, g0, g1 = brackets(*map(Fraction, params.as_tuple()))
+    beta, alpha = -g0 / g1, -k0 / k1
+    exact = math.sqrt(beta * (1 - beta) * k1 * alpha * (1 - alpha) * g1)
+    e5 = analyze_equilibria(params)[-1]
+    assert e5.kind is EquilibriumKind.E5
+    assert (e5.jacobian.j11, e5.jacobian.j22) == (0.0, 0.0)
+    assert e5.eigen.lambda1.imag == e5.eigen.lambda2.imag == 0.0
+    assert e5.eigen.lambda1.real == pytest.approx(exact, rel=1e-12)
+    assert e5.eigen.lambda2.real == pytest.approx(-exact, rel=1e-12)
 
 
 def test_exact_zero_bracket_is_non_hyperbolic():

@@ -14,6 +14,7 @@ from cyberevo import (
     stable_set,
 )
 
+from test_equilibria import GAME_80, UNDERFLOWING_ROOT, _scaled
 from test_game import REF
 
 SINGLE_STABLE = GameParams(**REF)
@@ -57,6 +58,21 @@ def test_nullclines_drawn_only_when_inside_the_square():
     assert hits == 2
     misses = render_phase_svg(phase_portrait(SINGLE_STABLE)).count('class="nullcline"')
     assert misses == 0
+
+
+@pytest.mark.parametrize("params", [
+    BISTABLE, _scaled(GAME_80, 1e-300), UNDERFLOWING_ROOT,
+], ids=["bistable", "game80-tiny", "underflowing-root"])
+def test_nullclines_cross_at_the_interior_point(params):
+    # The nullclines are drawn by the rule that places E5, so wherever E5
+    # is reported both are drawn, through its marker.
+    root = _parse(render_phase_svg(phase_portrait(params)))
+    lines = [line for line in root.iter(f"{SVG_NS}line") if line.get("class") == "nullcline"]
+    interior = _circles(root)[-1]
+    assert interior.find(f"{SVG_NS}title").text.startswith("E5 ")
+    horizontal, vertical = lines
+    assert horizontal.get("y1") == horizontal.get("y2") == interior.get("cy")
+    assert vertical.get("x1") == vertical.get("x2") == interior.get("cx")
 
 
 def test_trajectories_rendered_when_starts_given():
