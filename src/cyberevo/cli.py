@@ -106,7 +106,7 @@ _GAME = tuple(_flag(f"--{key}", f"game.{key}", text) for key, text in (
 _FINES = _GAME[6:]
 _COUNT = _flag("--count", "ensemble.count", "number of sampled games", int)
 _MASTER_SEED = _flag("--seed", "ensemble.master_seed", "ensemble master seed", int)
-_WORKERS = _flag("--workers", "ensemble.workers", "parallel worker processes", int)
+_WORKERS = _flag("--workers", "ensemble.workers", "parallel worker threads", int)
 
 _OUT = _flag("--out", "output.directory", "output directory", str, metavar="DIR")
 

@@ -234,12 +234,37 @@ def interior_equilibrium(params: GameParams) -> Optional[PopulationState]:
     return PopulationState(float(beta), float(alpha)) if beta_in and alpha_in else None
 
 
+def _interior_rate(params: GameParams) -> float:
+    """sqrt(j12 * j21) at E5, its positive eigenvalue, formed with no underflow.
+
+    At E5, j12 * j21 = beta*(1 - beta*) k1 * alpha*(1 - alpha*) g1, which is
+    D0 D1 A0 A1 / (k1 g1).  Each root is the quotient of its brackets' frexp
+    mantissas, its exponent carried apart, so a root below the float64
+    range still counts.  1 - beta* = A1/g1 and 1 - alpha* = D1/k1 need no
+    scaling: where E5 is present, the certified signs of A1 and D1 keep
+    them above 12u (:data:`_SIGN_GAMMA`).  Each
+    step is that of :func:`jacobian` and :func:`eigenvalues` scaled by a
+    power of two, so where no root or entry underflows the bits are theirs.
+    """
+    k0, k1, g0, g1 = field_coefficients(params)
+    product, exponent = 1.0, 0
+    for x0, x1, other in ((g0, g1, k1), (k0, k1, g1)):
+        (m0, e0), (m1, e1), (m2, e2) = map(math.frexp, (x0, x1, other))
+        root = -m0 / m1  # the root is root * 2**(e0 - e1)
+        product *= root * (1.0 - math.ldexp(root, e0 - e1)) * m2
+        exponent += e0 - e1 + e2
+    if exponent % 2:
+        product, exponent = 2.0 * product, exponent - 1
+    return math.ldexp(math.sqrt(product), exponent // 2)
+
+
 def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
     """Reports for the four corners plus the interior point when present.
 
     Returns exactly four or five reports, in kind order E1..E5.  E5's
     Jacobian has its exact diagonal, zero, so its eigenvalues are
-    +-sqrt(j12 * j21) rather than rounding residue of the brackets.
+    +-sqrt(j12 * j21) (:func:`_interior_rate`) rather than rounding residue
+    of the brackets, even where j12 or j21 underflows.
     """
     classes, interior, (beta_in, alpha_in) = _verdicts(params.as_tuple())
     points = {**_CORNERS, EquilibriumKind.E5: interior} if beta_in and alpha_in else _CORNERS
@@ -249,8 +274,12 @@ def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
         jac = jacobian(params, state)
         if kind is EquilibriumKind.E5:
             jac = Jacobian2(0.0, jac.j12, jac.j21, 0.0)
+            rate = _interior_rate(params)
+            eigen = EigenPair(complex(rate), complex(-rate))
+        else:
+            eigen = eigenvalues(jac)
         classification = _CLASSES[int(verdict)]
-        reports.append(EquilibriumReport(kind, state, jac, eigenvalues(jac), classification))
+        reports.append(EquilibriumReport(kind, state, jac, eigen, classification))
     return tuple(reports)
 
 

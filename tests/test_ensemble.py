@@ -4,7 +4,10 @@ import dataclasses
 import gc
 import hashlib
 import math
+import multiprocessing
+import os
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -36,6 +39,7 @@ from cyberevo.ensemble import (
     BIN_WIDTH,
     BLOCK_SIZE,
     MAX_HISTOGRAM_BINS,
+    PAPER_B_A_UPPER,
     records_digest,
     summarize,
 )
@@ -427,8 +431,8 @@ def test_digest_does_not_depend_on_blocking(monkeypatch):
 
 
 def test_pool_workers_return_only_tables():
-    # No per-row text may ride back through the pool: a block's pickle is
-    # its column bytes plus a fixed overhead.
+    # A block holds only its columns, no per-row objects or text: its
+    # pickle is its column bytes plus a fixed overhead.
     configs = [
         SamplerConfig(count=1, scenario=FineScenario(f, f)) for f in (0.0, 0.5)
     ]
@@ -518,6 +522,7 @@ def _generator_uniforms(master_seed, start, stop):
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("start, stop", [
+    (0, 1024),  # part of a block
     (0, BLOCK_SIZE),
     (10**12, 10**12 + 8),
     # An index of 2**32 or more has one more entropy word than the index
@@ -604,18 +609,26 @@ def test_corner_verdict_decides_small_gaps_and_not_an_exact_zero():
 
 
 def test_worker_count_invariant_across_partial_blocks():
+    # Three threads on a 2-vCPU machine, switching as often as they can: a
+    # block lost or joined out of order would change the table.
     config = SamplerConfig(count=2 * BLOCK_SIZE + 37, master_seed=6)
-    tables, summaries = zip(*(run_ensemble(config, workers=w) for w in (1, 2, 3)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tables, summaries = zip(*(run_ensemble(config, workers=w) for w in (1, 2, 3)))
+    finally:
+        sys.setswitchinterval(interval)
     assert summaries[0] == summaries[1] == summaries[2]
     assert tables[0] == tables[1] == tables[2]
     assert summaries[0].records_digest == records_digest(tables[0])
 
 
-def test_pool_forks_no_more_workers_than_blocks(monkeypatch):
-    # A stand-in pool that maps in this process, so no process is started.
+def test_pool_has_no_more_threads_than_blocks(monkeypatch):
+    # A stand-in for the thread pool that maps in the calling thread and
+    # records the pool size it was asked for.
     sizes = []
 
-    class InProcessPool:
+    class InThreadPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -627,12 +640,62 @@ def test_pool_forks_no_more_workers_than_blocks(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", InThreadPool)
     config = SamplerConfig(count=2 * BLOCK_SIZE, master_seed=6)
     _, summary = run_ensemble(config, workers=8)
     assert sizes == [2]
+    run_ensemble(dataclasses.replace(config, count=3 * BLOCK_SIZE), workers=2)
+    assert sizes == [2, 2]
     monkeypatch.undo()
     assert summary == run_ensemble(config, workers=1)[1]
+
+
+def test_workers_start_no_child_process(monkeypatch):
+    # The pool runs threads: forking or starting a process fails the run.
+    def no_process(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    count = 2 * BLOCK_SIZE + 37
+    config = SamplerConfig(count=count, master_seed=6)
+    levels = (0.1, 0.5)
+    serial = run_ensemble(config, workers=1)
+    serial_study = fines_study(count, 6, levels, workers=1)
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.Process, "start", no_process)
+    table, summary = run_ensemble(config, workers=2)
+    study = fines_study(count, 6, levels, workers=2)
+    assert table == serial[0]
+    assert summary == serial[1]  # records_digest included
+    assert summary.records_digest == records_digest(table)
+    assert study == serial_study
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runs_match_the_1024_game_blocking(monkeypatch, workers):
+    # Blocks of 1,024 games were the default before; tables, summaries and
+    # digests must not depend on the block size.
+    count = BLOCK_SIZE + 37
+    config = SamplerConfig(count=count, master_seed=4)
+    levels = (0.1, 0.5)
+    fine_configs = [
+        SamplerConfig(count, 4, FineScenario(f, f), PAPER_B_A_UPPER) for f in levels
+    ]
+
+    def run():
+        study = fines_study(count, 4, levels, workers=workers, b_a_upper=PAPER_B_A_UPPER)
+        return run_ensemble(config, workers=workers), ensemble._run(fine_configs, workers), study
+
+    (table, summary), fine_tables, study = run()
+    monkeypatch.setattr(ensemble, "BLOCK_SIZE", 1024)
+    (old_table, old_summary), old_fine_tables, old_study = run()
+    assert old_table == table
+    assert old_summary == summary  # records_digest included
+    assert summary.records_digest == records_digest(table)
+    assert old_fine_tables == fine_tables
+    assert old_study == study
+    assert [study[f].records_digest for f in levels] == [
+        records_digest(t) for t in fine_tables
+    ]
 
 
 def test_game_table_round_trips_from_records():

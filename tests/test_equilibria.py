@@ -342,9 +342,8 @@ def test_decided_signs_match_exact_arithmetic(params):
         if report.classification is Classification.NON_HYPERBOLIC:
             continue
         assert report.classification is EXACT_CLASSES.get(tuple(sorted(truth)))
-        if report.kind is not EquilibriumKind.E5:
-            eigen = (report.eigen.lambda1, report.eigen.lambda2)
-            assert sorted(_sign(lam.real) for lam in eigen) == sorted(truth)
+        eigen = (report.eigen.lambda1, report.eigen.lambda2)
+        assert sorted(_sign(lam.real) for lam in eigen) == sorted(truth)
     stable = stable_set(params)
     assert EquilibriumKind.E1 not in stable  # k0 = b_d - c_d > 0 always
     table, interior = equilibria.stable_table(*(np.array([value]) for value in game))
@@ -412,10 +411,16 @@ def test_interior_point_lies_strictly_inside_the_square(params):
         assert analyze_equilibria(params)[-1].location == interior
 
 
-@pytest.mark.parametrize("params", [BISTABLE, GAME_80, HUGE], ids=["bistable", "game80", "huge"])
+@pytest.mark.parametrize(
+    "params", [BISTABLE, GAME_80, HUGE, UNDERFLOWING_ROOT],
+    ids=["bistable", "game80", "huge", "underflowing-root"],
+)
 def test_interior_eigenvalues_are_exact(params):
     # At the exact interior point the diagonal vanishes, so the eigenvalues
     # are +-sqrt(j12 * j21); compare with the Jacobian there in Fraction.
+    # UNDERFLOWING_ROOT's beta* and j12 lie below the float64 range, and
+    # its eigenvalues near 2.5e-151 are far below approx's default abs
+    # tolerance, so the tolerance is relative only.
     k0, k1, g0, g1 = brackets(*map(Fraction, params.as_tuple()))
     beta, alpha = -g0 / g1, -k0 / k1
     exact = math.sqrt(beta * (1 - beta) * k1 * alpha * (1 - alpha) * g1)
@@ -423,8 +428,8 @@ def test_interior_eigenvalues_are_exact(params):
     assert e5.kind is EquilibriumKind.E5
     assert (e5.jacobian.j11, e5.jacobian.j22) == (0.0, 0.0)
     assert e5.eigen.lambda1.imag == e5.eigen.lambda2.imag == 0.0
-    assert e5.eigen.lambda1.real == pytest.approx(exact, rel=1e-12)
-    assert e5.eigen.lambda2.real == pytest.approx(-exact, rel=1e-12)
+    assert e5.eigen.lambda1.real == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert e5.eigen.lambda2.real == pytest.approx(-exact, rel=1e-12, abs=0.0)
 
 
 def test_exact_zero_bracket_is_non_hyperbolic():
