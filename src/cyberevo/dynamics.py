@@ -14,27 +14,32 @@ the game's expected fines m p and n s (``fine_successful``,
     k0 = b_d - c_d                      g0 = b_a - c_a - f_s
     k1 = v b_d - b_d + v w              g1 = v (f_s - b_a - f_u)
 
-Two fixed-step integrators serve two needs; both are deterministic.
+Both integrators step the same field, in log-odds x = logit(beta),
+y = logit(alpha), with sigma the logistic function:
 
-* :func:`integrate` records trajectories for plots and tables.  The field is
-  a cubic polynomial on the compact square, so classical Runge-Kutta in
-  (beta, alpha) is accurate.  ``_field`` evaluates the field at a point for
-  :func:`replicator_field` and :func:`field_grid`; the RK4 loop writes the
-  field and its four stages inline on local floats, and a test-side
-  reference loop in ``tests/test_dynamics.py`` pins its results bit for bit.
-* :func:`batch_final_states`, the basin oracle, needs only where each start
-  ends.  In log-odds x = logit(beta), y = logit(alpha) the field is
+    dx/dt = k0 + k1 sigma(y)          dy/dt = g0 + g1 sigma(x)
 
-      dx/dt = k0 + k1 sigma(y)          dy/dt = g0 + g1 sigma(x)
+This system is Hamiltonian and separable: H(x, y) = A(x) - B(y), with
+A(x) = g0 x + g1 softplus(x) and B(y) = k0 y + k1 softplus(y), is constant
+along every trajectory, the classical first integral of 2x2 bimatrix
+replicator dynamics (Hofbauer & Sigmund, *Evolutionary Games and Population
+Dynamics*, 1998, ch. 10).  An edge of the square is a coordinate at +-inf,
+which no finite step moves, and 1 - beta = sigma(-x) keeps full relative
+precision, so no edge absorbs a trajectory that has not reached it.
 
-  with sigma the logistic function.  This system is Hamiltonian and
-  separable: H(x, y) = A(x) - B(y), with A(x) = g0 x + g1 softplus(x) and
-  B(y) = k0 y + k1 softplus(y), is constant along every trajectory, the
-  classical first integral of 2x2 bimatrix replicator dynamics (Hofbauer &
-  Sigmund, *Evolutionary Games and Population Dynamics*, 1998, ch. 10).  The
-  explicit Stormer-Verlet (leapfrog) step holds it without drift (Hairer,
-  Lubich & Wanner, *Geometric Numerical Integration*, 2006), and
-  1 - beta = sigma(-x) keeps full relative precision next to the edges.
+* :func:`integrate` records trajectories with fixed-step classical
+  Runge-Kutta: one loop on local floats, the field and its four stages
+  inline, pinned bit for bit by a reference loop in the tests.
+* :func:`batch_final_states`, the basin oracle, returns only where each
+  start ends.  Its Stormer-Verlet (leapfrog) step holds H without drift
+  (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).
+
+Both read a pair as settled in a trapping quadrant: each finite coordinate's
+velocity is non-zero and has the sign of its limit at the corner it heads
+for (dx/dt tends to k0 + k1 as alpha tends to 1, else to k0; dy/dt to
+g0 + g1 as beta tends to 1, else to g0).  Each velocity is monotone in the
+other coordinate's sigmoid, so from there the pair goes monotonically to
+that corner, which must be a sink.
 """
 
 from __future__ import annotations
@@ -63,8 +68,9 @@ __all__ = [
     "DEFAULT_CONVERGENCE_TOL",
 ]
 
-#: :func:`integrate` defaults: fixed step, total time horizon, convergence tolerance.
-DEFAULT_STEP = 0.01
+#: :func:`integrate` defaults: fixed step and total time horizon, and the
+#: max-norm field below which a trapped pair counts as converged.
+DEFAULT_STEP = 0.05
 DEFAULT_HORIZON = 1000.0
 DEFAULT_CONVERGENCE_TOL = 1e-9
 
@@ -74,11 +80,6 @@ TRAP_TEST_STRIDE = 8
 #: The ends of the open unit interval in float64.
 _ABOVE_ZERO = float(np.nextafter(0.0, 1.0))
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-#: Consecutive sub-tolerance steps required before declaring convergence.
-#: A single reading is not enough: the field is also small while a
-#: trajectory crosses a slow manifold near a saddle.
-CONVERGENCE_RUN = 100
 
 
 @dataclass(frozen=True)
@@ -107,22 +108,13 @@ class Trajectory:
 
     ``samples`` holds (t, state) at step 0 and every recorded step after it;
     times are strictly increasing and every state lies in the closed unit
-    square.  ``converged`` is true when the field magnitude (max-norm)
-    stayed below the convergence tolerance for 100 consecutive steps before
-    the horizon.
+    square.  ``converged`` is true when the run stopped before the horizon,
+    settled next to the corner it heads for (see :func:`integrate`).
     """
 
     samples: tuple[tuple[float, PopulationState], ...]
     converged: bool
     final_state: PopulationState
-
-
-def _field(coeffs: tuple, beta: float, alpha: float) -> tuple[float, float]:
-    k0, k1, g0, g1 = coeffs
-    return (
-        beta * (1.0 - beta) * (k0 + k1 * alpha),
-        alpha * (1.0 - alpha) * (g0 + g1 * beta),
-    )
 
 
 def _check_span(step: float, horizon: float) -> None:
@@ -147,7 +139,25 @@ def replicator_field(params: GameParams, state: PopulationState) -> FieldValue:
         Exactly (0, 0) at each of the four corners: the logistic prefactors
         beta(1-beta) and alpha(1-alpha) vanish there for any parameters.
     """
-    return FieldValue(*_field(field_coefficients(params), state.beta, state.alpha))
+    k0, k1, g0, g1 = field_coefficients(params)
+    beta, alpha = state.beta, state.alpha
+    return FieldValue(beta * (1.0 - beta) * (k0 + k1 * alpha),
+                      alpha * (1.0 - alpha) * (g0 + g1 * beta))
+
+
+def _logit(p: float) -> float:
+    # math.log raises at 0, so the edges map to -inf and +inf by hand.
+    if p == 0.0 or p == 1.0:
+        return math.copysign(math.inf, p - 0.5)
+    return math.log(p) - math.log1p(-p)
+
+
+def _settled(z: float, v: float, limit: float) -> bool:
+    # z is at +-inf, or velocity v and its limit at the nearest corner both
+    # point to the edge on z's side.
+    if z > 0.0:
+        return z == math.inf or (v > 0.0 and limit > 0.0)
+    return z == -math.inf or (v < 0.0 and limit < 0.0)
 
 
 def integrate(
@@ -155,10 +165,20 @@ def integrate(
     start: PopulationState,
     step: float = DEFAULT_STEP,
     horizon: float = DEFAULT_HORIZON,
-    convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
     record_stride: int = 1,
 ) -> Trajectory:
     """Integrate the replicator field with fixed-step classical Runge-Kutta.
+
+    The steps are taken in log-odds (x, y) = (logit beta, logit alpha), and
+    each recorded state is mapped back with beta = sigma(x), alpha =
+    sigma(y).  sigma(z) = (1 + tanh(z / 2)) / 2 cannot overflow, and
+    sigma(+-inf) is exactly 1 or 0, so an edge or corner start keeps its
+    infinite coordinate and stays on its edge.
+
+    After each step the run stops with ``converged=True`` if the pair is in
+    a trapping quadrant (see the module docstring) of the corner it is
+    nearest, the corner of the signs of x and y, and the field's max-norm
+    in (beta, alpha) is below :data:`DEFAULT_CONVERGENCE_TOL`.
 
     Parameters
     ----------
@@ -169,9 +189,6 @@ def integrate(
         Fixed time step, finite and > 0.
     horizon : float
         Total integration time, finite and >= step.
-    convergence_tol : float
-        Max-norm field threshold; 100 consecutive sub-threshold steps stop
-        the run early with ``converged=True``.
     record_stride : int
         Keep every ``record_stride``-th sample (step 0 and the final step
         are always kept); an integer >= 1 (``operator.index`` must accept
@@ -186,20 +203,8 @@ def integrate(
     ParameterError
         If ``step``, ``horizon`` or ``record_stride`` breaks its constraint.
     IntegrationError
-        If the state turns non-finite; the message names the step index.
-
-    Notes
-    -----
-    Analytically the unit square is forward-invariant; each update is
-    clamped back to [0, 1] squared to remove floating-point escape.  The
-    clamp can change the limit.  Along an edge, 1 - beta (or 1 - alpha)
-    falls below float64's spacing just below 1, the coordinate rounds to
-    exactly 1.0, and that edge becomes absorbing, so a trajectory can
-    settle on a saddle and report ``converged=True``.  On game 370 of
-    master seed 1 (single-stable, only E2 Stable) the starts with
-    alpha = 0.001 end within 4e-8 of (1, 1), the saddle E4.  Ask basin
-    questions of :func:`batch_final_states`, which reads each pair's
-    corner off exactly.
+        If a log-odds coordinate that started finite turns non-finite, or
+        one turns NaN; the message names the step index.
     """
     _check_span(step, horizon)
     try:
@@ -212,59 +217,56 @@ def integrate(
     k0, k1, g0, g1 = field_coefficients(params)
     n_steps = int(round(horizon / step))
     half_step, sixth_step = 0.5 * step, step / 6.0
-    tol = convergence_tol
-    beta, alpha = start.beta, start.alpha
+    tol = DEFAULT_CONVERGENCE_TOL
+    tanh = math.tanh
+    x0, y0 = _logit(start.beta), _logit(start.alpha)
+    x, y = x0, y0
     samples: list[tuple[float, PopulationState]] = [(0.0, start)]
-    quiet_steps = 0
     converged = False
     until_record = stride
-    # ``_field`` and the four RK4 stages written out inline, in the same
-    # order of operations.  The field at the clamped state is both the
-    # convergence test's input and the next step's first stage.
-    fb = beta * (1.0 - beta) * (k0 + k1 * alpha)
-    fa = alpha * (1.0 - alpha) * (g0 + g1 * beta)
+    # The four RK4 stages inline.  The sigmoids at the new state are the
+    # recorded sample, the convergence test's input and the next first stage.
+    beta = 0.5 + 0.5 * tanh(0.5 * x)
+    alpha = 0.5 + 0.5 * tanh(0.5 * y)
+    vx = k0 + k1 * alpha
+    vy = g0 + g1 * beta
     for k in range(1, n_steps + 1):
-        b = beta + half_step * fb
-        a = alpha + half_step * fa
-        fb2 = b * (1.0 - b) * (k0 + k1 * a)
-        fa2 = a * (1.0 - a) * (g0 + g1 * b)
-        b = beta + half_step * fb2
-        a = alpha + half_step * fa2
-        fb3 = b * (1.0 - b) * (k0 + k1 * a)
-        fa3 = a * (1.0 - a) * (g0 + g1 * b)
-        b = beta + step * fb3
-        a = alpha + step * fa3
-        fb4 = b * (1.0 - b) * (k0 + k1 * a)
-        fa4 = a * (1.0 - a) * (g0 + g1 * b)
-        beta += sixth_step * (fb + 2.0 * fb2 + 2.0 * fb3 + fb4)
-        alpha += sixth_step * (fa + 2.0 * fa2 + 2.0 * fa3 + fa4)
-        # NaN and +-inf fail the range test, so finiteness is tested there;
-        # -0.0 and negatives clamp to 0.0.
-        if not 0.0 < beta <= 1.0:
-            if not math.isfinite(beta):
-                raise IntegrationError(f"non-finite state at step {k}")
-            beta = 0.0 if beta <= 0.0 else 1.0
-        if not 0.0 < alpha <= 1.0:
-            if not math.isfinite(alpha):
-                raise IntegrationError(f"non-finite state at step {k}")
-            alpha = 0.0 if alpha <= 0.0 else 1.0
-        fb = beta * (1.0 - beta) * (k0 + k1 * alpha)
-        fa = alpha * (1.0 - alpha) * (g0 + g1 * beta)
+        a = x + half_step * vx
+        b = y + half_step * vy
+        vx2 = k0 + k1 * (0.5 + 0.5 * tanh(0.5 * b))
+        vy2 = g0 + g1 * (0.5 + 0.5 * tanh(0.5 * a))
+        a = x + half_step * vx2
+        b = y + half_step * vy2
+        vx3 = k0 + k1 * (0.5 + 0.5 * tanh(0.5 * b))
+        vy3 = g0 + g1 * (0.5 + 0.5 * tanh(0.5 * a))
+        a = x + step * vx3
+        b = y + step * vy3
+        vx4 = k0 + k1 * (0.5 + 0.5 * tanh(0.5 * b))
+        vy4 = g0 + g1 * (0.5 + 0.5 * tanh(0.5 * a))
+        x += sixth_step * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
+        y += sixth_step * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
+        # z - z is 0.0 iff z is finite; an edge coordinate keeps its infinity.
+        if x - x != 0.0 and x != x0 or y - y != 0.0 and y != y0:
+            raise IntegrationError(f"non-finite state at step {k}")
+        beta = 0.5 + 0.5 * tanh(0.5 * x)
+        alpha = 0.5 + 0.5 * tanh(0.5 * y)
+        vx = k0 + k1 * alpha
+        vy = g0 + g1 * beta
         until_record -= 1
         if not until_record:
             samples.append((k * step, PopulationState(beta, alpha)))
             until_record = stride
-        if -tol < fb < tol and -tol < fa < tol:
-            quiet_steps += 1
-            if quiet_steps == CONVERGENCE_RUN:
-                converged = True
-                break
-        else:
-            quiet_steps = 0
+        if (
+            -tol < beta * (1.0 - beta) * vx < tol
+            and -tol < alpha * (1.0 - alpha) * vy < tol
+            and _settled(x, vx, k0 + k1 if y > 0.0 else k0)
+            and _settled(y, vy, g0 + g1 if x > 0.0 else g0)
+        ):
+            converged = True
+            break
     if until_record != stride:
         samples.append((k * step, PopulationState(beta, alpha)))
-    final_state = samples[-1][1]
-    return Trajectory(tuple(samples), converged, final_state)
+    return Trajectory(tuple(samples), converged, samples[-1][1])
 
 
 def field_grid(
@@ -316,13 +318,9 @@ def batch_final_states(
     same steps.
 
     Every ``TRAP_TEST_STRIDE`` steps each pair is tested for a trapping
-    quadrant: both velocities are non-zero, and each has the sign of its
-    limit at the corner (beta, alpha) = ([dx/dt > 0], [dy/dt > 0]) that it
-    heads for (dx/dt tends to k0 + k1 if alpha tends to 1, else to k0;
-    dy/dt tends to g0 + g1 if beta tends to 1, else to g0).  Each velocity
-    is monotone in the other coordinate's sigmoid, so from there the pair
-    goes monotonically to that corner, which must be a sink.  The pair's
-    final state is written as that exact corner and the pair leaves the
+    quadrant (see the module docstring) of the corner (beta, alpha) =
+    ([dx/dt > 0], [dy/dt > 0]) that it heads for.  A trapped pair's final
+    state is written as that exact corner, a sink, and the pair leaves the
     active set.  The leapfrog holds the first integral up to a bounded
     error of order ``step**2``, so a start that close to a saddle's stable
     manifold, the border of two basins, may end in either basin.

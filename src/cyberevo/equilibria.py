@@ -159,18 +159,24 @@ def eigenvalues(j: Jacobian2) -> EigenPair:
 
     Triangular matrices (either off-diagonal entry zero) return the diagonal
     entries exactly.  Otherwise the cancellation-free discriminant
-    (j11 - j22)^2 + 4 j12 j21 is formed on the entries divided by a power of
-    two near the largest (exact unless an entry underflows), so it cannot
-    overflow; a negative value gives a complex-conjugate pair.  Ordering is
+    (j11 - j22)^2 + 4 j12 j21 is formed divided by 4**e, with 2**e a power
+    of two near the largest of |j11|, |j22| and sqrt|j12 j21|, so it cannot
+    overflow; a negative value gives a complex-conjugate pair.  j12 j21 is
+    the product of the entries' frexp mantissas, its exponent carried
+    apart, as in :func:`_interior_rate`, so it underflows only where
+    sqrt|j12 j21| is below 2**-537 times a diagonal entry.  Ordering is
     descending real part, then descending imaginary part.
     """
     if j.j12 == 0.0 or j.j21 == 0.0:
         lam1, lam2 = complex(j.j11), complex(j.j22)
     else:
-        _, e = math.frexp(max(abs(j.j11), abs(j.j12), abs(j.j21), abs(j.j22)))
-        j11, j12, j21, j22 = (math.ldexp(x, -e) for x in (j.j11, j.j12, j.j21, j.j22))
+        (m12, e12), (m21, e21) = math.frexp(j.j12), math.frexp(j.j21)
+        m, e_product = math.frexp(m12 * m21)
+        e_product += e12 + e21  # j12 j21 = m * 2**e_product
+        e = max(math.frexp(j.j11)[1], math.frexp(j.j22)[1], (e_product + 1) // 2)
+        j11, j22 = math.ldexp(j.j11, -e), math.ldexp(j.j22, -e)
         tr = j11 + j22
-        disc = (j11 - j22) ** 2 + 4.0 * j12 * j21
+        disc = (j11 - j22) ** 2 + 4.0 * math.ldexp(m, e_product - 2 * e)
         if disc >= 0.0:
             root = math.sqrt(disc)
             lam1 = complex(math.ldexp(0.5 * (tr + root), e))

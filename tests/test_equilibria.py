@@ -129,6 +129,17 @@ def test_eigenvalue_rescaling_changes_no_finite_result():
             assert {eig.lambda1, eig.lambda2} == _unscaled_eigenvalues(jac)
 
 
+@pytest.mark.parametrize("j12, expected", [
+    (1e-200, (complex(1.0), complex(-1.0))),
+    (-1e-200, (1j, -1j)),
+], ids=["real", "complex"])
+def test_eigenvalues_of_a_tiny_off_diagonal_entry(j12, expected):
+    # j12 j21 is about +-1, but j12 / 2**665 underflows, and scaling every
+    # entry by the largest once gave (0, 0).  1e-200 * 1e200 rounds to 1.0.
+    eig = eigenvalues(Jacobian2(0.0, j12, 1e200, 0.0))
+    assert (eig.lambda1, eig.lambda2) == expected
+
+
 def test_eigenvalues_triangular_exact():
     jac = Jacobian2(j11=0.3, j12=0.0, j21=-5.0, j22=-0.7)
     eig = eigenvalues(jac)
