@@ -4,8 +4,8 @@ A two-population game between attackers (Attack / NoAttack) and defenders
 (Defence / NoDefence):
 
 - :mod:`cyberevo.game`: parameters, payoff matrix, fines, fitness, welfare;
-- :mod:`cyberevo.dynamics`: the two-frequency selection field and a
-  fixed-step integrator on the unit square;
+- :mod:`cyberevo.dynamics`: the two-frequency selection field, a
+  fixed-step integrator on the unit square and the batch basin oracle;
 - :mod:`cyberevo.equilibria`: fixed points, Jacobians, eigenvalues, and
   stability classification;
 - :mod:`cyberevo.ensemble`: seeded random-game ensembles and aggregates;

@@ -34,12 +34,20 @@ precision, so no edge absorbs a trajectory that has not reached it.
   start ends.  Its Stormer-Verlet (leapfrog) step holds H without drift
   (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).
 
-Both read a pair as settled in a trapping quadrant: each finite coordinate's
-velocity is non-zero and has the sign of its limit at the corner it heads
-for (dx/dt tends to k0 + k1 as alpha tends to 1, else to k0; dy/dt to
-g0 + g1 as beta tends to 1, else to g0).  Each velocity is monotone in the
-other coordinate's sigmoid, so from there the pair goes monotonically to
-that corner, which must be a sink.
+Both measure time in the game's own unit 1/s, with s = max(|k0|, |k0 + k1|,
+|g0|, |g0 + g1|) the largest bracket at a corner, which is positive because
+k0 = b_d - c_d > 0.  Multiplying every payoff by c multiplies s by c, so a
+scaled game takes the same steps in its own time (the same bits when c is a
+power of two).
+
+Both read a pair as settled in a trapping quadrant of a corner: a coordinate
+at +-inf is settled on its edge, and each finite coordinate's velocity is
+non-zero and has the sign of its limit at that corner (dx/dt tends to
+k0 + k1 as alpha tends to 1, else to k0; dy/dt to g0 + g1 as beta tends to
+1, else to g0).  Each velocity is monotone in the other coordinate's
+sigmoid, so from there the pair goes monotonically to that corner, which
+must be a sink.  :func:`integrate` tests the corner the pair is nearest,
+the oracle the corner it heads for.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ __all__ = [
 ]
 
 #: :func:`integrate` defaults: fixed step and total time horizon, and the
-#: max-norm field below which a trapped pair counts as converged.
+#: max-norm field, per unit of the game's own time (the field divided by s;
+#: see the module docstring), below which a trapped pair counts as converged.
 DEFAULT_STEP = 0.05
 DEFAULT_HORIZON = 1000.0
 DEFAULT_CONVERGENCE_TOL = 1e-9
@@ -109,7 +118,7 @@ class Trajectory:
     ``samples`` holds (t, state) at step 0 and every recorded step after it;
     times are strictly increasing and every state lies in the closed unit
     square.  ``converged`` is true when the run stopped before the horizon,
-    settled next to the corner it heads for (see :func:`integrate`).
+    settled next to the corner it is nearest (see :func:`integrate`).
     """
 
     samples: tuple[tuple[float, PopulationState], ...]
@@ -145,6 +154,12 @@ def replicator_field(params: GameParams, state: PopulationState) -> FieldValue:
                       alpha * (1.0 - alpha) * (g0 + g1 * beta))
 
 
+def _time_scale(k0, k1, g0, g1):
+    # The game's time scale s (see the module docstring), for floats or per
+    # game for arrays.
+    return np.max(np.abs([k0, k0 + k1, g0, g0 + g1]), axis=0)
+
+
 def _logit(p: float) -> float:
     # math.log raises at 0, so the edges map to -inf and +inf by hand.
     if p == 0.0 or p == 1.0:
@@ -178,7 +193,8 @@ def integrate(
     After each step the run stops with ``converged=True`` if the pair is in
     a trapping quadrant (see the module docstring) of the corner it is
     nearest, the corner of the signs of x and y, and the field's max-norm
-    in (beta, alpha) is below :data:`DEFAULT_CONVERGENCE_TOL`.
+    in (beta, alpha), divided by the game's time scale s (see the module
+    docstring), is below :data:`DEFAULT_CONVERGENCE_TOL`.
 
     Parameters
     ----------
@@ -217,7 +233,7 @@ def integrate(
     k0, k1, g0, g1 = field_coefficients(params)
     n_steps = int(round(horizon / step))
     half_step, sixth_step = 0.5 * step, step / 6.0
-    tol = DEFAULT_CONVERGENCE_TOL
+    tol = DEFAULT_CONVERGENCE_TOL * float(_time_scale(k0, k1, g0, g1))
     tanh = math.tanh
     x0, y0 = _logit(start.beta), _logit(start.alpha)
     x, y = x0, y0
@@ -294,13 +310,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _settle_on_edge(rate: np.ndarray, start: np.ndarray) -> np.ndarray:
-    # On an invariant edge the other frequency is logistic with a constant
-    # rate: it ends at 1 if the rate is positive, at 0 if it is negative,
-    # and stays where it began if the rate is zero.
-    return np.where(rate > 0.0, 1.0, np.where(rate < 0.0, 0.0, start))
-
-
 def batch_final_states(
     games: Sequence[GameParams],
     starts: Sequence[PopulationState],
@@ -309,13 +318,10 @@ def batch_final_states(
 ) -> np.ndarray:
     """Where every (game, start) pair ends: the basin-of-attraction oracle.
 
-    Interior starts are integrated with the log-odds leapfrog step (see the
+    Every start is integrated with the log-odds leapfrog step (see the
     module docstring), vectorized over the pairs still active.  Each game
-    runs in its own scaled time: its brackets are divided by
-    s = max(|k0|, |k0 + k1|, |g0|, |g0 + g1|), which is positive because
-    k0 = b_d - c_d > 0.  So ``step`` and ``horizon`` are in units of 1/s,
-    and a game whose payoffs are all multiplied by a constant takes the
-    same steps.
+    runs in its own time: its brackets are divided by s (see the module
+    docstring), so ``step`` and ``horizon`` are in units of 1/s.
 
     Every ``TRAP_TEST_STRIDE`` steps each pair is tested for a trapping
     quadrant (see the module docstring) of the corner (beta, alpha) =
@@ -325,15 +331,17 @@ def batch_final_states(
     error of order ``step**2``, so a start that close to a saddle's stable
     manifold, the border of two basins, may end in either basin.
 
-    A start on an edge (beta or alpha in {0, 1}) stays on that invariant
-    edge.  It ends at the corner that the sign of the edge's constant
-    bracket points to, or where it began if that bracket is zero.  A
-    corner start stays at its corner.
+    An edge start (beta or alpha in {0, 1}) has a coordinate at +-inf that
+    no step moves, so it ends at the corner its edge's constant bracket
+    points to.  A pair whose finite coordinates all have exactly zero
+    velocity at the start is a fixed point and ends where it began: a
+    corner start, or an edge start whose bracket is zero.
 
     A pair still active after ``horizon / step`` steps is unresolved (for
     example, in a game with a zero bracket).  It is returned as its last
     state, with each coordinate strictly inside (0, 1).  So a final state
-    lies exactly on a corner if and only if the pair was resolved.
+    lies exactly on a corner if and only if the pair was trapped or started
+    on that corner.
 
     Returns
     -------
@@ -347,48 +355,52 @@ def batch_final_states(
         If ``step`` or ``horizon`` is not finite, ``step`` is not positive
         or ``horizon`` is shorter than ``step``, as in :func:`integrate`.
     IntegrationError
-        If any state turns non-finite; the message names the step index.
+        If a log-odds coordinate that started finite turns non-finite, or
+        one turns NaN, as in :func:`integrate`; the message names the step
+        index.
     """
     _check_span(step, horizon)
     finals = np.empty((len(games), len(starts), 2))
     if finals.size == 0:
         return finals
+    finals[...] = [(s.beta, s.alpha) for s in starts]
     k0, k1, g0, g1 = np.array([field_coefficients(g) for g in games], dtype=float).T
-    k01, g01 = k0 + k1, g0 + g1
-    beta = np.broadcast_to([s.beta for s in starts], finals.shape[:2])
-    alpha = np.broadcast_to([s.alpha for s in starts], finals.shape[:2])
-    on_beta_edge = (beta == 0.0) | (beta == 1.0)
-    on_alpha_edge = (alpha == 0.0) | (alpha == 1.0)
-    finals[..., 0] = np.where(
-        on_alpha_edge & ~on_beta_edge,
-        _settle_on_edge(np.where(alpha == 1.0, k01[:, None], k0[:, None]), beta),
-        beta,
-    )
-    finals[..., 1] = np.where(
-        on_beta_edge & ~on_alpha_edge,
-        _settle_on_edge(np.where(beta == 1.0, g01[:, None], g0[:, None]), alpha),
-        alpha,
-    )
-
-    # The active pairs: flat index, log-odds state and, per pair, the signs
-    # of the velocities' limits as the other frequency tends to 0 or to 1.
-    pair = np.flatnonzero(~(on_beta_edge | on_alpha_edge))
-    game = pair // len(starts)
-    b, a = beta.ravel()[pair], alpha.ravel()[pair]
-    x, y = np.log(b) - np.log1p(-b), np.log(a) - np.log1p(-a)
-    sx0, sx1, sy0, sy1 = (np.sign(c)[game] for c in (k0, k01, g0, g01))
-    flat = finals.reshape(-1, 2)
+    with np.errstate(divide="ignore"):
+        xs, ys = (np.log(p) - np.log1p(-p) for p in finals[0].T)
     n_steps = int(round(horizon / step))
     taken = 0
     # A huge step may overflow here or in the steps; the finiteness check
     # below reports it as an IntegrationError.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Per pair, the brackets times the scaled step.
-        scaled_step = step / np.max(np.abs([k0, k01, g0, g01]), axis=0)
-        hk0, hk1, hg0, hg1 = ((scaled_step * c)[game] for c in (k0, k1, g0, g1))
+        # Per game, the brackets times the scaled step.
+        scaled_step = step / _time_scale(k0, k1, g0, g1)
+        hk0, hk1, hg0, hg1 = (scaled_step * c for c in (k0, k1, g0, g1))
+        # Where every finite coordinate has zero velocity, the step moves
+        # nothing: the pair keeps its start.
+        dx = hk0[:, None] + hk1[:, None] * _sigmoid(ys)
+        dy = hg0[:, None] + hg1[:, None] * _sigmoid(xs)
+        still = ((np.isinf(xs) | (dx == 0.0)) & (np.isinf(ys) | (dy == 0.0))).ravel()
+        # The active pairs: flat index, log-odds state and its start, and, per
+        # pair, the signs of the velocities' limits as the other frequency
+        # tends to 0 or to 1.
+        pair = np.flatnonzero(~still)
+        game, start = np.divmod(pair, len(starts))
+        x0, y0 = xs[start], ys[start]
+        x, y = x0.copy(), y0.copy()
+        hk0, hk1, hg0, hg1 = (c[game] for c in (hk0, hk1, hg0, hg1))
+        sx0, sx1, sy0, sy1 = (np.sign(c)[game] for c in (k0, k0 + k1, g0, g0 + g1))
+        # An edge coordinate is given the velocity +-inf toward the edge it is
+        # on, with that sign as both limits.  A step leaves it where it is,
+        # and the trap test reads it as settled there and naming that side
+        # of the corner.
+        for z0, h0, h1, s0, s1 in ((x0, hk0, hk1, sx0, sx1), (y0, hg0, hg1, sy0, sy1)):
+            edge = np.isinf(z0)
+            h0[edge], h1[edge] = z0[edge], 0.0
+            s0[edge] = s1[edge] = np.sign(z0[edge])
         # dx/dt times the scaled step, carried from one step's last half-kick
         # to the next step's first.
         vx = hk0 + hk1 * _sigmoid(y)
+        flat = finals.reshape(-1, 2)
         while pair.size and taken < n_steps:
             block = min(TRAP_TEST_STRIDE, n_steps - taken)
             for _ in range(block):
@@ -397,20 +409,18 @@ def batch_final_states(
                 vx = hk0 + hk1 * _sigmoid(y)
                 x += 0.5 * vx
             taken += block
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            # Only an edge coordinate may be infinite, and only at its start.
+            if not ((np.isfinite(x) | (x == x0)).all() and (np.isfinite(y) | (y == y0)).all()):
                 raise IntegrationError(f"non-finite state at step {taken}")
             vy = hg0 + hg1 * _sigmoid(x)
             to_beta, to_alpha = vx > 0.0, vy > 0.0
-            trapped = (
-                (vx != 0.0) & (vy != 0.0)
-                & (np.sign(vx) == np.where(to_alpha, sx1, sx0))
-                & (np.sign(vy) == np.where(to_beta, sy1, sy0))
-            )
+            trapped = ((vx * np.where(to_alpha, sx1, sx0) > 0.0)
+                       & (vy * np.where(to_beta, sy1, sy0) > 0.0))
             if trapped.any():
                 flat[pair[trapped]] = np.stack([to_beta, to_alpha], axis=-1)[trapped]
                 keep = ~trapped
-                pair, x, y, vx, hk0, hk1, hg0, hg1, sx0, sx1, sy0, sy1 = (
-                    v[keep] for v in (pair, x, y, vx, hk0, hk1, hg0, hg1,
+                pair, x, y, x0, y0, vx, hk0, hk1, hg0, hg1, sx0, sx1, sy0, sy1 = (
+                    v[keep] for v in (pair, x, y, x0, y0, vx, hk0, hk1, hg0, hg1,
                                       sx0, sx1, sy0, sy1)
                 )
     flat[pair, 0] = np.clip(_sigmoid(x), _ABOVE_ZERO, _BELOW_ONE)

@@ -29,7 +29,18 @@ from cyberevo import (
     stable_set,
 )
 
+from cyberevo.dynamics import DEFAULT_HORIZON, DEFAULT_STEP
+
 from test_game import REF, random_params
+
+
+def scaled_payoffs(params, c):
+    """``params`` with every payoff and fine multiplied by ``c``: the same
+    game in a time unit 1/c times as long."""
+    return dataclasses.replace(params, **{
+        name: c * getattr(params, name)
+        for name in ("w", "c_a", "c_d", "b_a", "b_d", "fine_successful", "fine_unsuccessful")
+    })
 
 
 def test_population_state_validated():
@@ -195,8 +206,10 @@ def test_non_finite_span_is_refused(span, constraint):
 def integrate_reference(params, start, step=0.05, horizon=1000.0, record_stride=1):
     """Reference for :func:`integrate`: the same fixed-step RK4 loop in
     log-odds, written with one field call per stage, recording at
-    ``k % record_stride == 0`` and the trap rule spelled out with signs."""
+    ``k % record_stride == 0``, the trap rule spelled out with signs and the
+    field measured in the game's own time."""
     k0, k1, g0, g1 = field_coefficients(params)
+    scale = max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
 
     def sigma(z):
         return 0.5 + 0.5 * math.tanh(0.5 * z)
@@ -236,7 +249,7 @@ def integrate_reference(params, start, step=0.05, horizon=1000.0, record_stride=
         if k % record_stride == 0:
             samples.append((k * step, PopulationState(beta, alpha)))
         quiet = max(abs(beta * (1.0 - beta) * f1[0]),
-                    abs(alpha * (1.0 - alpha) * f1[1])) < 1e-9
+                    abs(alpha * (1.0 - alpha) * f1[1])) / scale < 1e-9
         trapped = (settled(x, f1[0], k0 + k1 if y > 0.0 else k0)
                    and settled(y, f1[1], g0 + g1 if x > 0.0 else g0))
         if quiet and trapped:
@@ -468,6 +481,35 @@ def test_integrate_never_settles_off_the_stable_corner():
             ) <= 1e-3, (index, start, end)
 
 
+#: The README's game (only E4 is stable).
+README_GAME = GameParams(w=0.98, c_a=0.51, c_d=0.20, b_a=0.90, b_d=0.79, v=0.26)
+
+
+@pytest.mark.parametrize("start", [(0.7, 0.7), (0.3, 0.7), (0.05, 0.95)])
+def test_integrate_is_scale_free(start):
+    # Multiplying every payoff by 2**-27 stretches time by exactly 2**27, so
+    # with step and horizon stretched alike every log-odds state has the same
+    # bits.  An absolute field tolerance would stop the scaled runs at step
+    # 1, 51 and 223, where the runs in the game's own time stop at step 2,345,
+    # 2,261 and 1,769.
+    c = 2.0 ** -27
+    run = integrate(README_GAME, PopulationState(*start))
+    scaled = integrate(scaled_payoffs(README_GAME, c), PopulationState(*start),
+                       step=DEFAULT_STEP / c, horizon=DEFAULT_HORIZON / c)
+    assert run.converged and scaled.converged
+    assert repr([state for _, state in scaled.samples]) == repr([state for _, state in run.samples])
+    assert [t for t, _ in scaled.samples] == [t / c for t, _ in run.samples]
+
+
+def test_integrate_does_not_settle_a_slow_game_at_its_start():
+    # At 1e-8 times the README's payoffs the field at (0.7, 0.7) is about
+    # 1e-10, below an absolute tolerance of 1e-9, but in the game's own time
+    # the run has hardly begun at the horizon.
+    run = integrate(scaled_payoffs(README_GAME, 1e-8), PopulationState(0.7, 0.7))
+    assert not run.converged
+    assert run.samples[-1][0] == DEFAULT_HORIZON
+
+
 def test_integrate_does_not_settle_on_a_saddle_corner_it_passes():
     # From 1e-9 below the beta = 1 edge, game 370's trajectory passes within
     # 1e-9 of the saddle E4 = (1, 1), where it is already in E2's trapping
@@ -550,14 +592,7 @@ def test_batch_final_states_is_scale_free():
     # are in the game's own time unit, so the finals do not move.
     rng = np.random.default_rng(34)
     games = [random_params(rng, with_fines=True) for _ in range(60)]
-    tiny = [
-        dataclasses.replace(params, **{
-            name: 1e-8 * getattr(params, name)
-            for name in ("w", "c_a", "c_d", "b_a", "b_d",
-                         "fine_successful", "fine_unsuccessful")
-        })
-        for params in games
-    ]
+    tiny = [scaled_payoffs(params, 1e-8) for params in games]
     finals = batch_final_states(games, GRID)
     assert _on_corner(finals).all()
     assert np.array_equal(batch_final_states(tiny, GRID), finals)
@@ -581,6 +616,69 @@ def test_batch_final_states_edge_and_corner_starts():
     assert field_coefficients(flat)[2] == 0.0
     finals = batch_final_states([flat], [PopulationState(0.0, 0.3)])
     assert tuple(finals[0, 0]) == (0.0, 0.3)
+
+
+#: k0 + k1 = 0 and g0 + g1 = 0 exactly (every operand is dyadic), so the
+#: beta = 1 and alpha = 1 edges are lines of fixed points.
+FLAT_FAR_EDGES = GameParams(w=1.0, c_a=0.25, c_d=0.375, b_a=0.75, b_d=0.5, v=0.25,
+                            fine_successful=0.25, fine_unsuccessful=0.5)
+
+
+def edge_reference(params, start):
+    """Closed-form end of an edge or corner start.
+
+    On an invariant edge the other frequency is logistic, with the edge's
+    constant bracket as its rate: it ends at 1 if the rate is positive, at 0
+    if it is negative, and stays where it began if the rate is zero.  A
+    corner start stays at its corner.
+    """
+    k0, k1, g0, g1 = field_coefficients(params)
+    beta, alpha = start.beta, start.alpha
+
+    def settle(rate, p):
+        return 1.0 if rate > 0.0 else 0.0 if rate < 0.0 else p
+
+    if beta in (0.0, 1.0) and alpha not in (0.0, 1.0):
+        alpha = settle(g0 + g1 if beta == 1.0 else g0, alpha)
+    elif alpha in (0.0, 1.0) and beta not in (0.0, 1.0):
+        beta = settle(k0 + k1 if alpha == 1.0 else k0, beta)
+    return beta, alpha
+
+
+@st.composite
+def edge_games(draw):
+    """A random game, the same with g0 = 0 exactly, or FLAT_FAR_EDGES."""
+    params = random_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                           with_fines=draw(st.booleans()))
+    flat = draw(st.sampled_from(["none", "g0", "far"]))
+    if flat == "g0":
+        params = dataclasses.replace(params, fine_successful=params.b_a - params.c_a)
+    elif flat == "far":
+        params = FLAT_FAR_EDGES
+    k0, k1, g0, g1 = field_coefficients(params)
+    assert flat != "g0" or g0 == 0.0
+    assert flat != "far" or k0 + k1 == g0 + g1 == 0.0
+    return params
+
+
+_ON_EDGE = st.sampled_from([0.0, -0.0, 1.0])
+_INSIDE = st.one_of(st.sampled_from([5e-324, float(np.nextafter(1.0, 0.0))]),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    games=st.lists(edge_games(), min_size=1, max_size=4),
+    starts=st.lists(st.one_of(st.tuples(_ON_EDGE, _INSIDE), st.tuples(_INSIDE, _ON_EDGE),
+                              st.tuples(_ON_EDGE, _ON_EDGE)), min_size=1, max_size=12),
+)
+def test_batch_final_states_edge_starts_match_the_closed_form(games, starts):
+    # All four edges and the corners, with and without fines, and edges whose
+    # bracket is exactly zero.  A -0.0 start may end as the corner's 0.0.
+    starts = [PopulationState(*start) for start in starts]
+    finals = batch_final_states(games, starts)
+    expected = [[edge_reference(params, start) for start in starts] for params in games]
+    assert np.array_equal(finals, expected)
 
 
 def test_batch_final_states_corner_means_resolved():
@@ -625,3 +723,9 @@ def test_batch_final_states_argument_validation():
         batch_final_states(games, starts, step=0.05, horizon=0.01)
     with pytest.raises(IntegrationError, match="step 1"):
         batch_final_states(games, starts, step=1.7e308, horizon=1.7e308)
+    # An edge start is stepped too; its finite coordinate overflows.  A
+    # corner start is a fixed point and takes no step.
+    with pytest.raises(IntegrationError, match="step 1"):
+        batch_final_states(games, [PopulationState(0.0, 0.5)], step=1.7e308, horizon=1.7e308)
+    corner = batch_final_states(games, [PopulationState(1.0, 0.0)], step=1.7e308, horizon=1.7e308)
+    assert tuple(corner[0, 0]) == (1.0, 0.0)
