@@ -3,11 +3,12 @@
 A two-population game between attackers (Attack / NoAttack) and defenders
 (Defence / NoDefence):
 
-- :mod:`cyberevo.game`: parameters, payoff matrix, fines, fitness, welfare;
+- :mod:`cyberevo.game`: parameters, payoff matrix, fines, fitness, welfare,
+  and the certified corner-bracket signs every verdict and trap reads;
 - :mod:`cyberevo.dynamics`: the two-frequency selection field, a
   fixed-step integrator on the unit square and the batch basin oracle;
-- :mod:`cyberevo.equilibria`: fixed points, Jacobians, eigenvalues, and
-  stability classification;
+- :mod:`cyberevo.equilibria`: fixed points, their Jacobians and
+  eigenvalues, and stability classification;
 - :mod:`cyberevo.ensemble`: seeded random-game ensembles and aggregates;
 - :mod:`cyberevo.abm`: an independent finite-population simulation;
 - :mod:`cyberevo.phaseplot`: deterministic SVG phase portraits;
@@ -45,7 +46,6 @@ from .equilibria import (
     EquilibriumReport,
     Jacobian2,
     analyze_equilibria,
-    eigenvalues,
     interior_equilibrium,
     jacobian,
     stable_set,
@@ -103,7 +103,6 @@ __all__ = [
     "batch_final_states",
     "build_payoff_matrix",
     "correlation_matrix",
-    "eigenvalues",
     "field_coefficients",
     "field_grid",
     "fines_study",

@@ -42,12 +42,16 @@ power of two).
 
 Both read a pair as settled in a trapping quadrant of a corner: a coordinate
 at +-inf is settled on its edge, and each finite coordinate's velocity is
-non-zero and has the sign of its limit at that corner (dx/dt tends to
-k0 + k1 as alpha tends to 1, else to k0; dy/dt to g0 + g1 as beta tends to
-1, else to g0).  Each velocity is monotone in the other coordinate's
-sigmoid, so from there the pair goes monotonically to that corner, which
-must be a sink.  :func:`integrate` tests the corner the pair is nearest,
-the oracle the corner it heads for.
+non-zero and has the certified sign of its limit at that corner (dx/dt
+tends to D1 = k0 + k1 as alpha tends to 1, else to D0 = k0; dy/dt to
+A1 = g0 + g1 as beta tends to 1, else to A0 = g0), the sign
+:func:`cyberevo.game.corner_signs` decides for the classifier too.  Each
+velocity is monotone in the other coordinate's sigmoid, so from there the
+pair goes monotonically to that corner; where both coordinates are finite,
+the classifier calls it Stable.  A finite coordinate whose limit has a
+sign undecidable in float64 is never settled: its corner is NonHyperbolic.
+:func:`integrate` tests the corner the pair is nearest, the oracle the
+corner it heads for.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError, ParameterError, require
-from .game import GameParams, field_coefficients
+from .game import GameParams, brackets, corner_signs, field_coefficients
 
 __all__ = [
     "PopulationState",
@@ -118,7 +122,8 @@ class Trajectory:
     ``samples`` holds (t, state) at step 0 and every recorded step after it;
     times are strictly increasing and every state lies in the closed unit
     square.  ``converged`` is true when the run stopped before the horizon,
-    settled next to the corner it is nearest (see :func:`integrate`).
+    settled next to the corner it is nearest (see :func:`integrate`); from
+    an interior start, that corner is then Stable.
     """
 
     samples: tuple[tuple[float, PopulationState], ...]
@@ -167,12 +172,12 @@ def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
-def _settled(z: float, v: float, limit: float) -> bool:
-    # z is at +-inf, or velocity v and its limit at the nearest corner both
-    # point to the edge on z's side.
+def _settled(z: float, v: float, limit_sign: float) -> bool:
+    # z is at +-inf, or velocity v and the certified sign of its limit at the
+    # nearest corner both point to the edge on z's side.
     if z > 0.0:
-        return z == math.inf or (v > 0.0 and limit > 0.0)
-    return z == -math.inf or (v < 0.0 and limit < 0.0)
+        return z == math.inf or (v > 0.0 and limit_sign > 0.0)
+    return z == -math.inf or (v < 0.0 and limit_sign < 0.0)
 
 
 def integrate(
@@ -194,7 +199,10 @@ def integrate(
     a trapping quadrant (see the module docstring) of the corner it is
     nearest, the corner of the signs of x and y, and the field's max-norm
     in (beta, alpha), divided by the game's time scale s (see the module
-    docstring), is below :data:`DEFAULT_CONVERGENCE_TOL`.
+    docstring), is below :data:`DEFAULT_CONVERGENCE_TOL`.  A finite
+    coordinate whose limit there has a sign undecidable in float64 is never
+    settled, so an interior run that ends next to a NonHyperbolic corner
+    reports ``converged=False``.
 
     Parameters
     ----------
@@ -231,6 +239,7 @@ def integrate(
         ) from None
     require(stride >= 1, "record_stride >= 1", record_stride=record_stride)
     k0, k1, g0, g1 = field_coefficients(params)
+    d0, d1, a0, a1 = corner_signs(*params.as_tuple())
     n_steps = int(round(horizon / step))
     half_step, sixth_step = 0.5 * step, step / 6.0
     tol = DEFAULT_CONVERGENCE_TOL * float(_time_scale(k0, k1, g0, g1))
@@ -275,8 +284,8 @@ def integrate(
         if (
             -tol < beta * (1.0 - beta) * vx < tol
             and -tol < alpha * (1.0 - alpha) * vy < tol
-            and _settled(x, vx, k0 + k1 if y > 0.0 else k0)
-            and _settled(y, vy, g0 + g1 if x > 0.0 else g0)
+            and _settled(x, vx, d1 if y > 0.0 else d0)
+            and _settled(y, vy, a1 if x > 0.0 else a0)
         ):
             converged = True
             break
@@ -333,15 +342,17 @@ def batch_final_states(
 
     An edge start (beta or alpha in {0, 1}) has a coordinate at +-inf that
     no step moves, so it ends at the corner its edge's constant bracket
-    points to.  A pair whose finite coordinates all have exactly zero
-    velocity at the start is a fixed point and ends where it began: a
-    corner start, or an edge start whose bracket is zero.
+    points to, where that bracket's sign is certain.  A pair whose finite
+    coordinates all have exactly zero velocity at the start is a fixed
+    point and ends where it began: a corner start, or an edge start whose
+    bracket is zero.
 
     A pair still active after ``horizon / step`` steps is unresolved (for
-    example, in a game with a zero bracket).  It is returned as its last
-    state, with each coordinate strictly inside (0, 1).  So a final state
-    lies exactly on a corner if and only if the pair was trapped or started
-    on that corner.
+    example, in a game with a bracket that is zero or whose sign is
+    undecidable in float64, so that no trap holds).  It is returned as its
+    last state: an edge coordinate on its edge, each other coordinate
+    strictly inside (0, 1).  So a final state lies exactly on a corner if
+    and only if the pair was trapped or started on that corner.
 
     Returns
     -------
@@ -364,7 +375,8 @@ def batch_final_states(
     if finals.size == 0:
         return finals
     finals[...] = [(s.beta, s.alpha) for s in starts]
-    k0, k1, g0, g1 = np.array([field_coefficients(g) for g in games], dtype=float).T
+    columns = np.array([g.as_tuple() for g in games], dtype=float).T
+    k0, k1, g0, g1 = brackets(*columns)
     with np.errstate(divide="ignore"):
         xs, ys = (np.log(p) - np.log1p(-p) for p in finals[0].T)
     n_steps = int(round(horizon / step))
@@ -381,14 +393,14 @@ def batch_final_states(
         dy = hg0[:, None] + hg1[:, None] * _sigmoid(xs)
         still = ((np.isinf(xs) | (dx == 0.0)) & (np.isinf(ys) | (dy == 0.0))).ravel()
         # The active pairs: flat index, log-odds state and its start, and, per
-        # pair, the signs of the velocities' limits as the other frequency
-        # tends to 0 or to 1.
+        # pair, the certified signs of the velocities' limits as the other
+        # frequency tends to 0 or to 1.
         pair = np.flatnonzero(~still)
         game, start = np.divmod(pair, len(starts))
         x0, y0 = xs[start], ys[start]
         x, y = x0.copy(), y0.copy()
         hk0, hk1, hg0, hg1 = (c[game] for c in (hk0, hk1, hg0, hg1))
-        sx0, sx1, sy0, sy1 = (np.sign(c)[game] for c in (k0, k0 + k1, g0, g0 + g1))
+        sx0, sx1, sy0, sy1 = (c[game] for c in corner_signs(*columns))
         # An edge coordinate is given the velocity +-inf toward the edge it is
         # on, with that sign as both limits.  A step leaves it where it is,
         # and the trap test reads it as settled there and naming that side
@@ -423,6 +435,8 @@ def batch_final_states(
                     v[keep] for v in (pair, x, y, x0, y0, vx, hk0, hk1, hg0, hg1,
                                       sx0, sx1, sy0, sy1)
                 )
-    flat[pair, 0] = np.clip(_sigmoid(x), _ABOVE_ZERO, _BELOW_ONE)
-    flat[pair, 1] = np.clip(_sigmoid(y), _ABOVE_ZERO, _BELOW_ONE)
+        # An unresolved pair may have run past logit -709, where exp overflows.
+        for column, z in enumerate((x, y)):
+            p = _sigmoid(z)
+            flat[pair, column] = np.where(np.isinf(z), p, np.clip(p, _ABOVE_ZERO, _BELOW_ONE))
     return finals

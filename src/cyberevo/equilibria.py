@@ -10,15 +10,17 @@ are diagonal, with eigenvalues (D0, A0) at E1, (D1, -A0) at E2, (-D0, A1) at
 E3 and (-D1, -A1) at E4, for the edge brackets D0 = k0, D1 = k0 + k1,
 A0 = g0 and A1 = g0 + g1: both negative is Stable, both positive Unstable,
 opposite Saddle.  A sign counts only where the bracket exceeds its float64
-rounding-error bound; otherwise the corner is NonHyperbolic, "sign
+rounding-error bound (:func:`cyberevo.game.corner_signs`, which both
+integrators read too); otherwise the corner is NonHyperbolic, "sign
 undecidable in float64", at any payoff scale.  The same four signs place
 E5: alpha* = -k0/k1 lies in (0, 1) exactly when D0 and D1 differ in sign,
 beta* = -g0/g1 exactly when A0 and A1 do, and E5 is present where both
 pairs certainly differ.  Since k0 = b_d - c_d > 0 and v <= 1, presence
 forces k1 < 0 and g1 < 0, so det < 0 and E5 is a Saddle by theorem
 (Hofbauer & Sigmund 1998, ch. 10).  The reports carry eigenvalues as
-output; :func:`_verdicts` is the one rule, for one game's floats and a
-table's columns alike.
+output only: a corner's are its Jacobian's diagonal, E5's +-sqrt(j12 j21).
+:func:`_verdicts` reads the four signs for one game's floats and a table's
+columns alike.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import PopulationState
-from .game import GameParams, bracket_term_sums, brackets, field_coefficients
+from .game import GameParams, brackets, corner_signs, field_coefficients
 
 __all__ = [
     "EquilibriumKind",
@@ -40,27 +42,12 @@ __all__ = [
     "Classification",
     "EquilibriumReport",
     "jacobian",
-    "eigenvalues",
     "interior_equilibrium",
     "analyze_equilibria",
     "stable_kinds",
     "stable_set",
     "stable_table",
 ]
-
-#: A bracket's sign is decided where its magnitude exceeds _SIGN_GAMMA times
-#: its term sum (:func:`~cyberevo.game.bracket_term_sums`) plus _SIGN_FLOOR.
-#: With fl(a op b) = (a op b)(1 + d), |d| <= u = 2**-53, no term of D0, D1,
-#: A0 or A1 meets more than four roundings (v*b_d in D1: the product,
-#: both sums of k1, k0 + k1), so a bracket errs by at most 4u/(1 - 4u) times
-#: its term sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
-#: 2002, Lemma 3.1); the computed sum, its terms rounded as often, is at least
-#: (1 - 4u) times the exact one.  16u is a power of two and leaves a factor
-#: of four for the bound's own rounding.  An underflowing product errs by up
-#: to 2**-1075 absolutely; a bracket and its bound hold at most five, which
-#: 2**-1022 covers.  An overflowing bracket has an infinite term sum.
-_SIGN_GAMMA = 16.0 * 2.0**-53
-_SIGN_FLOOR = 2.0**-1022
 
 
 class EquilibriumKind(Enum):
@@ -154,52 +141,10 @@ def jacobian(params: GameParams, state: PopulationState) -> Jacobian2:
     )
 
 
-def eigenvalues(j: Jacobian2) -> EigenPair:
-    """Eigenvalues of a 2x2 matrix from the characteristic polynomial.
-
-    Triangular matrices (either off-diagonal entry zero) return the diagonal
-    entries exactly.  Otherwise the cancellation-free discriminant
-    (j11 - j22)^2 + 4 j12 j21 is formed divided by 4**e, with 2**e a power
-    of two near the largest of |j11|, |j22| and sqrt|j12 j21|, so it cannot
-    overflow; a negative value gives a complex-conjugate pair.  j12 j21 is
-    the product of the entries' frexp mantissas, its exponent carried
-    apart, as in :func:`_interior_rate`, so it underflows only where
-    sqrt|j12 j21| is below 2**-537 times a diagonal entry.  Ordering is
-    descending real part, then descending imaginary part.
-    """
-    if j.j12 == 0.0 or j.j21 == 0.0:
-        lam1, lam2 = complex(j.j11), complex(j.j22)
-    else:
-        (m12, e12), (m21, e21) = math.frexp(j.j12), math.frexp(j.j21)
-        m, e_product = math.frexp(m12 * m21)
-        e_product += e12 + e21  # j12 j21 = m * 2**e_product
-        e = max(math.frexp(j.j11)[1], math.frexp(j.j22)[1], (e_product + 1) // 2)
-        j11, j22 = math.ldexp(j.j11, -e), math.ldexp(j.j22, -e)
-        tr = j11 + j22
-        disc = (j11 - j22) ** 2 + 4.0 * math.ldexp(m, e_product - 2 * e)
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            lam1 = complex(math.ldexp(0.5 * (tr + root), e))
-            lam2 = complex(math.ldexp(0.5 * (tr - root), e))
-        else:
-            half_im = math.ldexp(0.5 * math.sqrt(-disc), e)
-            lam1 = complex(math.ldexp(0.5 * tr, e), half_im)
-            lam2 = lam1.conjugate()
-    if (lam1.real, lam1.imag) < (lam2.real, lam2.imag):
-        lam1, lam2 = lam2, lam1
-    return EigenPair(lam1, lam2)
-
-
 #: The class of a fixed point whose eigenvalue signs are (a, b), each -1, 0
 #: (undecided) or +1: index (a + b + 4) / 2, or 0 where a or b is 0.
 _CLASSES = (Classification.NON_HYPERBOLIC, Classification.STABLE,
             Classification.SADDLE, Classification.UNSTABLE)
-
-
-def _certified_sign(x, term_sum):
-    """+1.0 or -1.0 where the sign of ``x`` is decided (:data:`_SIGN_GAMMA`), else 0.0."""
-    bound = _SIGN_GAMMA * term_sum + _SIGN_FLOOR
-    return (x > bound) * 1.0 - (x < -bound)
 
 
 def _verdicts(game):
@@ -218,13 +163,9 @@ def _verdicts(game):
     by underflow, as when fines near 1e300 dwarf a benefit near 1e-300; the
     smallest positive float then stands in for the root.
     """
+    d0, d1, a0, a1 = corner_signs(*game)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k0, k1, g0, g1 = brackets(*game)
-        t0, t1, s0, s1 = bracket_term_sums(*game)
-        d0, d1, a0, a1 = (
-            _certified_sign(x, term_sum)
-            for x, term_sum in ((k0, t0), (k0 + k1, t0 + t1), (g0, s0), (g0 + g1, s0 + s1))
-        )
         roots = tuple(np.maximum(np.divide(-x0, x1), 2.0**-1074)
                       for x0, x1 in ((g0, g1), (k0, k1)))
     beta_in, alpha_in = a0 * a1 < 0.0, d0 * d1 < 0.0
@@ -248,9 +189,9 @@ def _interior_rate(params: GameParams) -> float:
     mantissas, its exponent carried apart, so a root below the float64
     range still counts.  1 - beta* = A1/g1 and 1 - alpha* = D1/k1 need no
     scaling: where E5 is present, the certified signs of A1 and D1 keep
-    them above 12u (:data:`_SIGN_GAMMA`).  Each
-    step is that of :func:`jacobian` and :func:`eigenvalues` scaled by a
-    power of two, so where no root or entry underflows the bits are theirs.
+    them above 12u (:data:`cyberevo.game._SIGN_GAMMA`).  Each step is that
+    of :func:`jacobian` scaled by a power of two, so where no root or entry
+    underflows the result is sqrt(j12 * j21) of its entries, bit for bit.
     """
     k0, k1, g0, g1 = field_coefficients(params)
     product, exponent = 1.0, 0
@@ -283,7 +224,7 @@ def analyze_equilibria(params: GameParams) -> tuple[EquilibriumReport, ...]:
             rate = _interior_rate(params)
             eigen = EigenPair(complex(rate), complex(-rate))
         else:
-            eigen = eigenvalues(jac)
+            eigen = EigenPair(*map(complex, sorted((jac.j11, jac.j22), reverse=True)))
         classification = _CLASSES[int(verdict)]
         reports.append(EquilibriumReport(kind, state, jac, eigen, classification))
     return tuple(reports)

@@ -58,6 +58,7 @@ __all__ = [
     "payoff_pairs",
     "brackets",
     "bracket_term_sums",
+    "corner_signs",
     "field_coefficients",
     "fitness_profile",
     "social_welfare",
@@ -270,13 +271,54 @@ def bracket_term_sums(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessf
 
     :func:`brackets` with each minus made a plus (no parameter is negative),
     in its grouping, so an overflowing bracket has an infinite sum; they
-    scale the brackets' rounding-error bound in :mod:`cyberevo.equilibria`.
+    scale the brackets' rounding-error bound in :func:`corner_signs`.
     """
     k0 = b_d + c_d
     k1 = v * b_d + b_d + v * w
     g0 = b_a + c_a + fine_successful
     g1 = v * (fine_successful + b_a + fine_unsuccessful)
     return k0, k1, g0, g1
+
+
+#: A bracket's sign is decided where its magnitude exceeds _SIGN_GAMMA times
+#: its term sum (:func:`bracket_term_sums`) plus _SIGN_FLOOR.
+#: With fl(a op b) = (a op b)(1 + d), |d| <= u = 2**-53, no term of D0, D1,
+#: A0 or A1 meets more than four roundings (v*b_d in D1: the product,
+#: both sums of k1, k0 + k1), so a bracket errs by at most 4u/(1 - 4u) times
+#: its term sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+#: 2002, Lemma 3.1); the computed sum, its terms rounded as often, is at least
+#: (1 - 4u) times the exact one.  16u is a power of two and leaves a factor
+#: of four for the bound's own rounding.  An underflowing product errs by up
+#: to 2**-1075 absolutely; a bracket and its bound hold at most five, which
+#: 2**-1022 covers.  An overflowing bracket has an infinite term sum.
+_SIGN_GAMMA = 16.0 * 2.0**-53
+_SIGN_FLOOR = 2.0**-1022
+
+
+def _certified_sign(x, term_sum):
+    """+1.0 or -1.0 where the sign of ``x`` is decided (:data:`_SIGN_GAMMA`), else 0.0."""
+    bound = _SIGN_GAMMA * term_sum + _SIGN_FLOOR
+    return (x > bound) * 1.0 - (x < -bound)
+
+
+def corner_signs(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
+    """The certified signs of D0 = k0, D1 = k0 + k1, A0 = g0 and A1 = g0 + g1.
+
+    These edge brackets are the diagonals of the corner Jacobians, so their
+    signs decide every fixed point's class and every corner's trap.  Each
+    is +1.0 or -1.0 where it exceeds its float64 rounding-error bound
+    (:data:`_SIGN_GAMMA`), else 0.0: undecidable, never a trap.  Takes one
+    game's floats (:meth:`GameParams.as_tuple`) or a table's columns alike;
+    this is the only place a bracket's sign is decided.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0, k1, g0, g1 = brackets(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful)
+        t0, t1, s0, s1 = bracket_term_sums(
+            w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful)
+        return tuple(
+            _certified_sign(x, term_sum)
+            for x, term_sum in ((k0, t0), (k0 + k1, t0 + t1), (g0, s0), (g0 + g1, s0 + s1))
+        )
 
 
 def build_payoff_matrix(params: GameParams) -> PayoffMatrix:

@@ -43,7 +43,6 @@ from cyberevo import (
     social_welfare,
 )
 from cyberevo import cli
-from cyberevo.equilibria import eigenvalues
 
 SINGLE_STABLE = GameParams(w=0.98, c_a=0.51, c_d=0.20, b_a=0.90, b_d=0.79, v=0.26)
 BISTABLE = GameParams(w=0.98, c_a=0.69, c_d=0.54, b_a=0.79, b_d=0.72, v=0.15)
@@ -144,14 +143,12 @@ def test_criterion_03_corner_closed_forms(capsys):
             EquilibriumKind.E3: (-k0, g0 + g1),
             EquilibriumKind.E4: (-(k0 + k1), -(g0 + g1)),
         }
-        for kind, expected in closed.items():
-            beta, alpha = kind.corner
-            jac = jacobian(params, PopulationState(float(beta), float(alpha)))
+        for report in analyze_equilibria(params)[:4]:
+            jac, eig = report.jacobian, report.eigen
             if jac.j12 != 0.0 or jac.j21 != 0.0:
                 off_diag_nonzero += 1
-            eig = eigenvalues(jac)
             got = sorted((eig.lambda1.real, eig.lambda2.real))
-            want = sorted(expected)
+            want = sorted(closed[report.kind])
             max_err = max(max_err, abs(got[0] - want[0]), abs(got[1] - want[1]))
     checks = [
         (max_err <= 1e-12, f"max closed-form deviation {max_err:.3e} over 10000 games"),

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from cyberevo import (
     PAPER_B_A_UPPER,
@@ -30,7 +30,9 @@ from cyberevo import (
 )
 
 from cyberevo.dynamics import DEFAULT_HORIZON, DEFAULT_STEP
+from cyberevo.game import corner_signs
 
+from test_equilibria import ROUNDS_WRONG, valid_games
 from test_game import REF, random_params
 
 
@@ -209,6 +211,7 @@ def integrate_reference(params, start, step=0.05, horizon=1000.0, record_stride=
     ``k % record_stride == 0``, the trap rule spelled out with signs and the
     field measured in the game's own time."""
     k0, k1, g0, g1 = field_coefficients(params)
+    d0, d1, a0, a1 = corner_signs(*params.as_tuple())
     scale = max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
 
     def sigma(z):
@@ -222,12 +225,12 @@ def integrate_reference(params, start, step=0.05, horizon=1000.0, record_stride=
     def field(x, y):
         return (k0 + k1 * sigma(y), g0 + g1 * sigma(x))
 
-    def settled(z, v, limit):
+    def settled(z, v, limit_sign):
         # At +-inf a coordinate is on its edge for good.  Otherwise its
-        # velocity and the velocity's limit at the nearest corner both
-        # point to that corner, the one on z's side.
+        # velocity and the certified sign of the velocity's limit at the
+        # nearest corner both point to that corner, the one on z's side.
         side = 1.0 if z > 0.0 else -1.0
-        return math.isinf(z) or np.sign(v) == np.sign(limit) == side
+        return math.isinf(z) or np.sign(v) == limit_sign == side
 
     h = step
     x0, y0 = logit(start.beta), logit(start.alpha)
@@ -250,8 +253,8 @@ def integrate_reference(params, start, step=0.05, horizon=1000.0, record_stride=
             samples.append((k * step, PopulationState(beta, alpha)))
         quiet = max(abs(beta * (1.0 - beta) * f1[0]),
                     abs(alpha * (1.0 - alpha) * f1[1])) / scale < 1e-9
-        trapped = (settled(x, f1[0], k0 + k1 if y > 0.0 else k0)
-                   and settled(y, f1[1], g0 + g1 if x > 0.0 else g0))
+        trapped = (settled(x, f1[0], d1 if y > 0.0 else d0)
+                   and settled(y, f1[1], a1 if x > 0.0 else a0))
         if quiet and trapped:
             converged = True
             break
@@ -520,6 +523,110 @@ def test_integrate_does_not_settle_on_a_saddle_corner_it_passes():
     run = integrate(params, PopulationState(1.0 - 1e-9, 1e-3), record_stride=10**6)
     assert not run.converged or run.final_state == PopulationState(0.0, 1.0)
     assert run.final_state.beta < 1e-3
+
+
+@st.composite
+def band_games(draw):
+    """A :func:`valid_games` game with one corner bracket set inside its
+    float64 rounding band, so that its certified sign is 0:
+
+    * D0 = b_d - c_d, with b_d one ulp above c_d;
+    * D1 = v (b_d + w) - c_d, with c_d = fl(v (b_d + w)) or one ulp below,
+      v drawn below b_d / (b_d + w) so that c_d < b_d;
+    * A0 = b_a - c_a - f_s, with f_s = fl(b_a - c_a) or one ulp off;
+    * A1 = b_a (1 - v) - c_a with no fines, with c_a = fl(b_a (1 - v)) or
+      one ulp off, b_a drawn as about c_a / (1 - v).
+    """
+    w, c_a, c_d, b_a, b_d, v, f_s, f_u = draw(valid_games()).as_tuple()
+    bracket = draw(st.sampled_from(["D0", "D1", "A0", "A1"]))
+    ulps = draw(st.sampled_from([-1, 0, 1]))
+
+    def nudged(x):
+        return float(np.nextafter(x, math.copysign(math.inf, ulps))) if ulps else x
+
+    if bracket == "D0":
+        b_d = float(np.nextafter(c_d, 1.0))
+    elif bracket == "D1":
+        v = b_d / (b_d + w) * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        c_d = nudged(v * (b_d + w)) if ulps < 1 else v * (b_d + w)
+    elif bracket == "A0":
+        f_s = nudged(b_a - c_a)
+    else:
+        f_s = f_u = 0.0
+        b_a = c_a / (1.0 - v) if v < 1.0 else c_a
+        c_a = nudged(b_a * (1.0 - v))
+    try:
+        params = GameParams(w, c_a, c_d, b_a, b_d, v, f_s, f_u)
+    except ParameterError:
+        reject()
+    # With a subnormal time scale s, a step of 0.25 / s overflows, so
+    # neither integrator can step in the game's own time.
+    k0, k1, g0, g1 = field_coefficients(params)
+    assume(max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1)) > 1e-300)
+    return params
+
+
+#: Interior starts of the rounding-band test: the oracle's nine, and the
+#: scalar integrator's four.  From beta = 0.5 a run may settle with x of
+#: order 1e-17, where sigma(x) rounds to 0.5 and hides the side it is on.
+BAND_STARTS = [PopulationState(b, a) for b in (0.1, 0.5, 0.9) for a in (0.1, 0.5, 0.9)]
+OUTER_STARTS = [PopulationState(b, a) for b in (0.1, 0.9) for a in (0.1, 0.9)]
+
+#: Explicit games for the rounding-band test: ROUNDS_WRONG (D1 and A0 in
+#: their bands), then one game each with D0, D1 and A1 in its band (b_d one
+#: ulp above c_d; c_d = fl(v (b_d + w)); c_a = fl(b_a (1 - v))).  In each of
+#: the last three a raw sign led both integrators to a corner that is not
+#: a sink.
+BAND_EXAMPLES = [
+    ROUNDS_WRONG,
+    GameParams(w=1.0, c_a=0.5, c_d=0.5, b_a=1.5, b_d=0.5000000000000001, v=1.0),
+    GameParams(w=0.9, c_a=0.2, c_d=0.3 * (0.6 + 0.9), b_a=0.7, b_d=0.6, v=0.3),
+    GameParams(w=0.9, c_a=0.7 * (1 - 0.3), c_d=0.2, b_a=0.7, b_d=0.6, v=0.3),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(games=st.lists(band_games(), min_size=1, max_size=3))
+@example(games=BAND_EXAMPLES)
+def test_no_integrator_settles_on_an_undecidable_corner(games):
+    # Each game has a corner bracket whose sign float64 cannot decide, and
+    # the two corners it is an eigenvalue of are NonHyperbolic.  Every exact
+    # corner the oracle writes for an interior start, and the corner nearest
+    # every converged run, is one the classifier calls Stable: both
+    # integrators read the classifier's certified signs, and a raw sign in
+    # the band once wrote or settled on a corner that is not a sink.
+    # integrate steps in absolute time, so it is given the game's own, and
+    # both run shorter than their defaults to keep the test fast.
+    finals = batch_final_states(games, BAND_STARTS, horizon=500.0)
+    for g, params in enumerate(games):
+        assert 0.0 in corner_signs(*params.as_tuple())
+        stable = {kind.corner for kind in stable_set(params)}
+        for final in finals[g][_on_corner(finals[g])].tolist():
+            assert tuple(final) in stable, (params, final)
+        k0, k1, g0, g1 = field_coefficients(params)
+        scale = max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
+        for start in OUTER_STARTS:
+            run = integrate(params, start, step=DEFAULT_STEP / scale,
+                            horizon=250.0 / scale, record_stride=10**6)
+            end = run.final_state
+            assert not run.converged or (round(end.beta), round(end.alpha)) in stable, (
+                params, start, end)
+
+
+def test_an_undecidable_edge_bracket_leaves_an_edge_start_on_its_edge():
+    # A0 = b_a - c_a - f_s computes to -5.6e-17, inside its rounding band,
+    # so E1 and E2 are NonHyperbolic.  On the edge beta = 0, alpha drifts at
+    # the rate A0 and no trap holds: the pairs end unresolved, still on the
+    # edge they started on and with alpha strictly inside (0, 1).
+    params = GameParams(w=0.9, c_a=0.3, c_d=0.2, b_a=0.7, b_d=0.6, v=0.3,
+                        fine_successful=float(np.nextafter(0.7 - 0.3, 1.0)),
+                        fine_unsuccessful=0.1)
+    assert corner_signs(*params.as_tuple())[2] == 0.0
+    assert field_coefficients(params)[2] != 0.0
+    starts = [PopulationState(0.0, a) for a in (0.1, 0.5, 0.9)]
+    finals = batch_final_states([params], starts, horizon=500.0)
+    assert (finals[..., 0] == 0.0).all()
+    assert ((finals[..., 1] > 0.0) & (finals[..., 1] < 1.0)).all()
 
 
 #: Sampling measures: the default, the paper's ceiling, and the paper's
