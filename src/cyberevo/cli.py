@@ -106,13 +106,15 @@ _GAME = tuple(_flag(f"--{key}", f"game.{key}", text) for key, text in (
 _FINES = _GAME[6:]
 _COUNT = _flag("--count", "ensemble.count", "number of sampled games", int)
 _MASTER_SEED = _flag("--seed", "ensemble.master_seed", "ensemble master seed", int)
-_WORKERS = _flag("--workers", "ensemble.workers", "parallel worker threads", int)
+_WORKERS = _flag("--workers", "ensemble.workers",
+                 "has no effect: every run is serial; an integer >= 1, never recorded",
+                 int)
 
 _OUT = _flag("--out", "output.directory", "output directory", str, metavar="DIR")
 
-#: The ensemble values a result depends on.  Worker count and output
-#: location cannot change any result, so no subcommand records them:
-#: identical analyses must produce byte-identical artifacts.
+#: The ensemble values a result depends on.  The worker count has no effect
+#: and the output location cannot change any result, so no subcommand
+#: records them: identical analyses must produce byte-identical artifacts.
 _SAMPLER = ("ensemble.count", "ensemble.master_seed", "ensemble.b_a_upper")
 
 _COMMANDS = {
@@ -181,17 +183,18 @@ def _recorded(runcfg: RunConfig, reads: Sequence[str]) -> dict[str, dict[str, An
     return recorded
 
 
-def _eigen_row(report) -> tuple:
-    eig = report.eigen
-    return (
-        report.kind.value,
-        report.location.beta,
-        report.location.alpha,
-        report.classification.value,
-        eig.lambda1.real,
-        eig.lambda1.imag,
-        eig.lambda2.real,
-        eig.lambda2.imag,
+def _equilibria_table(name: str, reports) -> Table:
+    """One row per equilibrium: kind, location, classification, eigenvalues."""
+    return Table(
+        name,
+        ("kind", "beta", "alpha", "classification",
+         "eig1_re", "eig1_im", "eig2_re", "eig2_im"),
+        tuple(
+            (r.kind.value, r.location.beta, r.location.alpha, r.classification.value,
+             r.eigen.lambda1.real, r.eigen.lambda1.imag,
+             r.eigen.lambda2.real, r.eigen.lambda2.imag)
+            for r in reports
+        ),
     )
 
 
@@ -214,12 +217,7 @@ def cmd_analyze(runcfg: RunConfig, bundle: OutputBundle) -> None:
         ),
         "welfare": welfare,
     })
-    bundle.add_table(Table(
-        "equilibria",
-        ("kind", "beta", "alpha", "classification",
-         "eig1_re", "eig1_im", "eig2_re", "eig2_im"),
-        tuple(_eigen_row(report) for report in reports),
-    ))
+    bundle.add_table(_equilibria_table("equilibria", reports))
     bundle.add_table(Table(
         "welfare",
         ("strategy_pair", "welfare"),
@@ -330,12 +328,7 @@ def cmd_phase(runcfg: RunConfig, bundle: OutputBundle) -> None:
         ("beta", "alpha", "d_beta", "d_alpha"),
         tuple((s.beta, s.alpha, f.d_beta, f.d_alpha) for s, f in portrait.grid),
     ))
-    bundle.add_table(Table(
-        "phase_markers",
-        ("kind", "beta", "alpha", "classification",
-         "eig1_re", "eig1_im", "eig2_re", "eig2_im"),
-        tuple(_eigen_row(report) for report in portrait.reports),
-    ))
+    bundle.add_table(_equilibria_table("phase_markers", portrait.reports))
     bundle.add_table(Table(
         "phase_trajectories",
         ("start_index", "time", "beta", "alpha"),

@@ -50,6 +50,7 @@ DEFAULTS: Mapping[str, Mapping[str, Any]] = {
         "count": _SAMPLER.count,
         "master_seed": _SAMPLER.master_seed,
         "b_a_upper": _SAMPLER.b_a_upper,
+        # Accepted and checked by run_ensemble and fines_study; no effect.
         "workers": 1,
     },
     "fines": {"levels": (0.1, 0.5)},

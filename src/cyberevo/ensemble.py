@@ -2,14 +2,14 @@
 
 Games are drawn from nested uniform ranges that satisfy every parameter
 constraint by construction, one independent RNG substream per game index,
-so results are identical for any worker count.  Games are drawn and
-analyzed in blocks of :data:`BLOCK_SIZE` consecutive indices, in the
-calling thread or on a pool of threads, and joined in index order; a
-block's first draws are computed for all its indices at once, bit for bit
-as each index's own Generator gives them.  An ensemble is held as a
-columnar :class:`GameTable`: per game, the six drawn parameters, the
-stable set, the social welfare of the four pure pairs and whether an
-interior point exists, each column one numpy array.  It is filled by the
+so a game does not depend on the count or on the blocking.  Games are
+drawn and analyzed in the calling thread, in blocks of :data:`BLOCK_SIZE`
+consecutive indices, and joined in index order; a block's first draws
+are computed for all its indices at once, bit for bit as each index's
+own Generator gives them.  An ensemble is held as a columnar
+:class:`GameTable`: per game, the six drawn parameters, the stable set,
+the social welfare of the four pure pairs and whether an interior point
+exists, each column one numpy array.  It is filled by the
 algebra of :mod:`cyberevo.game` applied to whole columns (constraints,
 brackets, payoff pairs), the functions that
 :class:`~cyberevo.game.GameParams` and
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,14 +97,13 @@ BIN_EDGES: tuple[tuple[float, float], ...] = tuple(
 #: binned at the smallest multiple of ``BIN_WIDTH`` that fits.
 MAX_HISTOGRAM_BINS = 1000
 
-#: Games are drawn and analyzed in blocks of this many consecutive indices,
-#: on pool threads or in the calling thread; the digest hashes this many rows
-#: at a time.  Each block pays a fixed numpy dispatch cost (about 0.75 ms on
-#: a 2-vCPU VM), which is more than half of a 1,024-game block's work.  In a
-#: sweep of block sizes, drawing and analyzing cost 1.2 us a game at 1,024
-#: rows and 0.4-0.5 us at 4,096-16,384, where the cost is flat, and rose
-#: above 32,768 rows as the columns leave the cache; 8,192 lies in the
-#: middle of the flat range.
+#: Games are drawn and analyzed in blocks of this many consecutive indices;
+#: the digest hashes this many rows at a time.  Each block pays a fixed
+#: numpy dispatch cost (about 0.75 ms on a 2-vCPU VM), which is more than
+#: half of a 1,024-game block's work.  In a sweep of block sizes, drawing
+#: and analyzing cost 1.2 us a game at 1,024 rows and 0.4-0.5 us at
+#: 4,096-16,384, where the cost is flat, and rose above 32,768 rows as the
+#: columns leave the cache; 8,192 lies in the middle of the flat range.
 BLOCK_SIZE = 8192
 
 #: Indicator order of the correlation matrix rows/columns.
@@ -298,7 +296,7 @@ def sample_game(config: SamplerConfig, index: int) -> GameParams:
     most frequent stable state (see :class:`SamplerConfig`); the default
     1.0 does not reproduce the paper's headline figures.  The substream
     is derived from (master_seed, index), so any game is reproducible in
-    isolation and results cannot depend on worker scheduling.
+    isolation.
 
     In the astronomically rare case where rounding lands a draw exactly on
     an excluded endpoint, the draw is repeated from the same substream.
@@ -514,42 +512,25 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
     )
 
 
-def _analyze_block(
-    configs: Sequence[SamplerConfig], start: int, stop: int
-) -> list[GameTable]:
-    """Draw games ``start..stop-1`` once; analyze them per config.
-
-    The configs differ only in their fine scenario.
-    """
-    params = _draw(configs[0], start, stop)
-    return [_analyze(config, params, start) for config in configs]
-
-
-def _run(configs: Sequence[SamplerConfig], workers: int) -> list[GameTable]:
+def _run(configs: Sequence[SamplerConfig]) -> list[GameTable]:
     """The table of each config, on shared draws.
 
-    Blocks of :data:`BLOCK_SIZE` game indices run on ``workers`` pool
-    threads, at most one per block (in the calling thread when ``workers``
-    is 1), and are joined in index order, so nothing depends on
-    ``workers``.  Threads share the process's memory: no process is
-    started and no block's table is copied back.
+    The configs differ only in their fine scenario.  Each block of
+    :data:`BLOCK_SIZE` game indices is drawn once and analyzed per config
+    in the calling thread, and the blocks are joined in index order.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1 (got {workers!r})")
     count = configs[0].count
-    starts = range(0, count, BLOCK_SIZE)
-    args = (
-        [configs] * len(starts),
-        starts,
-        [min(start + BLOCK_SIZE, count) for start in starts],
-    )
-    workers = min(workers, len(starts))
-    if workers == 1:
-        blocks = list(map(_analyze_block, *args))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_analyze_block, *args))
+    blocks = []
+    for start in range(0, count, BLOCK_SIZE):
+        params = _draw(configs[0], start, min(start + BLOCK_SIZE, count))
+        blocks.append([_analyze(config, params, start) for config in configs])
     return [_concat(parts) for parts in zip(*blocks)]
+
+
+def _check_workers(workers: int) -> None:
+    """Validate a ``workers`` argument, which has no effect."""
+    if not is_integer(workers) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1 (got {workers!r})")
 
 
 def _concat(tables: Sequence[GameTable]) -> GameTable:
@@ -566,11 +547,14 @@ def run_ensemble(
 ) -> tuple[GameTable, EnsembleSummary]:
     """Sample, analyze, and summarize ``config.count`` games.
 
-    Pool threads draw and analyze fixed blocks of game indices; the
-    blocks are joined and reduced in index order, so the output is
-    byte-identical for any ``workers``.
+    Fixed blocks of game indices are drawn, analyzed, joined and reduced
+    in index order, in the calling thread; no thread or process is
+    started.  ``workers`` has no effect: it is accepted so that existing
+    callers keep working, and must be an integer >= 1, else
+    :class:`ConfigError`.
     """
-    (table,) = _run([config], workers)
+    _check_workers(workers)
+    (table,) = _run([config])
     return table, _summary(table, config)
 
 
@@ -733,8 +717,12 @@ def fines_study(
     attacker-benefit ceiling ``b_a_upper`` (see :class:`SamplerConfig`).
     Fines are applied after the parameter draw, so the games are drawn
     once and classified again per level; differences between levels are
-    attributable to the fines alone.  Each level may be given once.
+    attributable to the fines alone.  Each level may be given once.  Every
+    level runs in the calling thread.  ``workers`` has no effect: it is
+    accepted so that existing callers keep working, and must be an integer
+    >= 1, else :class:`ConfigError`.
     """
+    _check_workers(workers)
     configs = []
     for level in levels:
         if not (math.isfinite(level) and level >= 0):
@@ -751,7 +739,7 @@ def fines_study(
         return {}
     return {
         config.scenario.f_u: _summary(table, config)
-        for config, table in zip(configs, _run(configs, workers))
+        for config, table in zip(configs, _run(configs))
     }
 
 
@@ -779,7 +767,7 @@ def records_digest(records: GameTable | Sequence[GameRecord]) -> str:
     digest covers it through them.  Two tables have equal digests exactly
     when their rows are equal bit for bit (so -0.0 differs from 0.0).
     Rows are hashed :data:`BLOCK_SIZE` at a time, and the digest does not
-    depend on how the games were blocked or on the worker count.
+    depend on how the games were blocked.
     """
     table = GameTable.from_records(records)
     hasher = hashlib.sha256()

@@ -135,8 +135,7 @@ class GameParams:
     """Validated parameter set of one attack-defence game.
 
     Construction rejects any violation of :func:`constraints`; nothing is
-    clamped silently.  Instances are immutable and safe to share across
-    workers.
+    clamped silently.  Instances are immutable.
     """
 
     w: float

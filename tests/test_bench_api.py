@@ -7,6 +7,9 @@ name is resolved.  ``bench/workload.py --trace 1`` also times layers by
 replacing module attributes the CLI calls through; each must still be
 called once per run, or its layer would read zero.  It also reads the
 step and horizon defaults of the two integrators to count their steps.
+It passes ``--workers`` to ``ensemble`` and ``fines`` and ``workers=1`` to
+``run_ensemble``; these have no effect, and must stay accepted until the
+benchmark stops passing them.
 """
 
 import ast
@@ -18,7 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from cyberevo import PAPER_B_A_UPPER, batch_final_states, cli, integrate
+from cyberevo import (
+    PAPER_B_A_UPPER,
+    SamplerConfig,
+    batch_final_states,
+    cli,
+    fines_study,
+    integrate,
+    run_ensemble,
+)
 from cyberevo.output import OutputBundle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -89,3 +100,32 @@ def test_trace_patch_points_are_each_called_once(tmp_path, monkeypatch, capsys,
     }[command]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert calls == {"load_run_config": 1, entry: 1, "write": 1}
+
+
+def test_library_entries_accept_workers():
+    # bench/workload.py --trace 1 calls run_ensemble(config, workers=1).
+    config = SamplerConfig(count=50, master_seed=3)
+    digest = run_ensemble(config)[1].records_digest
+    assert run_ensemble(config, workers=1)[1].records_digest == digest
+    study = fines_study(50, 3, (0.1, 0.5))
+    assert fines_study(50, 3, (0.1, 0.5), workers=1) == study
+
+
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--count", "300", "--seed", "3"],
+    ["fines", "--count", "300", "--seed", "3", "--levels", "0.1,0.5"],
+])
+def test_workers_flag_writes_identical_artifacts(tmp_path, capsys, argv):
+    # bench/workload.py passes --workers 2 to ensemble and --workers 1 to fines.
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] and written[0] == written[1]
+    capsys.readouterr()
+    assert cli.main([argv[0], "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--workers ENSEMBLE.WORKERS has no effect" in help_text
+    assert cli.main([*argv, "--workers", "0"]) == 2
+    assert "workers must be an integer >= 1" in capsys.readouterr().err

@@ -155,6 +155,24 @@ def test_config_file_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "phase.starts must be a list of [beta, alpha] numbers" in err
 
+    # One file per remaining shape check; each is refused before any run.
+    shapes = "must be a list of [beta, alpha] numbers"
+    for content, message in (
+        ({"output": {"format": 3}}, "output.format must be a string"),
+        ({"fines": {"levels": []}}, "fines.levels must be a non-empty list"),
+        ({"fines": {"levels": 0.1}}, "fines.levels must be a non-empty list"),
+        ({"phase": {"starts": 0.5}}, f"phase.starts {shapes}"),
+        ({"phase": {"starts": [[0.1, 0.2, 0.3]]}}, f"phase.starts {shapes}"),
+        ({"phase": {"starts": [0.5]}}, f"phase.starts {shapes}"),
+        ({"ensemble": {"count": 2.5}}, "ensemble.count must be an integer"),
+        ([{"ensemble": {"count": 2}}], "must contain a JSON object"),
+        ({"ensemble": [2]}, "config section ensemble must be an object"),
+    ):
+        bad = tmp_path / "shape.json"
+        bad.write_text(json.dumps(content))
+        assert cli.main(["analyze", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
 
 EXPECTED_ENSEMBLE_FILES = [
     "ensemble_summary.json",

@@ -1,4 +1,4 @@
-"""Seeded sampling, parallel determinism, and ensemble aggregates."""
+"""Seeded sampling, determinism across blockings, and ensemble aggregates."""
 
 import dataclasses
 import gc
@@ -6,8 +6,7 @@ import hashlib
 import math
 import multiprocessing
 import os
-import pickle
-import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -168,8 +167,11 @@ def test_run_ensemble_worker_count_invariant():
     assert table1 == table2
     assert summary1 == summary2
     assert summary1.records_digest == records_digest(table1)
-    with pytest.raises(ConfigError, match="workers"):
-        run_ensemble(config, workers=0)
+    for workers in (0, -1, 2.5, True):
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+            run_ensemble(config, workers=workers)
+        with pytest.raises(ConfigError, match="workers must be an integer >= 1"):
+            fines_study(count=10, master_seed=1, levels=(0.1,), workers=workers)
 
 
 def test_summary_counts_are_consistent():
@@ -430,21 +432,6 @@ def test_digest_does_not_depend_on_blocking(monkeypatch):
         assert digest == runs[0][1]
 
 
-def test_pool_workers_return_only_tables():
-    # A block holds only its columns, no per-row objects or text: its
-    # pickle is its column bytes plus a fixed overhead.
-    configs = [
-        SamplerConfig(count=1, scenario=FineScenario(f, f)) for f in (0.0, 0.5)
-    ]
-    tables = ensemble._analyze_block(configs, 0, BLOCK_SIZE)
-    assert all(isinstance(table, GameTable) for table in tables)
-    columns = sum(
-        getattr(table, name).nbytes for table in tables for name in ensemble._COLUMNS
-    )
-    assert columns == 2 * BLOCK_SIZE * 94
-    assert len(pickle.dumps(tables)) <= columns + 2048
-
-
 def test_fines_study_reuses_draws_and_validates_levels():
     summaries = fines_study(count=400, master_seed=1, levels=(0.0, 0.5))
     assert set(summaries) == {0.0, 0.5}
@@ -474,6 +461,29 @@ def test_summarize_empty_free():
     assert sum(summary.stable_count_distribution.values()) == 1
 
 
+def test_reducers_of_no_games():
+    config = SamplerConfig(count=1, master_seed=1)
+    summary = summarize([], config)
+    assert set(summary.stable_count_distribution.values()) == {0}
+    assert set(summary.kind_counts.values()) == {0}
+    assert set(summary.kind_ratios.values()) == {0.0}
+    assert all(set(curve) == {0} for curve in summary.v_binned_kind_frequency.values())
+    assert all(set(bins) == {0} for bins in summary.param_binned_stability.values())
+    correlation = correlation_matrix([])
+    assert correlation.shape == (4, 4) and np.isnan(correlation).all()
+    assert np.isnan(summary.correlation).all()
+    welfare = welfare_analytics([])
+    for stats in (welfare, summary.welfare_stats):
+        assert all(math.isnan(mean) for mean in stats.mean_by_pair.values())
+        assert stats.histogram_edges == () and stats.histogram_counts == ()
+        assert all(
+            math.isnan(mean) for means in stats.binned_mean.values() for mean in means
+        )
+    assert records_digest([]) == hashlib.sha256(b"").hexdigest()
+    assert summary.records_digest == records_digest([])
+    assert fines_study(count=10, master_seed=1, levels=()) == {}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     master_seed=st.integers(0, 2**64 - 1),
@@ -487,7 +497,7 @@ def test_table_rows_equal_the_scalar_path(master_seed, index, b_a_upper, f_u, f_
         count=1, master_seed=master_seed, b_a_upper=b_a_upper,
         scenario=FineScenario(f_u=f_u, f_s=f_s),
     )
-    (table,) = ensemble._analyze_block([config], index, index + 3)
+    table = ensemble._analyze(config, ensemble._draw(config, index, index + 3), index)
     expected = [_scalar_record(config, i) for i in range(index, index + 3)]
     # Exact equality: parameters, stable sets and welfare bit for bit.
     assert table == GameTable.from_records(expected)
@@ -608,66 +618,23 @@ def test_corner_verdict_decides_small_gaps_and_not_an_exact_zero():
     assert reports[EquilibriumKind.E4] is Classification.NON_HYPERBOLIC
 
 
-def test_worker_count_invariant_across_partial_blocks():
-    # Three threads on a 2-vCPU machine, switching as often as they can: a
-    # block lost or joined out of order would change the table.
-    config = SamplerConfig(count=2 * BLOCK_SIZE + 37, master_seed=6)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        tables, summaries = zip(*(run_ensemble(config, workers=w) for w in (1, 2, 3)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert summaries[0] == summaries[1] == summaries[2]
-    assert tables[0] == tables[1] == tables[2]
-    assert summaries[0].records_digest == records_digest(tables[0])
-
-
-def test_pool_has_no_more_threads_than_blocks(monkeypatch):
-    # A stand-in for the thread pool that maps in the calling thread and
-    # records the pool size it was asked for.
-    sizes = []
-
-    class InThreadPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", InThreadPool)
-    config = SamplerConfig(count=2 * BLOCK_SIZE, master_seed=6)
-    _, summary = run_ensemble(config, workers=8)
-    assert sizes == [2]
-    run_ensemble(dataclasses.replace(config, count=3 * BLOCK_SIZE), workers=2)
-    assert sizes == [2, 2]
-    monkeypatch.undo()
-    assert summary == run_ensemble(config, workers=1)[1]
-
-
 def test_workers_start_no_child_process(monkeypatch):
-    # The pool runs threads: forking or starting a process fails the run.
-    def no_process(*args, **kwargs):
-        raise AssertionError("a child process was started")
+    # Every run is serial: starting a thread or a process fails it, and the
+    # workers argument changes nothing, over two full blocks and a partial one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread or a process was started")
 
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.Process, "start", refuse)
     count = 2 * BLOCK_SIZE + 37
     config = SamplerConfig(count=count, master_seed=6)
-    levels = (0.1, 0.5)
-    serial = run_ensemble(config, workers=1)
-    serial_study = fines_study(count, 6, levels, workers=1)
-    monkeypatch.setattr(os, "fork", no_process)
-    monkeypatch.setattr(multiprocessing.Process, "start", no_process)
-    table, summary = run_ensemble(config, workers=2)
-    study = fines_study(count, 6, levels, workers=2)
-    assert table == serial[0]
-    assert summary == serial[1]  # records_digest included
-    assert summary.records_digest == records_digest(table)
-    assert study == serial_study
+    tables, summaries = zip(*(run_ensemble(config, workers=w) for w in (1, 2, 3)))
+    studies = [fines_study(count, 6, (0.1, 0.5), workers=w) for w in (1, 2, 3)]
+    assert tables[0] == tables[1] == tables[2]
+    assert summaries[0] == summaries[1] == summaries[2]  # records_digest included
+    assert summaries[0].records_digest == records_digest(tables[0])
+    assert studies[0] == studies[1] == studies[2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -683,7 +650,7 @@ def test_runs_match_the_1024_game_blocking(monkeypatch, workers):
 
     def run():
         study = fines_study(count, 4, levels, workers=workers, b_a_upper=PAPER_B_A_UPPER)
-        return run_ensemble(config, workers=workers), ensemble._run(fine_configs, workers), study
+        return run_ensemble(config, workers=workers), ensemble._run(fine_configs), study
 
     (table, summary), fine_tables, study = run()
     monkeypatch.setattr(ensemble, "BLOCK_SIZE", 1024)
@@ -717,6 +684,17 @@ def test_game_table_round_trips_from_records():
 
 
 def test_game_table_retained_size_per_game():
+    # A block's tables hold only their columns, no per-row objects or text.
+    configs = [
+        SamplerConfig(count=1, scenario=FineScenario(f, f)) for f in (0.0, 0.5)
+    ]
+    params = ensemble._draw(configs[0], 0, BLOCK_SIZE)
+    tables = [ensemble._analyze(config, params, 0) for config in configs]
+    columns = sum(
+        getattr(table, name).nbytes for table in tables for name in ensemble._COLUMNS
+    )
+    assert columns == 2 * BLOCK_SIZE * 94
+
     config = SamplerConfig(count=20_000, master_seed=1)
     run_ensemble(SamplerConfig(count=10, master_seed=1))  # warm caches
     gc.collect()
