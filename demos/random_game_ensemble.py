@@ -44,7 +44,7 @@ def main() -> None:
     stats = summary.welfare_stats
     print("mean social welfare per pure strategy pair:")
     for pair, mean in stats.mean_by_pair.items():
-        print(f"  {pair.label():24s} {mean: .4f}")
+        print(f"  {pair:24s} {mean: .4f}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ def main() -> None:
     matrix = build_payoff_matrix(params)
     for pair in STRATEGY_PAIRS:
         d, a = matrix[pair]
-        print(f"  {pair.label():24s} ({d: .4f}, {a: .4f})")
+        print(f"  {pair:24s} ({d: .4f}, {a: .4f})")
     print()
 
     print("equilibria:")
@@ -45,7 +45,7 @@ def main() -> None:
 
     print("social welfare per pure strategy pair:")
     for pair in STRATEGY_PAIRS:
-        print(f"  {pair.label():24s} {social_welfare(params, pair): .4f}")
+        print(f"  {pair:24s} {social_welfare(params, pair): .4f}")
     print()
 
     # The flow from an almost-passive population confirms the eigenvalue

@@ -3,8 +3,9 @@
 A two-population game between attackers (Attack / NoAttack) and defenders
 (Defence / NoDefence):
 
-- :mod:`cyberevo.game`: parameters, payoff matrix, fines, fitness, welfare,
-  and the certified corner-bracket signs every verdict and trap reads;
+- :mod:`cyberevo.game`: parameters, the four pure strategy pairs by label,
+  their payoffs and welfare, fines, fitness, and the certified
+  corner-bracket signs every verdict and trap reads;
 - :mod:`cyberevo.dynamics`: the two-frequency selection field, a
   fixed-step integrator on the unit square and the batch basin oracle;
 - :mod:`cyberevo.equilibria`: fixed points, their Jacobians and
@@ -54,13 +55,9 @@ from .errors import ConfigError, IntegrationError, ParameterError
 from .game import (
     STRATEGY_PAIRS,
     ZERO_FINES,
-    AttackerMove,
-    DefenderMove,
     FineScenario,
     FitnessProfile,
     GameParams,
-    PayoffMatrix,
-    StrategyPair,
     build_payoff_matrix,
     field_coefficients,
     fitness_profile,
@@ -72,10 +69,8 @@ __all__ = [
     "__version__",
     "AbmConfig",
     "AbmResult",
-    "AttackerMove",
     "Classification",
     "ConfigError",
-    "DefenderMove",
     "EigenPair",
     "EnsembleSummary",
     "EquilibriumKind",
@@ -90,12 +85,10 @@ __all__ = [
     "Jacobian2",
     "PAPER_B_A_UPPER",
     "ParameterError",
-    "PayoffMatrix",
     "PhasePortrait",
     "PopulationState",
     "STRATEGY_PAIRS",
     "SamplerConfig",
-    "StrategyPair",
     "Trajectory",
     "WelfareStats",
     "ZERO_FINES",

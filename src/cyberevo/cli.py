@@ -41,7 +41,7 @@ from .ensemble import (
 )
 from .equilibria import EquilibriumKind, analyze_equilibria, stable_kinds
 from .errors import ConfigError, IntegrationError, ParameterError
-from .game import build_payoff_matrix
+from .game import STRATEGY_PAIRS, build_payoff_matrix, welfare_pairs
 from .output import OutputBundle, Table, probe_writable
 from .phaseplot import phase_portrait, render_phase_svg
 
@@ -200,15 +200,14 @@ def _equilibria_table(name: str, reports) -> Table:
 
 def cmd_analyze(runcfg: RunConfig, bundle: OutputBundle) -> None:
     params = runcfg.game_params()
-    matrix = build_payoff_matrix(params)
+    payoffs = build_payoff_matrix(params)
     reports = analyze_equilibria(params)
-    welfare = {pair: d + a for pair, (d, a) in matrix.entries.items()}
+    welfare = dict(zip(STRATEGY_PAIRS, welfare_pairs(*params.as_tuple())))
 
     bundle.add_document("analysis", {
         "params": params,
         "payoffs": {
-            pair.label(): {"defender": d, "attacker": a}
-            for pair, (d, a) in matrix.entries.items()
+            pair: {"defender": d, "attacker": a} for pair, (d, a) in payoffs.items()
         },
         "equilibria": reports,
         "stable_set": [kind.value for kind in stable_kinds(reports)],
@@ -221,12 +220,12 @@ def cmd_analyze(runcfg: RunConfig, bundle: OutputBundle) -> None:
     bundle.add_table(Table(
         "welfare",
         ("strategy_pair", "welfare"),
-        tuple((pair.label(), value) for pair, value in welfare.items()),
+        tuple(welfare.items()),
     ))
     bundle.add_table(Table(
         "payoffs",
         ("strategy_pair", "defender_payoff", "attacker_payoff"),
-        tuple((pair.label(), *payoffs) for pair, payoffs in matrix.entries.items()),
+        tuple((pair, d, a) for pair, (d, a) in payoffs.items()),
     ))
 
 
@@ -278,7 +277,7 @@ def _ensemble_tables(summary: EnsembleSummary) -> list[Table]:
         ))
     stats = summary.welfare_stats
     welfare_rows: list[tuple] = [
-        (f"mean_welfare[{pair.label()}]", mean)
+        (f"mean_welfare[{pair}]", mean)
         for pair, mean in stats.mean_by_pair.items()
     ]
     n_bins = len(stats.histogram_counts)

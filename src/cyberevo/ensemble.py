@@ -11,7 +11,7 @@ own Generator gives them.  An ensemble is held as a columnar
 the social welfare of the four pure pairs and whether an interior point
 exists, each column one numpy array.  It is filled by the
 algebra of :mod:`cyberevo.game` applied to whole columns (constraints,
-brackets, payoff pairs), the functions that
+brackets, welfare pairs), the functions that
 :class:`~cyberevo.game.GameParams` and
 :func:`~cyberevo.game.social_welfare` call, and by the table verdict
 :func:`~cyberevo.equilibria.stable_table`, so every row holds the bits the
@@ -38,10 +38,9 @@ from .game import (
     STRATEGY_PAIRS,
     FineScenario,
     GameParams,
-    StrategyPair,
     ZERO_FINES,
     constraints,
-    payoff_pairs,
+    welfare_pairs,
 )
 from .equilibria import EquilibriumKind, stable_table
 
@@ -164,7 +163,7 @@ class GameRecord:
     index: int
     params: GameParams
     stable_kinds: frozenset[EquilibriumKind]
-    welfare: dict[StrategyPair, float]
+    welfare: dict[str, float]
     interior_present: bool
 
 
@@ -248,7 +247,7 @@ class WelfareStats:
     v, c_a, c_d to ten per-bin mean welfare values (NaN for empty bins).
     """
 
-    mean_by_pair: dict[StrategyPair, float]
+    mean_by_pair: dict[str, float]
     histogram_edges: tuple[float, ...]
     histogram_counts: tuple[int, ...]
     binned_mean: dict[str, tuple[float, ...]]
@@ -500,8 +499,8 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
     game = (*params.T, *fines)
     stable, interior = stable_table(*game)
     welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
-    for column, (defender, attacker) in enumerate(payoff_pairs(*game)):
-        welfare[:, column] = defender + attacker
+    for column, values in enumerate(welfare_pairs(*game)):
+        welfare[:, column] = values
     return GameTable(
         indices=np.arange(start, start + len(params), dtype=np.int64),
         params=params,

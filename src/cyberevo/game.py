@@ -1,8 +1,9 @@
 """Parameter model and payoff structure of the attack-defence game.
 
 Two populations interact: defenders choose between NoDefence and Defence,
-attackers between NoAttack and Attack.  A game is described by eight
-parameters:
+attackers between NoAttack and Attack.  Each of the four pure strategy
+pairs is named by its label, such as ``"Defence,NoAttack"``
+(:data:`STRATEGY_PAIRS`).  A game is described by eight parameters:
 
 ======  ======================================================  ============
 symbol  meaning                                                 constraint
@@ -24,15 +25,15 @@ The paper's fines (m, n the chances of catching the attacker on an
 unsecured and a secured system, p, s the penalties for a successful and an
 unsuccessful attack) enter the payoffs only through m*p and n*s, so a game
 holds the two products and "no fines" is the default 0.0.  Every
-parameter must be finite.  The constraints, payoff pairs and brackets are
-each written once and take one game's floats or a table's columns alike.
+parameter must be finite.  The constraints, payoff pairs, welfare and
+brackets are each written once and take one game's floats or a table's
+columns alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,19 +44,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import PopulationState
 
 __all__ = [
-    "DefenderMove",
-    "AttackerMove",
-    "StrategyPair",
     "STRATEGY_PAIRS",
     "PARAMETERS",
     "GameParams",
     "FineScenario",
     "ZERO_FINES",
-    "PayoffMatrix",
     "FitnessProfile",
     "build_payoff_matrix",
     "constraints",
     "payoff_pairs",
+    "welfare_pairs",
     "brackets",
     "bracket_term_sums",
     "corner_signs",
@@ -65,40 +63,13 @@ __all__ = [
 ]
 
 
-class DefenderMove(IntEnum):
-    """Pure strategy of the defender population."""
-
-    NO_DEFENCE = 0
-    DEFENCE = 1
-
-
-class AttackerMove(IntEnum):
-    """Pure strategy of the attacker population."""
-
-    NO_ATTACK = 0
-    ATTACK = 1
-
-
-@dataclass(frozen=True)
-class StrategyPair:
-    """One of the four pure outcome pairs of the bimatrix game."""
-
-    defender_move: DefenderMove
-    attacker_move: AttackerMove
-
-    def label(self) -> str:
-        """Human-readable name, e.g. ``"Defence,NoAttack"``."""
-        d = "Defence" if self.defender_move is DefenderMove.DEFENCE else "NoDefence"
-        a = "Attack" if self.attacker_move is AttackerMove.ATTACK else "NoAttack"
-        return f"{d},{a}"
-
-
-#: The four pure strategy pairs in payoff-table order.
-STRATEGY_PAIRS: tuple[StrategyPair, ...] = (
-    StrategyPair(DefenderMove.NO_DEFENCE, AttackerMove.NO_ATTACK),
-    StrategyPair(DefenderMove.NO_DEFENCE, AttackerMove.ATTACK),
-    StrategyPair(DefenderMove.DEFENCE, AttackerMove.NO_ATTACK),
-    StrategyPair(DefenderMove.DEFENCE, AttackerMove.ATTACK),
+#: The four pure strategy pairs, "<defender move>,<attacker move>", in
+#: payoff-table order.
+STRATEGY_PAIRS: tuple[str, ...] = (
+    "NoDefence,NoAttack",
+    "NoDefence,Attack",
+    "Defence,NoAttack",
+    "Defence,Attack",
 )
 
 
@@ -188,26 +159,6 @@ ZERO_FINES = FineScenario(0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class PayoffMatrix:
-    """Defender and attacker payoffs for the four pure strategy pairs.
-
-    ``entries`` maps each :class:`StrategyPair` to a
-    ``(defender_payoff, attacker_payoff)`` tuple.
-    """
-
-    entries: dict[StrategyPair, tuple[float, float]]
-
-    def defender(self, pair: StrategyPair) -> float:
-        return self.entries[pair][0]
-
-    def attacker(self, pair: StrategyPair) -> float:
-        return self.entries[pair][1]
-
-    def __getitem__(self, pair: StrategyPair) -> tuple[float, float]:
-        return self.entries[pair]
-
-
-@dataclass(frozen=True)
 class FitnessProfile:
     """Expected payoffs of each pure strategy against the opposite mixture.
 
@@ -246,6 +197,19 @@ def payoff_pairs(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
             -c_a + b_a * (1.0 - v)
             - v * fine_unsuccessful - (1.0 - v) * fine_successful,
         ),
+    )
+
+
+def welfare_pairs(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
+    """Social welfare (defender plus attacker payoff) of the pure pairs.
+
+    In ``STRATEGY_PAIRS`` order; takes one game's floats or a table's
+    columns alike, as :func:`payoff_pairs` does.  This is the only place
+    the two payoffs are added.
+    """
+    return tuple(
+        d + a
+        for d, a in payoff_pairs(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful)
     )
 
 
@@ -320,9 +284,9 @@ def corner_signs(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
         )
 
 
-def build_payoff_matrix(params: GameParams) -> PayoffMatrix:
-    """The bimatrix payoffs of one game (see :func:`payoff_pairs`)."""
-    return PayoffMatrix(dict(zip(STRATEGY_PAIRS, payoff_pairs(*params.as_tuple()))))
+def build_payoff_matrix(params: GameParams) -> dict[str, tuple[float, float]]:
+    """(defender, attacker) payoffs of one game by pair label (see :func:`payoff_pairs`)."""
+    return dict(zip(STRATEGY_PAIRS, payoff_pairs(*params.as_tuple())))
 
 
 def field_coefficients(params: GameParams) -> tuple[float, float, float, float]:
@@ -366,7 +330,6 @@ def fitness_profile(params: GameParams, state: "PopulationState") -> FitnessProf
     )
 
 
-def social_welfare(params: GameParams, pair: StrategyPair) -> float:
-    """Sum of defender and attacker payoffs at a pure strategy pair."""
-    defender_payoff, attacker_payoff = build_payoff_matrix(params)[pair]
-    return defender_payoff + attacker_payoff
+def social_welfare(params: GameParams, pair: str) -> float:
+    """Welfare of one game at the pair labelled ``pair`` (see :func:`welfare_pairs`)."""
+    return dict(zip(STRATEGY_PAIRS, welfare_pairs(*params.as_tuple())))[pair]

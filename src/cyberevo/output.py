@@ -20,8 +20,6 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .game import StrategyPair
-
 __all__ = [
     "FLOAT_FORMAT",
     "Table",
@@ -37,8 +35,8 @@ FLOAT_FORMAT = "%.6f"
 def to_jsonable(obj: Any) -> Any:
     """Convert library objects to JSON-serializable structures.
 
-    Dataclasses become dicts, enums their values, strategy pairs their
-    labels, complex numbers ``{"re", "im"}`` pairs, NaN/inf become None.
+    Dataclasses become dicts, enums their values, complex numbers
+    ``{"re", "im"}`` pairs, NaN/inf become None.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -48,8 +46,6 @@ def to_jsonable(obj: Any) -> Any:
         return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, StrategyPair):
-        return obj.label()
     if isinstance(obj, np.ndarray):
         return [to_jsonable(item) for item in obj.tolist()]
     if isinstance(obj, np.generic):
@@ -74,10 +70,6 @@ def _key_to_str(key: Any) -> str:
         return key
     if isinstance(key, enum.Enum):
         return str(key.value)
-    if isinstance(key, StrategyPair):
-        return key.label()
-    if isinstance(key, float):
-        return repr(key)
     return str(key)
 
 

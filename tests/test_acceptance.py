@@ -95,7 +95,7 @@ def test_criterion_01_welfare_exactness(capsys):
     checks = [
         (
             abs(values[i] - expected[i]) <= 1e-9,
-            f"welfare[{STRATEGY_PAIRS[i].label()}]={values[i]:.10f}",
+            f"welfare[{STRATEGY_PAIRS[i]}]={values[i]:.10f}",
         )
         for i in range(4)
     ]
@@ -441,7 +441,7 @@ def test_criterion_13_welfare_trends(capsys, paper_run):
     checks = [
         (
             best_pair == STRATEGY_PAIRS[2],
-            f"max mean welfare at {best_pair.label()} "
+            f"max mean welfare at {best_pair} "
             f"({stats.mean_by_pair[best_pair]:.4f})",
         ),
         (

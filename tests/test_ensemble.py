@@ -94,6 +94,46 @@ def test_sample_game_frozen_reference_draw():
     assert game.v == 0.33667941706064064
 
 
+class _ScriptedGenerator:
+    """Stands in for a Generator: ``uniform()`` returns the scripted values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self):
+        return self.values.pop(0)
+
+
+def test_sample_game_redraws_a_draw_on_an_excluded_endpoint(monkeypatch):
+    top = 1.0 - 2.0**-53  # the largest uniform below 1
+    # With w = 1 and c_a = top, b_a = 1 - 2**-53 * top rounds to exactly c_a,
+    # an excluded endpoint; b_d on c_d alike.
+    assert 1.0 - (1.0 - top) * top == top
+    script = [
+        0.0,       # w = 1
+        0.0, top,  # c_a: _open_unit retries the 0.0, then c_a = top
+        top,       # c_d = top
+        top, 0.25,  # b_a: on c_a, so drawn again
+        top, 0.125,  # b_d: on c_d, so drawn again
+        0.5,       # v
+    ]
+    generator = _ScriptedGenerator(script)
+    seeds = []
+
+    def default_rng(seed):
+        seeds.append(seed)
+        return generator
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    game = sample_game(SamplerConfig(count=1, master_seed=9), 4)
+    assert seeds == [[9, 4]] and generator.values == []
+    # The game is the one the scripted draws after each rejected one give;
+    # 1.0 is the only float in (top, 1].
+    assert game == GameParams(w=1.0, c_a=top, c_d=top, b_a=1.0 - (1.0 - top) * 0.25,
+                              b_d=1.0 - (1.0 - top) * 0.125, v=0.5)
+    assert game.b_a == game.b_d == 1.0
+
+
 def test_sampled_games_satisfy_constraints_and_ranges():
     config = SamplerConfig(count=2000, master_seed=3)
     mean_w = 0.0
@@ -284,6 +324,23 @@ def test_welfare_histogram_bin_count_is_capped():
     narrower = (multiple - 1) * BIN_WIDTH
     low, high = float(table.welfare.min()), float(table.welfare.max())
     assert math.ceil(high / narrower) - math.floor(low / narrower) > MAX_HISTOGRAM_BINS
+
+
+def test_welfare_histogram_of_one_value_has_one_bin():
+    # Every sample is the same multiple of the bin width, so the grid's
+    # floor and ceiling meet and it is widened to the one bin [0.0, 0.1].
+    n = 3
+    table = GameTable(
+        indices=np.arange(n, dtype=np.int64),
+        params=np.tile([REF[name] for name in PARAMETERS], (n, 1)),
+        stable=np.zeros((n, len(EquilibriumKind)), dtype=bool),
+        welfare=np.zeros((n, len(STRATEGY_PAIRS))),
+        interior=np.zeros(n, dtype=bool),
+        fines=(0.0, 0.0),
+    )
+    stats = welfare_analytics(table)
+    assert stats.histogram_edges == (0.0, 0.1)
+    assert stats.histogram_counts == (4 * n,)
 
 
 def test_records_digest_sensitive_to_order_and_content():

@@ -122,10 +122,9 @@ def test_payoff_matrix_reference_values():
         STRATEGY_PAIRS[2]: (0.59, 0.0),
         STRATEGY_PAIRS[3]: (-0.7198, 0.156),
     }
+    assert list(matrix) == list(STRATEGY_PAIRS)
     for pair, (d, a) in expected.items():
-        assert matrix.defender(pair) == pytest.approx(d, abs=1e-12)
-        assert matrix.attacker(pair) == pytest.approx(a, abs=1e-12)
-        assert matrix[pair] == matrix.entries[pair]
+        assert matrix[pair] == pytest.approx((d, a), abs=1e-12)
 
 
 def test_fines_enter_only_via_products():
@@ -138,8 +137,8 @@ def test_fines_enter_only_via_products():
     v = REF["v"]
     drops = [0.0, 0.2, 0.0, (1.0 - v) * 0.2 + v * 0.1]
     for pair, drop in zip(STRATEGY_PAIRS, drops):
-        assert fined.defender(pair) == base.defender(pair)
-        drop_seen = base.attacker(pair) - fined.attacker(pair)
+        assert fined[pair][0] == base[pair][0]
+        drop_seen = base[pair][1] - fined[pair][1]
         assert drop_seen == pytest.approx(drop, abs=1e-15)
 
 
@@ -164,8 +163,8 @@ def test_fines_reduce_attacker_payoffs_only():
         fined = FineScenario(f_u=0.5, f_s=0.5).apply(params)
         base, with_fines = build_payoff_matrix(params), build_payoff_matrix(fined)
         for pair in STRATEGY_PAIRS:
-            assert with_fines.defender(pair) == base.defender(pair)
-            assert with_fines.attacker(pair) <= base.attacker(pair)
+            assert with_fines[pair][0] == base[pair][0]
+            assert with_fines[pair][1] <= base[pair][1]
 
 
 def test_fitness_profile_matches_matrix_mixing():
@@ -175,11 +174,13 @@ def test_fitness_profile_matches_matrix_mixing():
         state = PopulationState(rng.uniform(), rng.uniform())
         prof = fitness_profile(params, state)
         matrix = build_payoff_matrix(params)
+        (nd0, na0), (nd1, at0) = matrix["NoDefence,NoAttack"], matrix["NoDefence,Attack"]
+        (d0, na1), (d1, at1) = matrix["Defence,NoAttack"], matrix["Defence,Attack"]
         alpha, beta = state.alpha, state.beta
-        nd = (1 - alpha) * matrix.defender(STRATEGY_PAIRS[0]) + alpha * matrix.defender(STRATEGY_PAIRS[1])
-        d = (1 - alpha) * matrix.defender(STRATEGY_PAIRS[2]) + alpha * matrix.defender(STRATEGY_PAIRS[3])
-        na = (1 - beta) * matrix.attacker(STRATEGY_PAIRS[0]) + beta * matrix.attacker(STRATEGY_PAIRS[2])
-        at = (1 - beta) * matrix.attacker(STRATEGY_PAIRS[1]) + beta * matrix.attacker(STRATEGY_PAIRS[3])
+        nd = (1 - alpha) * nd0 + alpha * nd1
+        d = (1 - alpha) * d0 + alpha * d1
+        na = (1 - beta) * na0 + beta * na1
+        at = (1 - beta) * at0 + beta * at1
         assert prof.f_no_defence == pytest.approx(nd, abs=1e-12)
         assert prof.f_defence == pytest.approx(d, abs=1e-12)
         assert prof.f_no_attack == 0.0
@@ -209,13 +210,12 @@ def test_social_welfare_is_payoff_sum():
         params = random_params(rng, with_fines=True)
         matrix = build_payoff_matrix(params)
         for pair in STRATEGY_PAIRS:
-            d, a = matrix[pair]
-            assert social_welfare(params, pair) == pytest.approx(d + a, abs=1e-15)
+            payoff_sum = sum(matrix[pair])
+            assert social_welfare(params, pair) == pytest.approx(payoff_sum, abs=1e-15)
 
 
 def test_strategy_pair_labels_and_order():
-    labels = [pair.label() for pair in STRATEGY_PAIRS]
-    assert labels == [
+    assert list(STRATEGY_PAIRS) == [
         "NoDefence,NoAttack",
         "NoDefence,Attack",
         "Defence,NoAttack",

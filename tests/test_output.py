@@ -27,6 +27,9 @@ def test_to_jsonable_scalars_and_specials():
     assert to_jsonable(EquilibriumKind.E4) == "E4"
     assert to_jsonable(STRATEGY_PAIRS[3]) == "Defence,Attack"
     assert to_jsonable(np.float64(0.25)) == 0.25
+    # numpy integers and bools are not int or bool, and take the np.generic path.
+    assert type(to_jsonable(np.int64(7))) is int and to_jsonable(np.int64(7)) == 7
+    assert to_jsonable(np.bool_(True)) is True
     assert to_jsonable(np.arange(3)) == [0, 1, 2]
     with pytest.raises(TypeError):
         to_jsonable(object())
@@ -39,6 +42,8 @@ def test_to_jsonable_containers_and_dataclasses():
     assert as_dict["fine_successful"] == 0.0
     mapping = to_jsonable({EquilibriumKind.E2: 3, STRATEGY_PAIRS[0]: 1.0})
     assert mapping == {"E2": 3, "NoDefence,NoAttack": 1.0}
+    # A number key becomes its str(), which for a float is also its repr().
+    assert to_jsonable({0.5: 1, 1e-7: 2, 3: 4}) == {"0.5": 1, "1e-07": 2, "3": 4}
     assert to_jsonable(frozenset({EquilibriumKind.E3, EquilibriumKind.E2})) == [
         "E2",
         "E3",
