@@ -1,22 +1,24 @@
 """Seeded random-game ensembles and their aggregate statistics.
 
-Games are drawn from nested uniform ranges that satisfy every parameter
-constraint by construction, one independent RNG substream per game index,
-so a game does not depend on the count or on the blocking.  Games are
-drawn and analyzed in the calling thread, in blocks of :data:`BLOCK_SIZE`
-consecutive indices, and joined in index order; a block's first draws
-are computed for all its indices at once, bit for bit as each index's
-own Generator gives them.  An ensemble is held as a columnar
-:class:`GameTable`: per game, the six drawn parameters, the stable set,
-the social welfare of the four pure pairs and whether an interior point
-exists, each column one numpy array.  It is filled by the
-algebra of :mod:`cyberevo.game` applied to whole columns (constraints,
-brackets, welfare pairs), the functions that
+Games are drawn from nested uniform ranges, one independent RNG substream
+per game index, so a game does not depend on the count or on the
+blocking.  The map from six uniforms to a game (:func:`_nested`) and the
+check of a drawn game (:func:`_valid`) are each written once, for one game
+and for a block alike.  Games are drawn and analyzed in the calling
+thread, in blocks of :data:`BLOCK_SIZE` consecutive indices, and joined in
+index order; a block's first six uniforms are computed for all its
+indices at once, bit for bit as each index's own Generator gives them.
+An ensemble is held as a columnar :class:`GameTable`: per game, the six
+drawn parameters, the stable set, the social welfare of the four pure
+pairs and whether an interior point exists, each column one numpy array.
+It is filled by the algebra of :mod:`cyberevo.game` applied to whole
+columns (constraints, brackets, welfare pairs), the functions that
 :class:`~cyberevo.game.GameParams` and
 :func:`~cyberevo.game.social_welfare` call, and by the table verdict
 :func:`~cyberevo.equilibria.stable_table`, so every row holds the bits the
-scalar path gives; a draw that breaks a constraint is redrawn by
-:func:`sample_game`.
+scalar path gives; a draw that fails the check (odds of order 2**-53) is
+drawn again whole by :func:`sample_game`, from its substream's next six
+uniforms.
 Aggregates cover the stable-count distribution, per-kind counts/ratios,
 indicator correlations, defence-intensity frequency curves,
 parameter-impact histograms, fine scenarios, and social-welfare
@@ -92,7 +94,7 @@ BIN_EDGES: tuple[tuple[float, float], ...] = tuple(
 )
 
 #: Most bins the welfare histogram may have.  A welfare range wider than
-#: this many ``BIN_WIDTH`` bins (``b_a_upper`` is unbounded above) is
+#: this many ``BIN_WIDTH`` bins (``b_a_upper`` may reach 2**1020) is
 #: binned at the smallest multiple of ``BIN_WIDTH`` that fits.
 MAX_HISTOGRAM_BINS = 1000
 
@@ -136,6 +138,7 @@ class SamplerConfig:
     default 1.0 does not reproduce the paper: E3, not the headline E4, is
     then the most frequent stable state.
     :data:`PAPER_B_A_UPPER` is the ceiling inferred from the paper.
+    The ceiling plus the scenario's two fines may not pass 2**1020.
     """
 
     count: int
@@ -150,9 +153,14 @@ class SamplerConfig:
             raise ConfigError(
                 f"master_seed must be a 64-bit unsigned integer (got {self.master_seed!r})"
             )
-        if not (math.isfinite(self.b_a_upper) and self.b_a_upper >= 1.0):
+        # Welfare lies within b_a_upper + f_s + f_u + 3 of 0 (see
+        # game.payoff_pairs); up to 2**1020 (about 1.1e307) it and b_a stay
+        # finite over BIN_WIDTH, so every bin and histogram edge is finite.
+        fines = self.scenario.f_s + self.scenario.f_u
+        if not 1.0 <= self.b_a_upper <= 2.0**1020 - fines:
             raise ConfigError(
-                f"b_a_upper must be >= 1 (got {self.b_a_upper!r})"
+                f"b_a_upper must be >= 1 and b_a_upper + f_s + f_u <= 2**1020 "
+                f"(got b_a_upper={self.b_a_upper!r}, f_s + f_u={fines!r})"
             )
 
 
@@ -276,50 +284,62 @@ class EnsembleSummary:
     records_digest: str
 
 
-def _open_unit(rng: np.random.Generator) -> float:
-    # uniform() yields [0, 1); reject the measure-zero 0.0 to keep (0, 1).
-    u = float(rng.uniform())
-    while u == 0.0:
-        u = float(rng.uniform())
-    return u
+def _nested(uniforms, upper: float):
+    """The six drawn parameters, in ``PARAMETERS`` order, at six uniforms in [0, 1).
+
+    ``uniforms`` is one game's six floats or a block's six columns, as the
+    algebra of :mod:`cyberevo.game` takes one game or columns alike.  This
+    is the sampling measure: w ~ U(0,1]; c_a ~ U(0,w); c_d ~ U(0,w);
+    b_a ~ U(c_a, upper]; b_d ~ U(c_d, w]; v ~ U(0,1].  Every parameter
+    constraint holds unless a value lands on an excluded endpoint, through
+    a uniform of 0 for c_a or c_d or through rounding (see :func:`_valid`).
+    """
+    w = 1.0 - uniforms[0]
+    c_a = w * uniforms[1]
+    c_d = w * uniforms[2]
+    b_a = upper - (upper - c_a) * uniforms[3]
+    b_d = w - (w - c_d) * uniforms[4]
+    v = 1.0 - uniforms[5]
+    return w, c_a, c_d, b_a, b_d, v
+
+
+def _valid(config: SamplerConfig, params):
+    """Whether drawn parameters are a game of ``config``'s measure.
+
+    ``params`` is one game's six floats or a block's six columns, and the
+    verdict a bool or a boolean column: every
+    :func:`~cyberevo.game.constraints` with the configured fines, and
+    b_a <= b_a_upper.
+    """
+    valid = params[PARAMETERS.index("b_a")] <= config.b_a_upper
+    for _, holds in constraints(*params, config.scenario.f_s, config.scenario.f_u):
+        valid &= holds
+    return valid
 
 
 def sample_game(config: SamplerConfig, index: int) -> GameParams:
     """Draw one game from the substream for ``index``.
 
-    Draws, in order: w ~ U(0,1]; c_a ~ U(0,w); c_d ~ U(0,w);
-    b_a ~ U(c_a, b_a_upper]; b_d ~ U(c_d, w]; v ~ U(0,1]; fines from the
-    configured scenario.  The nested ranges make every parameter constraint
-    hold by construction.  ``b_a_upper`` is the only ceiling that no
-    parameter constraint fixes, and it decides whether E3 or E4 is the
-    most frequent stable state (see :class:`SamplerConfig`); the default
-    1.0 does not reproduce the paper's headline figures.  The substream
-    is derived from (master_seed, index), so any game is reproducible in
-    isolation.
+    The game is :func:`_nested` at the substream's first six uniforms, with
+    fines from the configured scenario.  ``b_a_upper`` is the only ceiling
+    that no parameter constraint fixes, and it decides whether E3 or E4 is
+    the most frequent stable state (see :class:`SamplerConfig`); the
+    default 1.0 does not reproduce the paper's headline figures.  The
+    substream is derived from (master_seed, index), so any game is
+    reproducible in isolation.
 
-    In the astronomically rare case where rounding lands a draw exactly on
-    an excluded endpoint, the draw is repeated from the same substream.
+    In the astronomically rare case where a value lands exactly on an
+    excluded endpoint (:func:`_valid` fails), the whole game is drawn again
+    from the substream's next six uniforms; no value of the failed draw is
+    kept.
     """
     if index < 0:
         raise ConfigError(f"index must be >= 0 (got {index!r})")
     rng = np.random.default_rng([config.master_seed, index])
-    w = 1.0 - float(rng.uniform())
-    c_a = w * _open_unit(rng)
-    while not 0.0 < c_a < w:
-        c_a = w * _open_unit(rng)
-    c_d = w * _open_unit(rng)
-    while not 0.0 < c_d < w:
-        c_d = w * _open_unit(rng)
-    b_a = config.b_a_upper - (config.b_a_upper - c_a) * float(rng.uniform())
-    while not c_a < b_a <= config.b_a_upper:
-        b_a = config.b_a_upper - (config.b_a_upper - c_a) * float(rng.uniform())
-    b_d = w - (w - c_d) * float(rng.uniform())
-    while not c_d < b_d <= w:
-        b_d = w - (w - c_d) * float(rng.uniform())
-    v = 1.0 - float(rng.uniform())
-    return config.scenario.apply(
-        GameParams(w=w, c_a=c_a, c_d=c_d, b_a=b_a, b_d=b_d, v=v)
-    )
+    while True:
+        params = _nested(rng.random(6).tolist(), config.b_a_upper)
+        if _valid(config, params):
+            return GameParams(*params, config.scenario.f_s, config.scenario.f_u)
 
 
 # numpy's SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
@@ -462,36 +482,25 @@ def _pcg64_doubles(seed: list[np.ndarray], n_draws: int) -> np.ndarray:
 
 
 def _draw(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
-    """Games ``start..stop-1`` by :func:`sample_game`'s first-draw formulas.
+    """Games ``start..stop-1`` at their substreams' first six uniforms, one row each.
 
     Unchecked: :func:`_analyze` redraws every row that breaks a constraint.
     """
     u = _uniforms(config.master_seed, start, stop)
-    upper = config.b_a_upper
-    w = 1.0 - u[:, 0]
-    c_a = w * u[:, 1]
-    c_d = w * u[:, 2]
-    b_a = upper - (upper - c_a) * u[:, 3]
-    b_d = w - (w - c_d) * u[:, 4]
-    v = 1.0 - u[:, 5]
-    return np.stack([w, c_a, c_d, b_a, b_d, v], axis=1)
+    return np.stack(_nested(u.T, config.b_a_upper), axis=1)
 
 
 def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable:
     """Check, classify and evaluate games ``start..start+n-1`` drawn for ``config``.
 
-    Every row must pass :func:`~cyberevo.game.constraints` and the sampler's
-    ceiling b_a <= b_a_upper; any row that does not (a draw that hit an
-    excluded endpoint) is redrawn by :func:`sample_game`.  The rest applies
+    Every row that fails :func:`_valid` (a draw that hit an excluded
+    endpoint) is redrawn by :func:`sample_game`.  The rest applies
     the scalar functions' algebra to columns, so each row holds the bits
     :func:`sample_game`, ``stable_set``, ``social_welfare`` and
     ``interior_equilibrium`` give for that game.
     """
     fines = (float(config.scenario.f_s), float(config.scenario.f_u))
-    valid = params[:, PARAMETERS.index("b_a")] <= config.b_a_upper
-    for _, holds in constraints(*params.T, *fines):
-        valid &= holds
-    redraw = np.flatnonzero(~valid)
+    redraw = np.flatnonzero(~_valid(config, params.T))
     if redraw.size:
         params = params.copy()
         for row in redraw.tolist():
@@ -627,25 +636,42 @@ def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
     )
 
 
+def _grid(low: float, high: float, multiple: int) -> tuple[float, float, int]:
+    """Width, first edge and bin count of the grid of ``multiple`` bin widths.
+
+    Its edges are multiples of the width and cover [low, high] with at
+    least one bin.
+    """
+    width = BIN_WIDTH * multiple
+    lo = math.floor(low / width) * width
+    hi = math.ceil(high / width) * width
+    if hi <= lo:
+        hi = lo + width
+    return width, lo, round((hi - lo) / width)
+
+
 def _histogram_grid(low: float, high: float) -> tuple[float, float, int]:
     """Bin width, first edge and bin count of the welfare histogram.
 
-    Edges are multiples of the width, which is the smallest multiple of
-    ``BIN_WIDTH`` giving at most ``MAX_HISTOGRAM_BINS`` bins.
+    The grid covers [low, high] and 0.0, which every ensemble's welfare
+    holds: the (NoDefence, NoAttack) pair's.  Its width is the smallest
+    multiple of ``BIN_WIDTH`` giving at most ``MAX_HISTOGRAM_BINS`` bins.
+    With 0 in the range, both ends' bin indices move toward 0 as the width
+    grows, so the count never rises with the multiple: the multiple is
+    doubled until it fits, then bisected.  Both ends are finite over
+    ``BIN_WIDTH``, as :class:`SamplerConfig`'s bound keeps welfare.
     """
-    multiple = 1
-    while True:
-        width = BIN_WIDTH * multiple
-        lo = math.floor(low / width) * width
-        hi = math.ceil(high / width) * width
-        if hi <= lo:
-            hi = lo + width
-        n_bins = int(round((hi - lo) / width))
-        if n_bins <= MAX_HISTOGRAM_BINS:
-            return width, lo, n_bins
-        # The range spans more than n_bins - 2 widths, so no multiple below
-        # this one fits.
-        multiple = max(multiple + 1, multiple * (n_bins - 2) // MAX_HISTOGRAM_BINS)
+    low, high = min(low, 0.0), max(high, 0.0)
+    misses, fits = 0, 1
+    while _grid(low, high, fits)[2] > MAX_HISTOGRAM_BINS:
+        misses, fits = fits, 2 * fits
+    while fits - misses > 1:
+        middle = (misses + fits) // 2
+        if _grid(low, high, middle)[2] > MAX_HISTOGRAM_BINS:
+            misses = middle
+        else:
+            fits = middle
+    return _grid(low, high, fits)
 
 
 def _welfare_stats(welfare: np.ndarray, bins: dict[str, np.ndarray]) -> WelfareStats:

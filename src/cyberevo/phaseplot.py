@@ -23,6 +23,7 @@ from .dynamics import (
     FieldValue,
     PopulationState,
     Trajectory,
+    _check_span,
     field_grid,
     integrate,
 )
@@ -109,7 +110,9 @@ def phase_portrait(
 ) -> PhasePortrait:
     """Evaluate the field on ``resolution`` (>= 2) lattice points per axis,
     analyze the equilibria, and integrate each start for
-    ``trajectory_horizon`` at the default step, keeping about 500 samples."""
+    ``trajectory_horizon`` at the default step, keeping about 500 samples.
+    The horizon is checked as the integrators check it, starts or none."""
+    _check_span(DEFAULT_STEP, trajectory_horizon)
     grid = field_grid(params, resolution)
     reports = analyze_equilibria(params)
     stride = max(1, int(round(trajectory_horizon / DEFAULT_STEP)) // 500)

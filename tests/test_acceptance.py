@@ -42,7 +42,7 @@ from cyberevo import (
     simulate,
     social_welfare,
 )
-from cyberevo import cli
+from cyberevo import cli, ensemble
 
 SINGLE_STABLE = GameParams(w=0.98, c_a=0.51, c_d=0.20, b_a=0.90, b_d=0.79, v=0.26)
 BISTABLE = GameParams(w=0.98, c_a=0.69, c_d=0.54, b_a=0.79, b_d=0.72, v=0.15)
@@ -405,22 +405,25 @@ def test_criterion_11_abm_agreement(capsys, big_run):
     ])
 
 
-def test_criterion_12_byte_identical_outputs(capsys, tmp_path):
-    out_a = tmp_path / "w1"
-    out_b = tmp_path / "w2"
+def test_criterion_12_byte_identical_outputs(capsys, tmp_path, monkeypatch):
+    # Both worker counts run the same code in the calling thread; 1,000-game
+    # blocks split the 2,000 games where the default block holds them all.
     args = ["ensemble", "--count", "2000", "--seed", str(MASTER_SEED)]
-    assert cli.main([*args, "--out", str(out_a), "--workers", "1"]) == 0
-    assert cli.main([*args, "--out", str(out_b), "--workers", "2"]) == 0
+    assert cli.main([*args, "--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
+    assert cli.main([*args, "--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
+    monkeypatch.setattr(ensemble, "BLOCK_SIZE", 1000)
+    assert cli.main([*args, "--out", str(tmp_path / "blocks")]) == 0
+    out_a = tmp_path / "w1"
     names = sorted(path.name for path in out_a.iterdir())
     mismatched = [
-        name for name in names
-        if (out_a / name).read_bytes() != (out_b / name).read_bytes()
+        f"{other}/{name}" for other in ("w2", "blocks") for name in names
+        if (out_a / name).read_bytes() != (tmp_path / other / name).read_bytes()
     ]
     _report(capsys, 12, [
         (
             len(names) >= 10 and not mismatched,
-            f"{len(names)} artifacts, byte-identical across worker counts"
-            + (f"; mismatched: {mismatched}" if mismatched else ""),
+            f"{len(names)} artifacts, byte-identical across worker counts and "
+            "blockings" + (f"; mismatched: {mismatched}" if mismatched else ""),
         ),
     ])
 

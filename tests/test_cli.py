@@ -238,6 +238,17 @@ def test_out_path_under_file_fails_before_compute(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_ensemble_refuses_a_ceiling_too_high_to_bin(tmp_path, capsys):
+    # This ran into an OverflowError traceback (exit 1) after sampling.
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"ensemble": {"b_a_upper": 1e308}}))
+    out = tmp_path / "out"
+    argv = ["ensemble", "--count", "100", "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "b_a_upper + f_s + f_u" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_phase_svg_stdout(capsys):
     assert cli.main(["phase", *REF_FLAGS]) == 0
     out = capsys.readouterr().out
@@ -281,6 +292,16 @@ def test_phase_integrates_each_start_once(monkeypatch, capsys):
 def test_phase_rejects_tiny_resolution(capsys):
     assert cli.main(["phase", *REF_FLAGS, "--resolution", "1"]) == 2
     assert "resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("starts", [[], ["--start", "0.05,0.95"]])
+def test_phase_rejects_a_horizon_below_the_step(tmp_path, capsys, starts):
+    # Checked before any work, whether or not a trajectory is integrated.
+    out = tmp_path / "phase"
+    args = ["phase", *REF_FLAGS, *starts, "--horizon", "-5", "--out", str(out)]
+    assert cli.main(args) == 3
+    assert "horizon >= step" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_phase_rejects_malformed_start(capsys):

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -95,43 +96,46 @@ def test_sample_game_frozen_reference_draw():
 
 
 class _ScriptedGenerator:
-    """Stands in for a Generator: ``uniform()`` returns the scripted values in turn."""
+    """Stands in for a Generator: ``random(6)`` returns the scripted sixes in turn."""
 
-    def __init__(self, values):
-        self.values = list(values)
+    def __init__(self, sixes):
+        self.sixes = [np.array(six) for six in sixes]
 
-    def uniform(self):
-        return self.values.pop(0)
+    def random(self, size):
+        assert size == 6
+        return self.sixes.pop(0)
 
 
 def test_sample_game_redraws_a_draw_on_an_excluded_endpoint(monkeypatch):
     top = 1.0 - 2.0**-53  # the largest uniform below 1
     # With w = 1 and c_a = top, b_a = 1 - 2**-53 * top rounds to exactly c_a,
-    # an excluded endpoint; b_d on c_d alike.
+    # an excluded endpoint.
     assert 1.0 - (1.0 - top) * top == top
-    script = [
-        0.0,       # w = 1
-        0.0, top,  # c_a: _open_unit retries the 0.0, then c_a = top
-        top,       # c_d = top
-        top, 0.25,  # b_a: on c_a, so drawn again
-        top, 0.125,  # b_d: on c_d, so drawn again
-        0.5,       # v
-    ]
-    generator = _ScriptedGenerator(script)
-    seeds = []
+    broken = {
+        "b_a on c_a": [0.0, top, 0.5, top, 0.5, 0.5],
+        "c_a = 0": [0.5, 0.0, 0.5, 0.5, 0.5, 0.5],
+    }
+    # Differs from each broken six at every position, and maps to dyadic
+    # values, so the expected game is written out exactly.
+    valid = [0.25, 0.375, 0.75, 0.125, 0.625, 0.875]
+    expected = GameParams(w=0.75, c_a=0.28125, c_d=0.5625,
+                          b_a=1.0 - 0.71875 * 0.125, b_d=0.75 - 0.1875 * 0.625,
+                          v=0.125)
+    for name, six in broken.items():
+        generator = _ScriptedGenerator([six, valid])
+        seeds = []
 
-    def default_rng(seed):
-        seeds.append(seed)
-        return generator
+        def default_rng(seed):
+            seeds.append(seed)
+            return generator
 
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
-    game = sample_game(SamplerConfig(count=1, master_seed=9), 4)
-    assert seeds == [[9, 4]] and generator.values == []
-    # The game is the one the scripted draws after each rejected one give;
-    # 1.0 is the only float in (top, 1].
-    assert game == GameParams(w=1.0, c_a=top, c_d=top, b_a=1.0 - (1.0 - top) * 0.25,
-                              b_d=1.0 - (1.0 - top) * 0.125, v=0.5)
-    assert game.b_a == game.b_d == 1.0
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        game = sample_game(SamplerConfig(count=1, master_seed=9), 4)
+        # One Generator, from (master_seed, index); both sixes drawn once.
+        assert seeds == [[9, 4]] and generator.sixes == [], name
+        # The whole game is the valid six's: no uniform of the broken six
+        # is kept.
+        assert game == expected, name
 
 
 def test_sampled_games_satisfy_constraints_and_ranges():
@@ -341,6 +345,69 @@ def test_welfare_histogram_of_one_value_has_one_bin():
     stats = welfare_analytics(table)
     assert stats.histogram_edges == (0.0, 0.1)
     assert stats.histogram_counts == (4 * n,)
+
+
+def _stepped_grid(low, high):
+    """The welfare grid as first written: step the multiple up until it fits."""
+    multiple = 1
+    while True:
+        width = BIN_WIDTH * multiple
+        lo = math.floor(low / width) * width
+        hi = math.ceil(high / width) * width
+        if hi <= lo:
+            hi = lo + width
+        n_bins = int(round((hi - lo) / width))
+        if n_bins <= MAX_HISTOGRAM_BINS:
+            return width, lo, n_bins
+        multiple = max(multiple + 1, multiple * (n_bins - 2) // MAX_HISTOGRAM_BINS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low=st.floats(-1e9, 0.0), high=st.floats(0.0, 1e9))
+def test_histogram_grid_is_the_smallest_multiple_that_fits(low, high):
+    # Every ensemble's welfare range holds 0, (NoDefence, NoAttack)'s.
+    assert ensemble._histogram_grid(low, high) == _stepped_grid(low, high)
+
+
+def test_histogram_grid_reaches_zero():
+    # A one-signed range is widened to 0, where an ensemble's range starts.
+    assert ensemble._histogram_grid(5.0, 7.0) == (BIN_WIDTH, 0.0, 70)
+    assert ensemble._histogram_grid(-7.0, -5.0) == (BIN_WIDTH, -7.0, 70)
+
+
+def test_histogram_grid_of_a_wide_range_is_quick():
+    # The stepping search took seconds here, ten times longer per decade.
+    start = time.perf_counter()
+    width, lo, n_bins = ensemble._histogram_grid(-1.0, 1e12)
+    assert time.perf_counter() - start < 0.1
+    narrower = round(width / BIN_WIDTH) - 1
+    assert n_bins <= MAX_HISTOGRAM_BINS < ensemble._grid(-1.0, 1e12, narrower)[2]
+
+
+@pytest.mark.parametrize("b_a_upper, fine", [(1e307, 0.0), (2.0**1020, 0.0),
+                                               (1.0, 2.0**1018)])
+def test_huge_ceilings_and_fines_up_to_the_bound_are_binned(b_a_upper, fine):
+    # The stepping search did not return at a 1e307 ceiling.  A warning
+    # (an overflow) would fail the test.
+    config = SamplerConfig(count=200, b_a_upper=b_a_upper,
+                           scenario=FineScenario(fine, fine))
+    _, summary = run_ensemble(config)
+    if b_a_upper > 1.0:
+        by_b_a = summary.param_binned_stability["b_a"]
+        assert sum(by_b_a) == by_b_a[-1] > 0
+    counts = summary.welfare_stats.histogram_counts
+    assert 10 < len(counts) <= MAX_HISTOGRAM_BINS and sum(counts) == 4 * 200
+    assert all(map(math.isfinite, summary.welfare_stats.histogram_edges))
+
+
+@pytest.mark.parametrize("b_a_upper, fine", [
+    (1e308, 0.0), (math.nextafter(2.0**1020, math.inf), 0.0), (1.0, 2.0**1019),
+    (math.inf, 0.0), (math.nan, 0.0), (0.5, 0.0),
+])
+def test_ceilings_and_fines_past_the_bound_are_refused(b_a_upper, fine):
+    # A 1e308 ceiling ran into an OverflowError on the welfare grid.
+    with pytest.raises(ConfigError, match="b_a_upper \\+ f_s \\+ f_u"):
+        SamplerConfig(count=1, b_a_upper=b_a_upper, scenario=FineScenario(fine, fine))
 
 
 def test_records_digest_sensitive_to_order_and_content():
