@@ -3,9 +3,9 @@
 A two-population game between attackers (Attack / NoAttack) and defenders
 (Defence / NoDefence):
 
-- :mod:`cyberevo.game`: parameters, the four pure strategy pairs by label,
-  their payoffs and welfare, fines, fitness, and the certified
-  corner-bracket signs every verdict and trap reads;
+- :mod:`cyberevo.game`: parameters, the population state, the four pure
+  strategy pairs by label, their payoffs and welfare, fines, fitness, and
+  the certified corner-bracket signs every verdict and trap reads;
 - :mod:`cyberevo.dynamics`: the two-frequency selection field, a
   fixed-step integrator on the unit square and the batch basin oracle;
 - :mod:`cyberevo.equilibria`: fixed points, their Jacobians and
@@ -20,7 +20,6 @@ from ._version import __version__
 from .abm import AbmConfig, AbmResult, simulate
 from .dynamics import (
     FieldValue,
-    PopulationState,
     Trajectory,
     batch_final_states,
     field_grid,
@@ -58,6 +57,7 @@ from .game import (
     FineScenario,
     FitnessProfile,
     GameParams,
+    PopulationState,
     build_payoff_matrix,
     field_coefficients,
     fitness_profile,

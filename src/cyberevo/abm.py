@@ -47,9 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PopulationState
 from .errors import ConfigError, is_integer
-from .game import GameParams, field_coefficients
+from .game import GameParams, PopulationState, field_coefficients
 
 __all__ = ["AbmConfig", "AbmResult", "simulate"]
 

@@ -30,10 +30,9 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from .abm import AbmConfig
-from .dynamics import PopulationState
 from .ensemble import SamplerConfig
 from .errors import ConfigError
-from .game import FineScenario, GameParams
+from .game import FineScenario, GameParams, PopulationState
 from .phaseplot import phase_portrait
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]

@@ -34,11 +34,14 @@ precision, so no edge absorbs a trajectory that has not reached it.
   start ends.  Its Stormer-Verlet (leapfrog) step holds H without drift
   (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).
 
-Both measure time in the game's own unit 1/s, with s = max(|k0|, |k0 + k1|,
-|g0|, |g0 + g1|) the largest bracket at a corner, which is positive because
-k0 = b_d - c_d > 0.  Multiplying every payoff by c multiplies s by c, so a
-scaled game takes the same steps in its own time (the same bits when c is a
-power of two).
+A game's time scale is s = max(|k0|, |k0 + k1|, |g0|, |g0 + g1|), the
+largest bracket at a corner, which is positive because k0 = b_d - c_d > 0;
+multiplying every payoff by c multiplies s by c.  The oracle steps in the
+game's own time, unit 1/s: it divides its step by s, so a scaled game takes
+the same steps (the same bits when c is a power of two).  :func:`integrate`
+takes ``step`` and ``horizon`` in the caller's time unit and scales only its
+convergence tolerance by s, so a scaled game takes the same steps when its
+step and horizon are divided by c.
 
 Both read a pair as settled in a trapping quadrant of a corner: a coordinate
 at +-inf is settled on its edge, and each finite coordinate's velocity is
@@ -64,7 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError, ParameterError, require
-from .game import GameParams, brackets, corner_signs, field_coefficients
+from .game import GameParams, PopulationState, brackets, corner_signs, field_coefficients
 
 __all__ = [
     "PopulationState",
@@ -80,9 +83,10 @@ __all__ = [
     "DEFAULT_CONVERGENCE_TOL",
 ]
 
-#: :func:`integrate` defaults: fixed step and total time horizon, and the
-#: max-norm field, per unit of the game's own time (the field divided by s;
-#: see the module docstring), below which a trapped pair counts as converged.
+#: :func:`integrate` defaults: fixed step and total time horizon, in the
+#: caller's time unit, and the max-norm field, per unit of the game's own
+#: time (the field divided by s; see the module docstring), below which a
+#: trapped pair counts as converged.
 DEFAULT_STEP = 0.05
 DEFAULT_HORIZON = 1000.0
 DEFAULT_CONVERGENCE_TOL = 1e-9
@@ -93,18 +97,6 @@ TRAP_TEST_STRIDE = 8
 #: The ends of the open unit interval in float64.
 _ABOVE_ZERO = float(np.nextafter(0.0, 1.0))
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Frequencies (beta, alpha) of Defence and Attack, each in [0, 1]."""
-
-    beta: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        require(0.0 <= self.beta <= 1.0, "0 <= beta <= 1", beta=self.beta)
-        require(0.0 <= self.alpha <= 1.0, "0 <= alpha <= 1", alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -210,9 +202,10 @@ def integrate(
     start : PopulationState
         Initial state in the closed unit square.
     step : float
-        Fixed time step, finite and > 0.
+        Fixed time step in the caller's time unit (not divided by s),
+        finite and > 0.
     horizon : float
-        Total integration time, finite and >= step.
+        Total integration time in the same unit, finite and >= step.
     record_stride : int
         Keep every ``record_stride``-th sample (step 0 and the final step
         are always kept); an integer >= 1 (``operator.index`` must accept

@@ -16,9 +16,9 @@ columns (constraints, brackets, welfare pairs), the functions that
 :class:`~cyberevo.game.GameParams` and
 :func:`~cyberevo.game.social_welfare` call, and by the table verdict
 :func:`~cyberevo.equilibria.stable_table`, so every row holds the bits the
-scalar path gives; a draw that fails the check (odds of order 2**-53) is
-drawn again whole by :func:`sample_game`, from its substream's next six
-uniforms.
+scalar path gives.  The sampler checks each drawn block once, and a draw
+that fails the check (odds of order 2**-53) is drawn again whole by
+:func:`sample_game`, from its substream's next six uniforms.
 Aggregates cover the stable-count distribution, per-kind counts/ratios,
 indicator correlations, defence-intensity frequency curves,
 parameter-impact histograms, fine scenarios, and social-welfare
@@ -482,29 +482,28 @@ def _pcg64_doubles(seed: list[np.ndarray], n_draws: int) -> np.ndarray:
 
 
 def _draw(config: SamplerConfig, start: int, stop: int) -> np.ndarray:
-    """Games ``start..stop-1`` at their substreams' first six uniforms, one row each.
+    """Games ``start..stop-1`` of ``config``'s measure, one row of six parameters each.
 
-    Unchecked: :func:`_analyze` redraws every row that breaks a constraint.
+    Each row is :func:`_nested` at its substream's first six uniforms, so it
+    holds the bits :func:`sample_game` gives for that index: a row that
+    fails :func:`_valid` (a draw that hit an excluded endpoint) is drawn
+    again whole by :func:`sample_game`.
     """
     u = _uniforms(config.master_seed, start, stop)
-    return np.stack(_nested(u.T, config.b_a_upper), axis=1)
+    params = np.stack(_nested(u.T, config.b_a_upper), axis=1)
+    for row in np.flatnonzero(~_valid(config, params.T)).tolist():
+        params[row] = sample_game(config, start + row).as_tuple()[:6]
+    return params
 
 
-def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable:
-    """Check, classify and evaluate games ``start..start+n-1`` drawn for ``config``.
+def _analyze(params: np.ndarray, fines: tuple[float, float], start: int) -> GameTable:
+    """Classify and evaluate games ``start..start+n-1`` under ``fines``.
 
-    Every row that fails :func:`_valid` (a draw that hit an excluded
-    endpoint) is redrawn by :func:`sample_game`.  The rest applies
-    the scalar functions' algebra to columns, so each row holds the bits
-    :func:`sample_game`, ``stable_set``, ``social_welfare`` and
-    ``interior_equilibrium`` give for that game.
+    ``params`` holds six drawn parameters per row and ``fines`` is
+    (fine_successful, fine_unsuccessful).  The scalar functions' algebra is
+    applied to columns, so each row holds the bits ``stable_set``,
+    ``social_welfare`` and ``interior_equilibrium`` give for that game.
     """
-    fines = (float(config.scenario.f_s), float(config.scenario.f_u))
-    redraw = np.flatnonzero(~_valid(config, params.T))
-    if redraw.size:
-        params = params.copy()
-        for row in redraw.tolist():
-            params[row] = sample_game(config, start + row).as_tuple()[:6]
     game = (*params.T, *fines)
     stable, interior = stable_table(*game)
     welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
@@ -523,15 +522,17 @@ def _analyze(config: SamplerConfig, params: np.ndarray, start: int) -> GameTable
 def _run(configs: Sequence[SamplerConfig]) -> list[GameTable]:
     """The table of each config, on shared draws.
 
-    The configs differ only in their fine scenario.  Each block of
-    :data:`BLOCK_SIZE` game indices is drawn once and analyzed per config
-    in the calling thread, and the blocks are joined in index order.
+    The configs differ only in their fine scenario, which no drawn
+    parameter's check depends on.  Each block of :data:`BLOCK_SIZE` game
+    indices is drawn and checked once and analyzed per config in the
+    calling thread, and the blocks are joined in index order.
     """
     count = configs[0].count
+    fines = [(float(c.scenario.f_s), float(c.scenario.f_u)) for c in configs]
     blocks = []
     for start in range(0, count, BLOCK_SIZE):
         params = _draw(configs[0], start, min(start + BLOCK_SIZE, count))
-        blocks.append([_analyze(config, params, start) for config in configs])
+        blocks.append([_analyze(params, f, start) for f in fines])
     return [_concat(parts) for parts in zip(*blocks)]
 
 
@@ -591,16 +592,18 @@ def _correlation(stable: np.ndarray) -> tuple[tuple[float, ...], ...]:
     for i, kind in enumerate(_CURVE_KINDS):
         columns[i] = stable[:, kind]
     columns[3] = stable.sum(axis=1)
-    matrix = np.full((4, 4), np.nan)
+    # An undefined entry is the math.nan singleton, so equal runs give
+    # equal tuples.
+    matrix = [[math.nan] * 4 for _ in range(4)]
     centered = columns - columns.mean(axis=1, keepdims=True) if n else columns
     spread = np.sqrt((centered**2).mean(axis=1)) if n else np.zeros(4)
     for i in range(4):
         for j in range(4):
             if spread[i] > 0.0 and spread[j] > 0.0:
-                matrix[i, j] = float(
+                matrix[i][j] = float(
                     (centered[i] * centered[j]).mean() / (spread[i] * spread[j])
                 )
-    return tuple(tuple(float(x) for x in row) for row in matrix)
+    return tuple(tuple(row) for row in matrix)
 
 
 def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:

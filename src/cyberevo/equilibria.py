@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PopulationState
-from .game import GameParams, brackets, corner_signs, field_coefficients
+from .game import GameParams, PopulationState, brackets, corner_signs, field_coefficients
 
 __all__ = [
     "EquilibriumKind",

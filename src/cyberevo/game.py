@@ -25,29 +25,29 @@ The paper's fines (m, n the chances of catching the attacker on an
 unsecured and a secured system, p, s the penalties for a successful and an
 unsuccessful attack) enter the payoffs only through m*p and n*s, so a game
 holds the two products and "no fines" is the default 0.0.  Every
-parameter must be finite.  The constraints, payoff pairs, welfare and
-brackets are each written once and take one game's floats or a table's
-columns alike.
+parameter must be finite.  A state of the two populations is a
+:class:`PopulationState`, the frequencies (beta, alpha) of Defence and
+Attack, which the fitness, the dynamics, the equilibria and the
+finite-population check all read.  The constraints, payoff pairs, welfare
+and brackets are each written once and take one game's floats or a
+table's columns alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import require
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import PopulationState
 
 __all__ = [
     "STRATEGY_PAIRS",
     "PARAMETERS",
     "GameParams",
     "FineScenario",
+    "PopulationState",
     "ZERO_FINES",
     "FitnessProfile",
     "build_payoff_matrix",
@@ -138,7 +138,8 @@ class FineScenario:
     """Composite attacker fines: f_u for unsuccessful, f_s for successful attacks.
 
     Applied to a game, ``f_s`` becomes its ``fine_successful`` and ``f_u``
-    its ``fine_unsuccessful``.
+    its ``fine_unsuccessful``.  A zero fine is stored as 0.0, so -0.0 is
+    not a second "no fines"; every other value is kept as given.
     """
 
     f_u: float = 0.0
@@ -148,6 +149,8 @@ class FineScenario:
         for name, value in (("f_u", self.f_u), ("f_s", self.f_s)):
             require(math.isfinite(value), f"{name} finite", **{name: value})
             require(value >= 0.0, f"{name} >= 0", **{name: value})
+            if value == 0.0:
+                object.__setattr__(self, name, 0.0)
 
     def apply(self, params: GameParams) -> GameParams:
         """Return a copy of ``params`` with this scenario's fines installed."""
@@ -156,6 +159,18 @@ class FineScenario:
 
 #: The no-fines default scenario.
 ZERO_FINES = FineScenario(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class PopulationState:
+    """Frequencies (beta, alpha) of Defence and Attack, each in [0, 1]."""
+
+    beta: float
+    alpha: float
+
+    def __post_init__(self) -> None:
+        require(0.0 <= self.beta <= 1.0, "0 <= beta <= 1", beta=self.beta)
+        require(0.0 <= self.alpha <= 1.0, "0 <= alpha <= 1", alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -294,7 +309,7 @@ def field_coefficients(params: GameParams) -> tuple[float, float, float, float]:
     return brackets(*params.as_tuple())
 
 
-def fitness_profile(params: GameParams, state: "PopulationState") -> FitnessProfile:
+def fitness_profile(params: GameParams, state: PopulationState) -> FitnessProfile:
     """Evaluate expected payoffs of all four pure strategies at a state.
 
     Parameters

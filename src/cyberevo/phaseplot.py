@@ -21,7 +21,6 @@ from typing import Mapping, Optional, Sequence
 from .dynamics import (
     DEFAULT_STEP,
     FieldValue,
-    PopulationState,
     Trajectory,
     _check_span,
     field_grid,
@@ -34,7 +33,7 @@ from .equilibria import (
     analyze_equilibria,
     stable_kinds,
 )
-from .game import GameParams
+from .game import GameParams, PopulationState
 
 __all__ = ["PhasePortrait", "phase_portrait", "render_phase_svg"]
 

@@ -341,6 +341,28 @@ def test_fines_tables_named_by_level(tmp_path, capsys):
     assert doc["result"]["0.5"]["kind_counts"]["E1"] == 0
 
 
+def test_a_negative_zero_fine_level_is_level_zero(tmp_path, capsys):
+    # -0 names the same games as 0: the same table, key and digest.  The
+    # provenance keeps the level as it was given.
+    docs = {}
+    for level in ("-0", "0"):
+        out = tmp_path / level
+        assert cli.main(["fines", "--count", "50", "--levels", level,
+                         "--out", str(out)]) == 0
+        assert (out / "fines_0.csv").is_file()
+        docs[level] = json.loads((out / "fines_summary.json").read_text())
+        assert set(docs[level]["result"]) == {"0"}
+    assert docs["-0"]["result"] == docs["0"]["result"]
+    assert str(docs["-0"]["provenance"]["config"]["fines"]["levels"]) == "[-0.0]"
+    digests = []
+    for fines in ([], ["--fu", "-0", "--fs", "-0"]):
+        out = tmp_path / f"ensemble{len(fines)}"
+        assert cli.main(["ensemble", "--count", "50", *fines, "--out", str(out)]) == 0
+        doc = json.loads((out / "ensemble_summary.json").read_text())
+        digests.append(doc["result"]["records_digest"])
+    assert digests[0] == digests[1]
+
+
 def test_fines_honours_b_a_upper(tmp_path, capsys):
     config = tmp_path / "wide.json"
     config.write_text(json.dumps({"ensemble": {"b_a_upper": 2.0}}))

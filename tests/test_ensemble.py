@@ -43,7 +43,7 @@ from cyberevo.ensemble import (
     records_digest,
     summarize,
 )
-from cyberevo.game import PARAMETERS
+from cyberevo.game import PARAMETERS, ZERO_FINES
 
 from test_game import DRAWN_VIOLATIONS, LARGE_FINES, REF, wide_rows
 
@@ -621,7 +621,8 @@ def test_table_rows_equal_the_scalar_path(master_seed, index, b_a_upper, f_u, f_
         count=1, master_seed=master_seed, b_a_upper=b_a_upper,
         scenario=FineScenario(f_u=f_u, f_s=f_s),
     )
-    table = ensemble._analyze(config, ensemble._draw(config, index, index + 3), index)
+    fines = (config.scenario.f_s, config.scenario.f_u)
+    table = ensemble._analyze(ensemble._draw(config, index, index + 3), fines, index)
     expected = [_scalar_record(config, i) for i in range(index, index + 3)]
     # Exact equality: parameters, stable sets and welfare bit for bit.
     assert table == GameTable.from_records(expected)
@@ -634,11 +635,8 @@ def test_table_rows_equal_the_scalar_path_for_large_brackets():
     rng = np.random.default_rng(47)
     interior = 0
     for f_s, f_u in LARGE_FINES:
-        config = SamplerConfig(
-            count=1, b_a_upper=2e15, scenario=FineScenario(f_u=f_u, f_s=f_s)
-        )
         params = wide_rows(rng, 1000)
-        table = ensemble._analyze(config, params, 0)
+        table = ensemble._analyze(params, (f_s, f_u), 0)
         assert np.array_equal(table.params, params)  # no row was redrawn
         games = [GameParams(*row, f_s, f_u) for row in params.tolist()]
         assert table == GameTable.from_records(
@@ -711,26 +709,98 @@ def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):
 
     # GameParams and the block share one constraint table: each violation
     # that GameParams names on the six drawn parameters, set between valid
-    # rows, sends exactly its own row to sample_game.
+    # rows in a drawn block, sends exactly its own row to sample_game, and
+    # the redraw replaces the whole row.
     valid = [REF[name] for name in PARAMETERS]
     rows = [valid]
     for bad, _ in DRAWN_VIOLATIONS:
         rows += [[{**REF, **bad}[name] for name in PARAMETERS], valid]
+    rows = np.array(rows)
+    monkeypatch.setattr(ensemble, "_nested", lambda uniforms, upper: tuple(rows.T))
     calls.clear()
-    ensemble._analyze(config, np.array(rows), 0)
+
+    def redraw(cfg, index):
+        calls.append(index)
+        return GameParams(**REF)
+
+    monkeypatch.setattr(ensemble, "sample_game", redraw)
+    params = ensemble._draw(config, 0, len(rows))
     assert calls == list(range(1, len(rows), 2))
+    assert np.array_equal(params, [valid] * len(rows))
+
+
+def test_a_broken_draw_is_checked_and_redrawn_once_for_every_fine_level(monkeypatch):
+    # The sampler checks each drawn block once, and the fine levels share
+    # its rows: one broken row is redrawn once, not once per level.
+    count = BLOCK_SIZE + 5
+    forced = ensemble._uniforms(5, 0, count)
+    forced[BLOCK_SIZE + 2, 2] = 0.0  # c_d = 0, in the second block
+    monkeypatch.setattr(
+        ensemble, "_uniforms", lambda seed, start, stop: forced[start:stop]
+    )
+    calls, checked = [], []
+    check = ensemble._valid
+
+    def spy(cfg, index):
+        calls.append(index)
+        return sample_game(cfg, index)
+
+    def valid(config, params):
+        checked.append(np.ndim(params[0]))
+        return check(config, params)
+
+    monkeypatch.setattr(ensemble, "sample_game", spy)
+    monkeypatch.setattr(ensemble, "_valid", valid)
+    levels = (0.1, 0.5, 0.0)
+    study = fines_study(count, 5, levels)
+    assert calls == [BLOCK_SIZE + 2]
+    assert checked.count(1) == 2  # one column check per block
+    calls.clear()
+    for level in levels:
+        config = SamplerConfig(count, 5, FineScenario(level, level))
+        table, summary = run_ensemble(config)
+        assert study[level] == summary
+        assert table.params[BLOCK_SIZE + 2].tolist() == list(
+            sample_game(config, BLOCK_SIZE + 2).as_tuple()[:6])
+
+
+def test_equal_runs_give_equal_summaries_with_an_undefined_correlation():
+    # Three games leave an indicator without variance, so some correlations
+    # are undefined; they are the math.nan singleton, so two equal runs
+    # compare equal and not only by digest.
+    config = SamplerConfig(count=3, master_seed=1)
+    summary = run_ensemble(config)[1]
+    entries = [x for row in summary.correlation for x in row]
+    assert any(math.isnan(x) for x in entries)
+    assert run_ensemble(config)[1] == summary
+    assert fines_study(3, 1, (0.1,)) == fines_study(3, 1, (0.1,))
+    assert all(x is math.nan for x in entries if math.isnan(x))
+
+
+def test_a_negative_zero_fine_is_no_fines():
+    # -0.0 is stored as 0.0, so it is not a second representation of "no
+    # fines" with another digest; other values are kept as given.
+    negative = FineScenario(-0.0, -0.0)
+    assert math.copysign(1.0, negative.f_u) == math.copysign(1.0, negative.f_s) == 1.0
+    assert negative == ZERO_FINES
+    assert FineScenario(2, -0.0).f_u == 2 and type(FineScenario(2, -0.0).f_u) is int
+    default = run_ensemble(SamplerConfig(count=50))[1]
+    zero = run_ensemble(SamplerConfig(count=50, scenario=negative))[1]
+    assert zero.records_digest == default.records_digest
+    (key, level), = fines_study(50, 1, (-0.0,)).items()
+    assert math.copysign(1.0, key) == 1.0
+    assert level.records_digest == fines_study(50, 1, (0.0,))[0.0].records_digest
 
 
 def test_corner_verdict_decides_small_gaps_and_not_an_exact_zero():
     # E4's attacker eigenvalue is -(g0 + g1) = c_a - b_a (1 - v) = c_a - 0.4:
     # a gap of 5e-10 is far above its rounding-error bound, an exact zero
     # has no sign.
-    config = SamplerConfig(count=4)
     gaps = (5e-10, 9e-10, 5e-9, 0.0)
     params = np.array(
         [[0.9, 0.4 - gap, 0.2, 0.8, 0.6, 0.5] for gap in gaps]
     )
-    table = ensemble._analyze(config, params, 0)
+    table = ensemble._analyze(params, (0.0, 0.0), 0)
     e4 = list(EquilibriumKind).index(EquilibriumKind.E4)
     assert table.stable[:, e4].tolist() == [True, True, True, False]
     for row, stable in zip(table.params, table.stable):
@@ -809,11 +879,8 @@ def test_game_table_round_trips_from_records():
 
 def test_game_table_retained_size_per_game():
     # A block's tables hold only their columns, no per-row objects or text.
-    configs = [
-        SamplerConfig(count=1, scenario=FineScenario(f, f)) for f in (0.0, 0.5)
-    ]
-    params = ensemble._draw(configs[0], 0, BLOCK_SIZE)
-    tables = [ensemble._analyze(config, params, 0) for config in configs]
+    params = ensemble._draw(SamplerConfig(count=1), 0, BLOCK_SIZE)
+    tables = [ensemble._analyze(params, (f, f), 0) for f in (0.0, 0.5)]
     columns = sum(
         getattr(table, name).nbytes for table in tables for name in ensemble._COLUMNS
     )

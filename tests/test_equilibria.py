@@ -11,11 +11,9 @@ from hypothesis import example, given, reject, settings, strategies as st
 from cyberevo import (
     Classification,
     EquilibriumKind,
-    FineScenario,
     GameParams,
     ParameterError,
     PopulationState,
-    SamplerConfig,
     analyze_equilibria,
     cli,
     ensemble,
@@ -427,10 +425,7 @@ def test_huge_game_is_classified_everywhere(capsys):
         for lam in (report.eigen.lambda1, report.eigen.lambda2):
             assert math.isfinite(lam.real) and math.isfinite(lam.imag)
     assert stable_set(HUGE) == {EquilibriumKind.E2, EquilibriumKind.E3}
-    config = SamplerConfig(
-        count=1, b_a_upper=2e173, scenario=FineScenario(f_u=HUGE.fine_unsuccessful)
-    )
-    table = ensemble._analyze(config, np.array([HUGE.as_tuple()[:6]]), 0)
+    table = ensemble._analyze(np.array([HUGE.as_tuple()[:6]]), HUGE.as_tuple()[6:], 0)
     assert table.stable[0].tolist() == [False, True, True, False, False]
     assert table.interior[0]
     flags = ["--w", "0.9", "--ca", "0.3", "--cd", "0.5", "--ba", repr(HUGE.b_a),
