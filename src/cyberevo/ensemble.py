@@ -22,7 +22,10 @@ that fails the check (odds of order 2**-53) is drawn again whole by
 Aggregates cover the stable-count distribution, per-kind counts/ratios,
 indicator correlations, defence-intensity frequency curves,
 parameter-impact histograms, fine scenarios, and social-welfare
-statistics.
+statistics.  Every count and correlation is an integer sum over one table
+of games per (parameter, stable pattern, bin), taken with one bincount
+per parameter, so it does not depend on the order of the games; each
+correlation is rounded to a float once.
 """
 
 from __future__ import annotations
@@ -122,6 +125,20 @@ _E2, _E3, _E4 = 1, 2, 3
 
 #: The kinds with defence-intensity curves, in reporting order.
 _CURVE_KINDS: tuple[int, ...] = (_E3, _E2, _E4)
+
+#: A game's stable pattern sets bit k when column k of ``GameTable.stable``
+#: holds; ``_HOLDS[pattern, k]`` is that bit, for each of the 32 patterns.
+_BITS = 1 << np.arange(len(_KINDS))
+_HOLDS = np.arange(1 << len(_KINDS))[:, None] >> np.arange(len(_KINDS)) & 1
+
+#: Each correlation indicator (see CORRELATION_LABELS) at each pattern, as
+#: Python ints.
+_INDICATORS = np.vstack([_HOLDS[:, _CURVE_KINDS].T, _HOLDS.sum(axis=1)]).astype(object)
+
+#: Whether a pattern holds 0, 1, 2 or 3+ stable kinds, labelled as in the
+#: stable-count distribution.
+_SIZE_LABELS = ("0", "1", "2", "3+")
+_SIZES = np.minimum(_HOLDS.sum(axis=1), 3)[:, None] == np.arange(len(_SIZE_LABELS))
 
 
 @dataclass(frozen=True)
@@ -270,6 +287,9 @@ class EnsembleSummary:
     kinds once and the ratios sum to 1 (multi-count normalization).
     ``correlation`` rows/columns follow :data:`CORRELATION_LABELS`; entries
     are NaN where an indicator has zero variance (undefined, not 0).
+    Every count and correlation is an integer sum over one table of games
+    per (parameter, stable pattern, bin), and each correlation is rounded
+    to a float once.
     """
 
     config: SamplerConfig
@@ -575,64 +595,80 @@ def _bincount(
     return np.bincount(bins, weights=weights, minlength=size).tolist()
 
 
-def _bins(params: np.ndarray, names: Iterable[str]) -> dict[str, np.ndarray]:
-    """Bin index of each named parameter column, over :data:`BIN_EDGES`."""
-    return {
-        name: np.minimum(
-            params[:, PARAMETERS.index(name)] / BIN_WIDTH, _N_BINS - 1.0
-        ).astype(np.int64)
-        for name in names
-    }
+def _bins(params: np.ndarray) -> np.ndarray:
+    """Bin index of each parameter, over :data:`BIN_EDGES`, as (n, 6) int64."""
+    return np.minimum(params / BIN_WIDTH, _N_BINS - 1.0).astype(np.int64)
 
 
-def _correlation(stable: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    """Pearson correlations of the indicators (see correlation_matrix)."""
-    n = len(stable)
-    columns = np.empty((4, n))
-    for i, kind in enumerate(_CURVE_KINDS):
-        columns[i] = stable[:, kind]
-    columns[3] = stable.sum(axis=1)
-    # An undefined entry is the math.nan singleton, so equal runs give
-    # equal tuples.
-    matrix = [[math.nan] * 4 for _ in range(4)]
-    centered = columns - columns.mean(axis=1, keepdims=True) if n else columns
-    spread = np.sqrt((centered**2).mean(axis=1)) if n else np.zeros(4)
-    for i in range(4):
-        for j in range(4):
-            if spread[i] > 0.0 and spread[j] > 0.0:
-                matrix[i][j] = float(
-                    (centered[i] * centered[j]).mean() / (spread[i] * spread[j])
-                )
-    return tuple(tuple(row) for row in matrix)
+def _pearson(c: int, spread: int) -> float:
+    """c / sqrt(spread) within one ulp, for integers with c * c <= spread.
+
+    The integer square root keeps at least 63 bits, and Python rounds the
+    one division of two ints correctly, so c * c == spread gives exactly
+    +-1.0.  A zero spread gives the math.nan singleton, so equal runs give
+    equal tuples.
+    """
+    if not spread:
+        return math.nan
+    shift = 64 + max(0, spread.bit_length() - (c * c).bit_length()) // 2
+    return math.copysign(math.isqrt((c * c << 2 * shift) // spread) / (1 << shift), c)
+
+
+def _correlation(patterns: Sequence[int]) -> tuple[tuple[float, ...], ...]:
+    """Pearson correlations of the indicators (see correlation_matrix).
+
+    ``patterns`` holds the games per stable pattern.  The moments
+    n*sum(xy) - sum(x)*sum(y) are Python ints, exact at any count, so the
+    matrix is exactly symmetric with a diagonal of 1.0 and no entry above 1
+    in magnitude.
+    """
+    counts = np.array(patterns).astype(object)
+    sums = _INDICATORS @ counts
+    products = (_INDICATORS * counts) @ _INDICATORS.T
+    moments = sum(counts) * products - np.outer(sums, sums)
+    variances = moments.diagonal().tolist()
+    return tuple(
+        tuple(_pearson(c, a * b) for c, b in zip(row, variances))
+        for row, a in zip(moments.tolist(), variances)
+    )
+
+
+def _counts(stable: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Games per (parameter, stable pattern, bin), a (6, 32, 10) int64 table.
+
+    ``bins`` is :func:`_bins` of the same games.  It takes one bincount
+    per parameter of each game's pattern and bin; tables of disjoint games
+    add.
+    """
+    cells = (stable @ _BITS) * _N_BINS
+    return np.array(
+        [np.bincount(cells + b, minlength=len(_HOLDS) * _N_BINS) for b in bins.T]
+    ).reshape(len(PARAMETERS), len(_HOLDS), _N_BINS)
 
 
 def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
-    """The one reduction behind every summary, in row order."""
-    stable = table.stable
-    n_stable = stable.sum(axis=1)
-    bins = _bins(table.params, PARAMETERS)
-    kind_counts = dict(zip(_KINDS, stable.sum(axis=0).tolist()))
-    total_pairs = sum(kind_counts.values())
-    if total_pairs > 0:
-        kind_ratios = {k: c / total_pairs for k, c in kind_counts.items()}
-    else:
-        kind_ratios = {k: 0.0 for k in kind_counts}
-    e4 = stable[:, _E4]
+    """The one reduction behind every summary.
+
+    Every count field is a sum over the :func:`_counts` table through
+    ``_HOLDS``, and the correlation is a function of its pattern totals.
+    """
+    bins = _bins(table.params)
+    counts = _counts(table.stable, bins)
+    # Games per (stable kind, bin), for each parameter.
+    by_kind = dict(zip(PARAMETERS, (_HOLDS.T @ counts).tolist()))
+    patterns = counts[0].sum(axis=1)
+    kind_counts = dict(zip(_KINDS, (patterns @ _HOLDS).tolist()))
+    total = sum(kind_counts.values())
     return EnsembleSummary(
         config=config,
-        stable_count_distribution=dict(
-            zip(("0", "1", "2", "3+"), _bincount(np.minimum(n_stable, 3), size=4))
-        ),
+        stable_count_distribution=dict(zip(_SIZE_LABELS, (patterns @ _SIZES).tolist())),
         kind_counts=kind_counts,
-        kind_ratios=kind_ratios,
+        kind_ratios={k: c / total if total else 0.0 for k, c in kind_counts.items()},
         correlation_labels=CORRELATION_LABELS,
-        correlation=_correlation(stable),
-        v_binned_kind_frequency={
-            _KINDS[kind]: tuple(_bincount(bins["v"][stable[:, kind]]))
-            for kind in _CURVE_KINDS
-        },
+        correlation=_correlation(patterns),
+        v_binned_kind_frequency={_KINDS[k]: tuple(by_kind["v"][k]) for k in _CURVE_KINDS},
         param_binned_stability={
-            name: tuple(_bincount(bins[name][e4])) for name in IMPACT_PARAMETERS
+            name: tuple(by_kind[name][_E4]) for name in IMPACT_PARAMETERS
         },
         welfare_stats=_welfare_stats(table.welfare, bins),
         records_digest=records_digest(table),
@@ -677,34 +713,37 @@ def _histogram_grid(low: float, high: float) -> tuple[float, float, int]:
     return _grid(low, high, fits)
 
 
-def _welfare_stats(welfare: np.ndarray, bins: dict[str, np.ndarray]) -> WelfareStats:
+def _welfare_stats(welfare: np.ndarray, bins: np.ndarray) -> WelfareStats:
     n, n_pairs = welfare.shape
+    if not n:
+        undefined = (math.nan,) * _N_BINS
+        return WelfareStats(dict.fromkeys(STRATEGY_PAIRS, math.nan), (), (),
+                            dict.fromkeys(WELFARE_BIN_PARAMETERS, undefined))
     samples = welfare.ravel()  # game-major: game 0's four pairs, then game 1's
-    if n:
-        sums = _bincount(np.tile(np.arange(n_pairs), n), samples, n_pairs)
-        mean_by_pair = {pair: sums[i] / n for i, pair in enumerate(STRATEGY_PAIRS)}
-        width, lo, n_bins = _histogram_grid(float(samples.min()), float(samples.max()))
-        edges = tuple(lo + width * i for i in range(n_bins + 1))
-        # Truncation toward zero, as int() does; every sample is >= lo up to
-        # rounding, so no quotient reaches -1.
-        positions = ((samples - lo) / width).astype(np.int64)
-        counts = tuple(_bincount(np.minimum(positions, n_bins - 1), size=n_bins))
-    else:
-        mean_by_pair = {pair: math.nan for pair in STRATEGY_PAIRS}
-        edges = ()
-        counts = ()
-    binned_mean: dict[str, tuple[float, ...]] = {}
+    low, high = float(samples.min()), float(samples.max())
+    # No sum of samples passes len(samples) * peak in magnitude.  From
+    # 2**1023 on, the samples are summed scaled by a power of two, so no sum
+    # overflows; below it the scale is 1 and no copy is made.
+    peak, scale, weights = max(-low, high), 1.0, samples
+    if len(samples) * peak >= 2.0**1023:
+        scale = 2.0 ** (1022 - math.frexp(peak)[1] - len(samples).bit_length())
+        weights = samples * scale
+    sums = _bincount(np.tile(np.arange(n_pairs), n), weights, n_pairs)
+    width, lo, n_bins = _histogram_grid(low, high)
+    # Truncation toward zero, as int() does; every sample is >= lo up to
+    # rounding, so no quotient reaches -1.
+    positions = ((samples - lo) / width).astype(np.int64)
+    binned_mean = {}
     for name in WELFARE_BIN_PARAMETERS:
-        per_sample = np.repeat(bins[name], n_pairs)
-        sums = _bincount(per_sample, samples)
-        sizes = _bincount(per_sample)
+        per_sample = np.repeat(bins[:, PARAMETERS.index(name)], n_pairs)
         binned_mean[name] = tuple(
-            sums[i] / sizes[i] if sizes[i] else math.nan for i in range(_N_BINS)
+            total / size / scale if size else math.nan
+            for total, size in zip(_bincount(per_sample, weights), _bincount(per_sample))
         )
     return WelfareStats(
-        mean_by_pair=mean_by_pair,
-        histogram_edges=edges,
-        histogram_counts=counts,
+        mean_by_pair={p: sums[i] / n / scale for i, p in enumerate(STRATEGY_PAIRS)},
+        histogram_edges=tuple(lo + width * i for i in range(n_bins + 1)),
+        histogram_counts=tuple(_bincount(np.minimum(positions, n_bins - 1), size=n_bins)),
         binned_mean=binned_mean,
     )
 
@@ -721,15 +760,19 @@ def correlation_matrix(records: GameTable | Sequence[GameRecord]) -> np.ndarray:
 
     Columns follow :data:`CORRELATION_LABELS`: 1{E3 stable}, 1{E2 stable},
     1{E4 stable}, and the per-game count of stable kinds.  Any column with
-    zero variance yields NaN entries (undefined correlation, not 0).
+    zero variance yields NaN entries (undefined correlation, not 0).  The
+    moments are integer sums over the games per stable pattern, and each
+    entry is rounded to a float once, within one ulp of the exact value:
+    the diagonal is exactly 1.0 and the matrix exactly symmetric.
     """
-    return np.array(_correlation(GameTable.from_records(records).stable))
+    stable = GameTable.from_records(records).stable
+    return np.array(_correlation(np.bincount(stable @ _BITS, minlength=len(_HOLDS))))
 
 
 def welfare_analytics(records: GameTable | Sequence[GameRecord]) -> WelfareStats:
     """Per-pair means, all-sample histogram, and parameter-binned means."""
     table = GameTable.from_records(records)
-    return _welfare_stats(table.welfare, _bins(table.params, WELFARE_BIN_PARAMETERS))
+    return _welfare_stats(table.welfare, _bins(table.params))
 
 
 def fines_study(

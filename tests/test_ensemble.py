@@ -9,6 +9,7 @@ import os
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,13 +265,115 @@ def test_correlation_matrix_nan_for_constant_indicators():
 
 
 def test_correlation_matrix_symmetric_unit_diagonal():
-    config = SamplerConfig(count=2000, master_seed=9)
+    # Float moments put the diagonal of the 1,000-game run at
+    # 0.9999999999999999 and 1.0000000000000002; integer ones cannot.
+    for count, master_seed in ((2000, 9), (1000, 1)):
+        table, _ = run_ensemble(SamplerConfig(count=count, master_seed=master_seed))
+        matrix = correlation_matrix(table)
+        assert np.array_equal(matrix, matrix.T, equal_nan=True)
+        assert (np.diag(matrix) == 1.0).all()
+        finite = matrix[np.isfinite(matrix)]
+        assert finite.size == 16 and (np.abs(finite) <= 1.0).all()
+
+
+def _exact_correlations(patterns):
+    """Squared Pearson correlations and their signs, in exact arithmetic.
+
+    ``patterns`` holds the games per 5-bit stable pattern; an indicator
+    without variance gives None.
+    """
+    columns = [[p >> k & 1 for p in range(32)] for k in (2, 1, 3)]
+    columns.append([bin(p).count("1") for p in range(32)])
+    n = sum(patterns)
+
+    def mean(values):
+        return Fraction(sum(c * x for c, x in zip(patterns, values)), n)
+
+    def covariance(xs, ys):
+        mx, my = mean(xs), mean(ys)
+        return sum(c * (x - mx) * (y - my) for c, x, y in zip(patterns, xs, ys)) / n
+
+    exact = [[None] * 4 for _ in range(4)]
+    if n == 0:
+        return exact
+    for i, xs in enumerate(columns):
+        for j, ys in enumerate(columns):
+            spread = covariance(xs, xs) * covariance(ys, ys)
+            if spread:
+                c = covariance(xs, ys)
+                exact[i][j] = (c * c / spread, (c > 0) - (c < 0))
+    return exact
+
+
+def _assert_within_one_ulp(matrix, exact):
+    for row, exact_row in zip(matrix, exact):
+        for value, entry in zip(row, exact_row):
+            if entry is None:
+                assert value is math.nan
+                continue
+            square, sign = entry
+            assert (value > 0) - (value < 0) == sign
+            below = math.nextafter(abs(value), 0.0)
+            above = math.nextafter(abs(value), math.inf)
+            assert Fraction(below) ** 2 <= square <= Fraction(above) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.booleans(), min_size=5, max_size=5), max_size=40))
+def test_correlation_is_the_exact_value_rounded(rows):
+    # Hand-built stable tables, many with an indicator of zero variance.
+    stable = np.array(rows, dtype=bool).reshape(len(rows), 5)
+    patterns = np.bincount(stable @ (1 << np.arange(5)), minlength=32).tolist()
+    matrix = ensemble._correlation(patterns)
+    _assert_within_one_ulp(matrix, _exact_correlations(patterns))
+    table = GameTable(
+        indices=np.arange(len(rows), dtype=np.int64),
+        params=np.full((len(rows), len(PARAMETERS)), 0.5),
+        stable=stable,
+        welfare=np.zeros((len(rows), len(STRATEGY_PAIRS))),
+        interior=np.zeros(len(rows), dtype=bool),
+        fines=(0.0, 0.0),
+    )
+    assert np.array_equal(correlation_matrix(table), np.array(matrix), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns=st.lists(st.integers(0, 10**15), min_size=32, max_size=32))
+def test_correlation_of_huge_counts_is_the_exact_value_rounded(patterns):
+    # Moments of 10**15 games per pattern pass 2**63; none may overflow.
+    _assert_within_one_ulp(ensemble._correlation(patterns), _exact_correlations(patterns))
+
+
+def test_correlation_of_tiny_values_keeps_its_bits():
+    # E3 and E4 are independent over 4 * 10**12 games but for one game: the
+    # correlation is about 2.5e-13 and keeps every bit, not the 22 that a
+    # fixed 2**64 scale of the square root would keep.
+    patterns = [0] * 32
+    patterns[0b00000] = patterns[0b00100] = patterns[0b01000] = 10**12
+    patterns[0b01100] = 10**12 + 1
+    matrix = ensemble._correlation(patterns)
+    _assert_within_one_ulp(matrix, _exact_correlations(patterns))
+    assert 1e-13 < matrix[0][2] == matrix[2][0] < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scramble=st.booleans())
+def test_permuting_rows_keeps_every_count_and_correlation(seed, scramble):
+    config = SamplerConfig(count=500, master_seed=3, b_a_upper=PAPER_B_A_UPPER)
     table, _ = run_ensemble(config)
-    matrix = correlation_matrix(table)
-    assert np.allclose(matrix, matrix.T, equal_nan=True)
-    assert np.allclose(np.diag(matrix), 1.0)
-    finite = matrix[np.isfinite(matrix)]
-    assert ((-1.0 - 1e-12 <= finite) & (finite <= 1.0 + 1e-12)).all()
+    rng = np.random.default_rng(seed)
+    if scramble:
+        # Random stable sets, so every stable pattern may appear.
+        table = dataclasses.replace(table, stable=rng.random(table.stable.shape) < 0.5)
+    order = rng.permutation(len(table))
+    permuted = GameTable(
+        *(getattr(table, name)[order] for name in ensemble._COLUMNS), fines=table.fines
+    )
+    before, after = summarize(table, config), summarize(permuted, config)
+    for field in ("stable_count_distribution", "kind_counts", "kind_ratios",
+                  "v_binned_kind_frequency", "param_binned_stability"):
+        assert getattr(after, field) == getattr(before, field), field
+    assert np.array(after.correlation).tobytes() == np.array(before.correlation).tobytes()
 
 
 def test_welfare_analytics_synthetic_records():
@@ -398,6 +501,30 @@ def test_huge_ceilings_and_fines_up_to_the_bound_are_binned(b_a_upper, fine):
     counts = summary.welfare_stats.histogram_counts
     assert 10 < len(counts) <= MAX_HISTOGRAM_BINS and sum(counts) == 4 * 200
     assert all(map(math.isfinite, summary.welfare_stats.histogram_edges))
+
+
+def test_welfare_means_are_finite_where_every_value_is():
+    # 800 samples near 1e307 sum past 1.8e308 although no sample does.
+    table, summary = run_ensemble(SamplerConfig(count=200, b_a_upper=1e307))
+    stats = summary.welfare_stats
+    assert np.isfinite(table.welfare).all()
+    scale = 2.0**-16
+
+    def reference(samples):
+        return math.fsum(samples.ravel() * scale) / samples.size / scale
+
+    for i, pair in enumerate(STRATEGY_PAIRS):
+        mean = stats.mean_by_pair[pair]
+        assert math.isfinite(mean)
+        assert mean == pytest.approx(reference(table.welfare[:, i]), rel=1e-12), pair
+    for name, means in stats.binned_mean.items():
+        values = table.params[:, PARAMETERS.index(name)]
+        for i, (low, high) in enumerate(ensemble.BIN_EDGES):
+            rows = (low <= values) & ((values < high) | (i == len(means) - 1))
+            if rows.any():
+                assert means[i] == pytest.approx(reference(table.welfare[rows]), rel=1e-12)
+            else:
+                assert math.isnan(means[i])
 
 
 @pytest.mark.parametrize("b_a_upper, fine", [
