@@ -29,8 +29,17 @@ from cyberevo import (
     stable_set,
 )
 
-from cyberevo.dynamics import DEFAULT_HORIZON, DEFAULT_STEP
-from cyberevo.game import corner_signs
+from cyberevo.dynamics import (
+    _ABOVE_ZERO,
+    _BELOW_ONE,
+    DEFAULT_HORIZON,
+    DEFAULT_STEP,
+    TRAP_TEST_STRIDE,
+    _check_span,
+    _sigmoid,
+    _time_scale,
+)
+from cyberevo.game import brackets, corner_signs
 
 from test_equilibria import ROUNDS_WRONG, valid_games
 from test_game import REF, random_params
@@ -883,3 +892,129 @@ def test_batch_final_states_argument_validation():
         batch_final_states(games, [PopulationState(0.0, 0.5)], step=1.7e308, horizon=1.7e308)
     corner = batch_final_states(games, [PopulationState(1.0, 0.0)], step=1.7e308, horizon=1.7e308)
     assert tuple(corner[0, 0]) == (1.0, 0.0)
+
+
+def batch_final_states_reference(games, starts, step=0.25, horizon=1e5):
+    """Reference for :func:`batch_final_states`: the same leapfrog, trap
+    test and finiteness check vectorized over every active pair down to the
+    last one, with no float tail."""
+    _check_span(step, horizon)
+    finals = np.empty((len(games), len(starts), 2))
+    if finals.size == 0:
+        return finals
+    finals[...] = [(s.beta, s.alpha) for s in starts]
+    columns = np.array([g.as_tuple() for g in games], dtype=float).T
+    k0, k1, g0, g1 = brackets(*columns)
+    with np.errstate(divide="ignore"):
+        xs, ys = (np.log(p) - np.log1p(-p) for p in finals[0].T)
+    n_steps = int(round(horizon / step))
+    taken = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled_step = step / _time_scale(k0, k1, g0, g1)
+        hk0, hk1, hg0, hg1 = (scaled_step * c for c in (k0, k1, g0, g1))
+        dx = hk0[:, None] + hk1[:, None] * _sigmoid(ys)
+        dy = hg0[:, None] + hg1[:, None] * _sigmoid(xs)
+        still = ((np.isinf(xs) | (dx == 0.0)) & (np.isinf(ys) | (dy == 0.0))).ravel()
+        pair = np.flatnonzero(~still)
+        game, start = np.divmod(pair, len(starts))
+        x0, y0 = xs[start], ys[start]
+        x, y = x0.copy(), y0.copy()
+        hk0, hk1, hg0, hg1 = (c[game] for c in (hk0, hk1, hg0, hg1))
+        sx0, sx1, sy0, sy1 = (c[game] for c in corner_signs(*columns))
+        for z0, h0, h1, s0, s1 in ((x0, hk0, hk1, sx0, sx1), (y0, hg0, hg1, sy0, sy1)):
+            edge = np.isinf(z0)
+            h0[edge], h1[edge] = z0[edge], 0.0
+            s0[edge] = s1[edge] = np.sign(z0[edge])
+        vx = hk0 + hk1 * _sigmoid(y)
+        flat = finals.reshape(-1, 2)
+        while pair.size and taken < n_steps:
+            block = min(TRAP_TEST_STRIDE, n_steps - taken)
+            for _ in range(block):
+                x += 0.5 * vx
+                y += hg0 + hg1 * _sigmoid(x)
+                vx = hk0 + hk1 * _sigmoid(y)
+                x += 0.5 * vx
+            taken += block
+            if not ((np.isfinite(x) | (x == x0)).all() and (np.isfinite(y) | (y == y0)).all()):
+                raise IntegrationError(f"non-finite state at step {taken}")
+            vy = hg0 + hg1 * _sigmoid(x)
+            to_beta, to_alpha = vx > 0.0, vy > 0.0
+            trapped = ((vx * np.where(to_alpha, sx1, sx0) > 0.0)
+                       & (vy * np.where(to_beta, sy1, sy0) > 0.0))
+            if trapped.any():
+                flat[pair[trapped]] = np.stack([to_beta, to_alpha], axis=-1)[trapped]
+                keep = ~trapped
+                pair, x, y, x0, y0, vx, hk0, hk1, hg0, hg1, sx0, sx1, sy0, sy1 = (
+                    v[keep] for v in (pair, x, y, x0, y0, vx, hk0, hk1, hg0, hg1,
+                                      sx0, sx1, sy0, sy1)
+                )
+        for column, z in enumerate((x, y)):
+            p = _sigmoid(z)
+            flat[pair, column] = np.where(np.isinf(z), p, np.clip(p, _ABOVE_ZERO, _BELOW_ONE))
+    return finals
+
+
+#: The first 50 games of master seed 1 are hyperbolic.  From (0.001, 0.001)
+#: games 6 and 38 take 664 and 528 leapfrog steps, most of them as the last
+#: pairs active; the others are trapped within 240.
+SLOW_GAMES = (6, 38)
+#: A one-ulp change in exp seldom reaches a final state.  From these starts,
+#: ``math.exp`` in place of ``np.exp`` changes the last state of 4 of the
+#: 115 pairs of games 7, 33, 6 and 38 of master seed 1 unresolved after 8
+#: steps, and of 3 of the 61 unresolved after 24.
+DECIMAL_GRID = [PopulationState(b / 10, a / 10) for b in range(1, 10) for a in range(1, 10)]
+_COORDINATES = st.one_of(st.sampled_from([0.0, 1e-3, 0.5, 1.0 - 1e-3, 1.0]),
+                         st.floats(1e-3, 1.0 - 1e-3))
+
+
+@st.composite
+def oracle_panels(draw):
+    """Fast and slow games of master seed 1 in any order, edge, corner and
+    interior starts next to (0.001, 0.001), and a cap of 1 to 64 steps or
+    the default horizon: from 2 to 66 pairs, so that some calls start on
+    floats and others hand a vector head's last pairs to the float tail."""
+    indices = draw(st.permutations(draw(st.lists(st.integers(0, 49), max_size=4))
+                                   + list(SLOW_GAMES)))
+    starts = [(1e-3, 1e-3)] + draw(st.lists(st.tuples(_COORDINATES, _COORDINATES),
+                                             max_size=10))
+    cap = draw(st.sampled_from([1, 8, 24, 64, None]))
+    return ([_seed_one_game(i) for i in indices], [PopulationState(*s) for s in starts], cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel=oracle_panels())
+@example(panel=([_seed_one_game(i) for i in range(50)], CRITERION_10_STARTS, None))
+@example(panel=([_seed_one_game(i) for i in (7, 33, 6, 38)], DECIMAL_GRID, 8))
+@example(panel=([_seed_one_game(i) for i in (7, 33, 6, 38)], DECIMAL_GRID, 24))
+@example(panel=([_seed_one_game(i) for i in (0, 6, 38)],
+                [PopulationState(b, a) for b in (1e-3, 0.5, 1.0) for a in (1e-3, 0.0, 0.7)],
+                64))
+def test_batch_final_states_matches_the_vector_reference(panel):
+    # Bit for bit, unresolved pairs' last states included: as a batch, and
+    # with each pair run alone, which runs on floats from its first step.
+    games, starts, cap = panel
+    span = {} if cap is None else {"horizon": 0.25 * cap}
+    finals = batch_final_states(games, starts, **span)
+    assert np.array_equal(finals, batch_final_states_reference(games, starts, **span))
+    alone = [[batch_final_states([g], [s], **span)[0, 0] for s in starts] for g in games]
+    assert np.array_equal(finals, alone)
+
+
+def test_batch_final_states_names_the_earliest_failing_block():
+    # On LATE, x runs toward +inf at the full scaled step (k0 = s, k1 = 0)
+    # while y, once sigma(x) = 1, moves by hg0 + hg1 = 0 exactly and never
+    # traps (A1 = 0), so x overflows only at the 18th step of 1e307.  TINY's
+    # time scale of 2**-21 overflows the scaled step, so its pair fails in
+    # the first block.  Run one after the other, the later pair's block is
+    # the one named, as in the vector loop.
+    late = GameParams(w=1.0, c_a=0.25, c_d=0.125, b_a=0.5, b_d=1.0, v=0.5)
+    tiny = scaled_payoffs(NEUTRAL, 2.0**-20)
+    assert field_coefficients(late) == (0.875, 0.0, 0.25, -0.25)
+    starts = [PopulationState(0.5, 1e-300)]
+    span = {"step": 1e307, "horizon": 1.79e308}
+    for games, step in (([late], 18), ([tiny], 8), ([late, tiny], 8), ([tiny, late], 8)):
+        with pytest.raises(IntegrationError) as expected:
+            batch_final_states_reference(games, starts, **span)
+        with pytest.raises(IntegrationError) as raised:
+            batch_final_states(games, starts, **span)
+        assert str(raised.value) == str(expected.value) == f"non-finite state at step {step}"
