@@ -14,7 +14,7 @@ the game's expected fines m p and n s (``fine_successful``,
     k0 = b_d - c_d                      g0 = b_a - c_a - f_s
     k1 = v b_d - b_d + v w              g1 = v (f_s - b_a - f_u)
 
-Both integrators step the same field, in log-odds x = logit(beta),
+Both functions below integrate it in log-odds x = logit(beta),
 y = logit(alpha), with sigma the logistic function:
 
     dx/dt = k0 + k1 sigma(y)          dy/dt = g0 + g1 sigma(x)
@@ -27,14 +27,16 @@ Dynamics*, 1998, ch. 10).  An edge of the square is a coordinate at +-inf,
 which no finite step moves, and 1 - beta = sigma(-x) keeps full relative
 precision, so no edge absorbs a trajectory that has not reached it.
 
-* :func:`integrate` records trajectories with fixed-step classical
-  Runge-Kutta: one loop on local floats, the field and its four stages
-  inline, pinned bit for bit by a reference loop in the tests.
+Both step it with one Stormer-Verlet (leapfrog) step, which holds H up to
+a bounded error of order step**2, without drift (Hairer, Lubich & Wanner,
+*Geometric Numerical Integration*, 2006):
+
+* :func:`integrate` records one trajectory, stepping one pair on Python
+  floats in the caller's time unit.
 * :func:`batch_final_states`, the basin oracle, returns only where each
-  start ends.  Its Stormer-Verlet (leapfrog) step holds H without drift
-  (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006).  It
-  steps the pairs still active as numpy arrays until only a few are left,
-  then steps each of those on Python floats, bit for bit the same.
+  start ends.  It steps the pairs still active as numpy arrays until only
+  a few are left, then steps each of those on Python floats with the step
+  :func:`integrate` takes, bit for bit the same.
 
 A game's time scale is s = max(|k0|, |k0 + k1|, |g0|, |g0 + g1|), the
 largest bracket at a corner, which is positive because k0 = b_d - c_d > 0;
@@ -55,8 +57,9 @@ velocity is monotone in the other coordinate's sigmoid, so from there the
 pair goes monotonically to that corner; where both coordinates are finite,
 the classifier calls it Stable.  A finite coordinate whose limit has a
 sign undecidable in float64 is never settled: its corner is NonHyperbolic.
-:func:`integrate` tests the corner the pair is nearest, the oracle the
-corner it heads for.
+Both test the corner (beta, alpha) = ([dx/dt > 0], [dy/dt > 0]) that the
+pair heads for; :func:`integrate` asks as well that it be the corner the
+pair is nearest.
 """
 
 from __future__ import annotations
@@ -85,15 +88,16 @@ __all__ = [
     "DEFAULT_CONVERGENCE_TOL",
 ]
 
-#: :func:`integrate` defaults: fixed step and total time horizon, in the
-#: caller's time unit, and the max-norm field, per unit of the game's own
-#: time (the field divided by s; see the module docstring), below which a
-#: trapped pair counts as converged.
+#: :func:`integrate` defaults: fixed leapfrog step and total time horizon,
+#: in the caller's time unit, and the max-norm field, per unit of the
+#: game's own time (the field divided by s; see the module docstring),
+#: below which a trapped pair counts as converged.
 DEFAULT_STEP = 0.05
 DEFAULT_HORIZON = 1000.0
 DEFAULT_CONVERGENCE_TOL = 1e-9
 
-#: Leapfrog steps between two trap tests in :func:`batch_final_states`.
+#: Leapfrog steps between two trap tests of :func:`batch_final_states` and
+#: :func:`integrate`.
 TRAP_TEST_STRIDE = 8
 
 #: Active pairs at or below which :func:`batch_final_states` steps each pair
@@ -120,9 +124,9 @@ class Trajectory:
 
     ``samples`` holds (t, state) at step 0 and every recorded step after it;
     times are strictly increasing and every state lies in the closed unit
-    square.  ``converged`` is true when the run stopped before the horizon,
-    settled next to the corner it is nearest (see :func:`integrate`); from
-    an interior start, that corner is then Stable.
+    square.  ``converged`` is true when the run ended, at or before the
+    horizon, settled next to the corner it heads for and is nearest (see
+    :func:`integrate`); from an interior start, that corner is then Stable.
     """
 
     samples: tuple[tuple[float, PopulationState], ...]
@@ -164,21 +168,6 @@ def _time_scale(k0, k1, g0, g1):
     return np.max(np.abs([k0, k0 + k1, g0, g0 + g1]), axis=0)
 
 
-def _logit(p: float) -> float:
-    # math.log raises at 0, so the edges map to -inf and +inf by hand.
-    if p == 0.0 or p == 1.0:
-        return math.copysign(math.inf, p - 0.5)
-    return math.log(p) - math.log1p(-p)
-
-
-def _settled(z: float, v: float, limit_sign: float) -> bool:
-    # z is at +-inf, or velocity v and the certified sign of its limit at the
-    # nearest corner both point to the edge on z's side.
-    if z > 0.0:
-        return z == math.inf or (v > 0.0 and limit_sign > 0.0)
-    return z == -math.inf or (v < 0.0 and limit_sign < 0.0)
-
-
 def integrate(
     params: GameParams,
     start: PopulationState,
@@ -186,22 +175,30 @@ def integrate(
     horizon: float = DEFAULT_HORIZON,
     record_stride: int = 1,
 ) -> Trajectory:
-    """Integrate the replicator field with fixed-step classical Runge-Kutta.
+    """Integrate the replicator field with the leapfrog of the basin oracle.
 
-    The steps are taken in log-odds (x, y) = (logit beta, logit alpha), and
-    each recorded state is mapped back with beta = sigma(x), alpha =
-    sigma(y).  sigma(z) = (1 + tanh(z / 2)) / 2 cannot overflow, and
-    sigma(+-inf) is exactly 1 or 0, so an edge or corner start keeps its
-    infinite coordinate and stays on its edge.
+    The steps are those of :func:`batch_final_states` on one pair, on Python
+    floats, in log-odds (x, y) = (logit beta, logit alpha), but in the
+    caller's time unit: the brackets are multiplied by ``step``, not by
+    ``step / s``.  Each recorded state is mapped back with beta = sigma(x),
+    alpha = sigma(y), where sigma(z) = 1 / (1 + exp(-z)) is exactly 1 or 0
+    at +-inf, so an edge or corner start keeps its infinite coordinate and
+    stays on its edge.
 
-    After each step the run stops with ``converged=True`` if the pair is in
-    a trapping quadrant (see the module docstring) of the corner it is
-    nearest, the corner of the signs of x and y, and the field's max-norm
-    in (beta, alpha), divided by the game's time scale s (see the module
-    docstring), is below :data:`DEFAULT_CONVERGENCE_TOL`.  A finite
-    coordinate whose limit there has a sign undecidable in float64 is never
-    settled, so an interior run that ends next to a NonHyperbolic corner
-    reports ``converged=False``.
+    Every ``TRAP_TEST_STRIDE`` steps, and after the last, the run stops
+    with ``converged=True`` if three things hold: the pair is in a trapping
+    quadrant of the corner it heads for (the oracle's test; see the module
+    docstring), that corner is the one it is nearest, the corner of the
+    signs of x and y, and the field's max-norm in (beta, alpha), divided by
+    the game's time scale s, is below :data:`DEFAULT_CONVERGENCE_TOL`.  The
+    second keeps a run that passes a saddle corner, where the field is small
+    too, from stopping there once it is trapped by the sink.  A finite
+    coordinate whose limit has a sign undecidable in float64 is
+    never settled, so an interior run that ends next to a NonHyperbolic
+    corner reports ``converged=False``.  The leapfrog holds the first
+    integral H up to a bounded error of order ``step**2``, so a recorded
+    trajectory and the oracle agree on the basin of a start that is not
+    that close to a basin's border.
 
     Parameters
     ----------
@@ -228,7 +225,8 @@ def integrate(
         If ``step``, ``horizon`` or ``record_stride`` breaks its constraint.
     IntegrationError
         If a log-odds coordinate that started finite turns non-finite, or
-        one turns NaN; the message names the step index.
+        one turns NaN; the message names the step that ends the block of
+        steps in which it did, at most ``TRAP_TEST_STRIDE`` long.
     """
     _check_span(step, horizon)
     try:
@@ -239,58 +237,45 @@ def integrate(
         ) from None
     require(stride >= 1, "record_stride >= 1", record_stride=record_stride)
     k0, k1, g0, g1 = field_coefficients(params)
-    d0, d1, a0, a1 = corner_signs(*params.as_tuple())
+    hk0, hk1, hg0, hg1 = step * k0, step * k1, step * g0, step * g1
+    sx0, sx1, sy0, sy1 = corner_signs(*params.as_tuple())
+    # The field's bound, times the step as the velocities are.
+    tol = DEFAULT_CONVERGENCE_TOL * float(_time_scale(k0, k1, g0, g1)) * step
+    x0, y0 = _log_odds(np.array([start.beta, start.alpha])).tolist()
+    # An edge coordinate gets the oracle's velocity +-inf toward its edge.
+    if math.isinf(x0):
+        hk0, hk1, sx0, sx1 = x0, 0.0, math.copysign(1.0, x0), math.copysign(1.0, x0)
+    if math.isinf(y0):
+        hg0, hg1, sy0, sy1 = y0, 0.0, math.copysign(1.0, y0), math.copysign(1.0, y0)
     n_steps = int(round(horizon / step))
-    half_step, sixth_step = 0.5 * step, step / 6.0
-    tol = DEFAULT_CONVERGENCE_TOL * float(_time_scale(k0, k1, g0, g1))
-    tanh = math.tanh
-    x0, y0 = _logit(start.beta), _logit(start.alpha)
-    x, y = x0, y0
     samples: list[tuple[float, PopulationState]] = [(0.0, start)]
-    converged = False
-    until_record = stride
-    # The four RK4 stages inline.  The sigmoids at the new state are the
-    # recorded sample, the convergence test's input and the next first stage.
-    beta = 0.5 + 0.5 * tanh(0.5 * x)
-    alpha = 0.5 + 0.5 * tanh(0.5 * y)
-    vx = k0 + k1 * alpha
-    vy = g0 + g1 * beta
-    for k in range(1, n_steps + 1):
-        a = x + half_step * vx
-        b = y + half_step * vy
-        vx2 = k0 + k1 * (0.5 + 0.5 * tanh(0.5 * b))
-        vy2 = g0 + g1 * (0.5 + 0.5 * tanh(0.5 * a))
-        a = x + half_step * vx2
-        b = y + half_step * vy2
-        vx3 = k0 + k1 * (0.5 + 0.5 * tanh(0.5 * b))
-        vy3 = g0 + g1 * (0.5 + 0.5 * tanh(0.5 * a))
-        a = x + step * vx3
-        b = y + step * vy3
-        vx4 = k0 + k1 * (0.5 + 0.5 * tanh(0.5 * b))
-        vy4 = g0 + g1 * (0.5 + 0.5 * tanh(0.5 * a))
-        x += sixth_step * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
-        y += sixth_step * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
-        # z - z is 0.0 iff z is finite; an edge coordinate keeps its infinity.
-        if x - x != 0.0 and x != x0 or y - y != 0.0 and y != y0:
-            raise IntegrationError(f"non-finite state at step {k}")
-        beta = 0.5 + 0.5 * tanh(0.5 * x)
-        alpha = 0.5 + 0.5 * tanh(0.5 * y)
-        vx = k0 + k1 * alpha
-        vy = g0 + g1 * beta
-        until_record -= 1
-        if not until_record:
-            samples.append((k * step, PopulationState(beta, alpha)))
-            until_record = stride
-        if (
-            -tol < beta * (1.0 - beta) * vx < tol
-            and -tol < alpha * (1.0 - alpha) * vy < tol
-            and _settled(x, vx, d1 if y > 0.0 else d0)
-            and _settled(y, vy, a1 if x > 0.0 else a0)
-        ):
-            converged = True
-            break
-    if until_record != stride:
-        samples.append((k * step, PopulationState(beta, alpha)))
+    x, y, taken, converged = x0, y0, 0, False
+    # A start at logit -744 overflows exp to inf, which gives sigma = 0.
+    with np.errstate(over="ignore"):
+        vx = hk0 + hk1 * float(_sigmoid(y))
+        while taken < n_steps and not converged:
+            block = min(stride - taken % stride, TRAP_TEST_STRIDE - taken % TRAP_TEST_STRIDE,
+                        n_steps - taken)
+            x, y, vx = _leapfrog(block, x, y, vx, hk0, hk1, hg0, hg1)
+            taken += block
+            # z - z is 0.0 iff z is finite; an edge coordinate keeps its infinity.
+            if x - x != 0.0 and x != x0 or y - y != 0.0 and y != y0:
+                raise IntegrationError(f"non-finite state at step {taken}")
+            beta, alpha = float(_sigmoid(x)), float(_sigmoid(y))
+            if taken % stride == 0:
+                samples.append((taken * step, PopulationState(beta, alpha)))
+            if taken % TRAP_TEST_STRIDE == 0 or taken == n_steps:
+                vy = hg0 + hg1 * beta
+                # _float_leapfrog's trap test, then the nearest corner and the
+                # field.  On an edge, beta (1 - beta) is 0 and vx +-inf: NaN,
+                # which passes.
+                converged = (vx * (sx1 if vy > 0.0 else sx0) > 0.0
+                             and vy * (sy1 if vx > 0.0 else sy0) > 0.0
+                             and (vx > 0.0) == (x > 0.0) and (vy > 0.0) == (y > 0.0)
+                             and not abs(beta * (1.0 - beta) * vx) >= tol
+                             and not abs(alpha * (1.0 - alpha) * vy) >= tol)
+    if taken % stride:
+        samples.append((taken * step, PopulationState(beta, alpha)))
     return Trajectory(tuple(samples), converged, samples[-1][1])
 
 
@@ -314,32 +299,49 @@ def field_grid(
     return out
 
 
+def _log_odds(p: np.ndarray) -> np.ndarray:
+    # logit(p), -inf at 0 (and -0.0) and +inf at 1.
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-z) overflows to inf for z below about -709, giving exactly 0.
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _float_leapfrog(taken, n_steps, x, y, vx, x0, y0, hk0, hk1, hg0, hg1, sx0, sx1, sy0, sy1):
-    # batch_final_states' leapfrog, finiteness check and trap test for one
-    # pair on Python floats, from step ``taken``.  Float + * / are numpy's
-    # float64 operations, and np.exp on a float runs the ufunc loop an array
-    # runs (math.exp differs in the last bit), so the bits are the vector
-    # loop's.  Returns the pair's final log-odds, +-inf toward the corner a
-    # trapped pair heads for, and the step of the block in which it left
-    # float range, or None.
+def _leapfrog(n, x, y, vx, hk0, hk1, hg0, hg1):
+    # n leapfrog steps of one pair on Python floats, the step of the vector
+    # loop in batch_final_states: vx is dx/dt times the step, carried from
+    # one step's last half-kick to the next step's first, and hk0 ... hg1
+    # are the brackets times the step.  Float + * / are numpy's float64
+    # operations, and np.exp on a float runs the ufunc loop an array runs
+    # (math.exp differs in the last bit), so the bits are the vector loop's.
     exp = np.exp
+    for _ in range(n):
+        x += 0.5 * vx
+        y += hg0 + hg1 * (1.0 / (1.0 + float(exp(-x))))
+        vx = hk0 + hk1 * (1.0 / (1.0 + float(exp(-y))))
+        x += 0.5 * vx
+    return x, y, vx
+
+
+def _float_leapfrog(taken, n_steps, x, y, vx, x0, y0, hk0, hk1, hg0, hg1, sx0, sx1, sy0, sy1):
+    # batch_final_states' blocks, finiteness check and trap test for one
+    # pair on Python floats, from step ``taken``.  Returns the pair's final
+    # log-odds, +-inf toward the corner a trapped pair heads for, and the
+    # step of the block in which it left float range, or None.
     while taken < n_steps:
         block = min(TRAP_TEST_STRIDE, n_steps - taken)
-        for _ in range(block):
-            x += 0.5 * vx
-            y += hg0 + hg1 * (1.0 / (1.0 + float(exp(-x))))
-            vx = hk0 + hk1 * (1.0 / (1.0 + float(exp(-y))))
-            x += 0.5 * vx
+        x, y, vx = _leapfrog(block, x, y, vx, hk0, hk1, hg0, hg1)
         taken += block
         # z - z is 0.0 iff z is finite; an edge coordinate keeps its infinity.
         if x - x != 0.0 and x != x0 or y - y != 0.0 and y != y0:
             return x, y, taken
-        vy = hg0 + hg1 * (1.0 / (1.0 + float(exp(-x))))
+        vy = hg0 + hg1 * (1.0 / (1.0 + float(np.exp(-x))))
+        # The trap test at the corner ([vx > 0], [vy > 0]) the pair heads for,
+        # written out here and in integrate: as a function, its call per
+        # block cost the basin benchmark 3 % of its games/s.
         if vx * (sx1 if vy > 0.0 else sx0) > 0.0 and vy * (sy1 if vx > 0.0 else sy0) > 0.0:
             return math.copysign(math.inf, vx), math.copysign(math.inf, vy), None
     return x, y, None
@@ -411,8 +413,7 @@ def batch_final_states(
     finals[...] = [(s.beta, s.alpha) for s in starts]
     columns = np.array([g.as_tuple() for g in games], dtype=float).T
     k0, k1, g0, g1 = brackets(*columns)
-    with np.errstate(divide="ignore"):
-        xs, ys = (np.log(p) - np.log1p(-p) for p in finals[0].T)
+    xs, ys = map(_log_odds, finals[0].T)
     n_steps = int(round(horizon / step))
     taken = 0
     # A huge step may overflow here or in the steps; the finiteness check

@@ -110,15 +110,18 @@ def test_field_equals_frequency_times_fitness_gap():
 def test_integrator_matches_logistic_closed_form():
     # On the alpha = 0 edge the defender equation decouples into a logistic
     # ODE with rate b_d - c_d, giving an exact solution to test against.  In
-    # log-odds the rate is constant, so RK4 is exact up to rounding: the
-    # final beta is 2.2e-16 from the closed form.
+    # log-odds the rate is constant, so the leapfrog is exact up to rounding.
+    # Each of its 2,000 half-step drifts rounds an x below 8 by at most
+    # 4.4e-16, and d beta = beta (1 - beta) dx with beta (1 - beta) = 0.0107
+    # at the end, so the final beta lies within 1e-14 of the closed form (it
+    # is 1.1e-15 from it).
     params = GameParams(**REF)
     k0 = params.b_d - params.c_d
     b0, t = 0.2, 10.0
     exact = b0 * math.exp(k0 * t) / (1.0 - b0 + b0 * math.exp(k0 * t))
     trajectory = integrate(params, PopulationState(b0, 0.0), step=0.01, horizon=t)
     assert trajectory.final_state.alpha == 0.0
-    assert trajectory.final_state.beta == pytest.approx(exact, abs=1e-15)
+    assert trajectory.final_state.beta == pytest.approx(exact, abs=1e-14)
 
 
 def test_integrator_converges_to_stable_corner():
@@ -215,58 +218,63 @@ def test_non_finite_span_is_refused(span, constraint):
 
 
 def integrate_reference(params, start, step=0.05, horizon=1000.0, record_stride=1):
-    """Reference for :func:`integrate`: the same fixed-step RK4 loop in
-    log-odds, written with one field call per stage, recording at
-    ``k % record_stride == 0``, the trap rule spelled out with signs and the
-    field measured in the game's own time."""
+    """Reference for :func:`integrate`: the same leapfrog in log-odds, one
+    step per iteration with the field written out, recording at
+    ``k % record_stride == 0``, and every ``TRAP_TEST_STRIDE`` steps and
+    after the last the finiteness check and the trap rule spelled out with
+    signs, the field measured in the game's own time.  An edge coordinate
+    stays at +-inf by itself and counts as settled on its edge."""
     k0, k1, g0, g1 = field_coefficients(params)
     d0, d1, a0, a1 = corner_signs(*params.as_tuple())
     scale = max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
+    h = step
 
     def sigma(z):
-        return 0.5 + 0.5 * math.tanh(0.5 * z)
+        return 1.0 / (1.0 + float(np.exp(-z)))
 
     def logit(p):
-        if p in (0.0, 1.0):
-            return math.inf if p else -math.inf
-        return math.log(p) - math.log1p(-p)
+        with np.errstate(divide="ignore"):
+            return float(np.log(p) - np.log1p(-p))
 
-    def field(x, y):
-        return (k0 + k1 * sigma(y), g0 + g1 * sigma(x))
+    def heads_up(z, v):
+        # Whether the coordinate heads for the corner's side at +inf.
+        return z > 0.0 if math.isinf(z) else v > 0.0
 
     def settled(z, v, limit_sign):
         # At +-inf a coordinate is on its edge for good.  Otherwise its
         # velocity and the certified sign of the velocity's limit at the
-        # nearest corner both point to that corner, the one on z's side.
+        # corner the pair heads for both point to the side of the corner
+        # it is nearest, the one on z's side.
         side = 1.0 if z > 0.0 else -1.0
         return math.isinf(z) or np.sign(v) == limit_sign == side
 
-    h = step
     x0, y0 = logit(start.beta), logit(start.alpha)
     x, y = x0, y0
     samples = [(0.0, start)]
     converged = False
-    f1 = field(x, y)
-    for k in range(1, int(round(horizon / step)) + 1):
-        f2 = field(x + 0.5 * h * f1[0], y + 0.5 * h * f1[1])
-        f3 = field(x + 0.5 * h * f2[0], y + 0.5 * h * f2[1])
-        f4 = field(x + h * f3[0], y + h * f3[1])
-        x = x + (h / 6.0) * (f1[0] + 2.0 * f2[0] + 2.0 * f3[0] + f4[0])
-        y = y + (h / 6.0) * (f1[1] + 2.0 * f2[1] + 2.0 * f3[1] + f4[1])
-        for z, z0 in ((x, x0), (y, y0)):
-            if math.isnan(z) or (math.isfinite(z0) and not math.isfinite(z)):
-                raise IntegrationError(f"non-finite state at step {k}")
-        f1 = field(x, y)
-        beta, alpha = sigma(x), sigma(y)
-        if k % record_stride == 0:
-            samples.append((k * step, PopulationState(beta, alpha)))
-        quiet = max(abs(beta * (1.0 - beta) * f1[0]),
-                    abs(alpha * (1.0 - alpha) * f1[1])) / scale < 1e-9
-        trapped = (settled(x, f1[0], d1 if y > 0.0 else d0)
-                   and settled(y, f1[1], a1 if x > 0.0 else a0))
-        if quiet and trapped:
-            converged = True
-            break
+    n_steps = int(round(horizon / step))
+    with np.errstate(over="ignore"):
+        for k in range(1, n_steps + 1):
+            x += 0.5 * (h * k0 + h * k1 * sigma(y))
+            y += h * g0 + h * g1 * sigma(x)
+            x += 0.5 * (h * k0 + h * k1 * sigma(y))
+            tested = k % TRAP_TEST_STRIDE == 0 or k == n_steps
+            if tested or k % record_stride == 0:
+                for z, z0 in ((x, x0), (y, y0)):
+                    if math.isnan(z) or (math.isfinite(z0) and not math.isfinite(z)):
+                        raise IntegrationError(f"non-finite state at step {k}")
+            beta, alpha = sigma(x), sigma(y)
+            if k % record_stride == 0:
+                samples.append((k * step, PopulationState(beta, alpha)))
+            if tested:
+                vx, vy = k0 + k1 * alpha, g0 + g1 * beta
+                quiet = max(abs(beta * (1.0 - beta) * vx),
+                            abs(alpha * (1.0 - alpha) * vy)) / scale < 1e-9
+                trapped = (settled(x, vx, d1 if heads_up(y, vy) else d0)
+                           and settled(y, vy, a1 if heads_up(x, vx) else a0))
+                if quiet and trapped:
+                    converged = True
+                    break
     if k % record_stride != 0:
         samples.append((k * step, PopulationState(beta, alpha)))
     return Trajectory(tuple(samples), converged, samples[-1][1])
@@ -381,6 +389,76 @@ def test_integrate_matches_the_reference_anywhere(
     params = random_params(np.random.default_rng(seed), with_fines=with_fines)
     same_as_reference(params, PopulationState(*start), step=step,
                       horizon=n_steps * step, record_stride=record_stride)
+
+
+def first_integral(params, state):
+    """H = A(x) - B(y) of the module docstring at a state in the open unit
+    square, in closed form: A = g0 ln(beta) - (g0 + g1) ln(1 - beta) and
+    B = k0 ln(alpha) - (k0 + k1) ln(1 - alpha)."""
+    k0, k1, g0, g1 = field_coefficients(params)
+    beta, alpha = state.beta, state.alpha
+    return ((g0 * math.log(beta) - (g0 + g1) * math.log1p(-beta))
+            - (k0 * math.log(alpha) - (k0 + k1) * math.log1p(-alpha)))
+
+
+def first_integral_drift(params, run, margin=1e-6):
+    """The largest |H - H(start)| over ``run``'s recorded samples with both
+    frequencies in [margin, 1 - margin], where a recorded frequency still
+    fixes its log-odds to about 1e-10; 0 from an edge start."""
+    start = run.samples[0][1]
+    if not (0.0 < start.beta < 1.0 and 0.0 < start.alpha < 1.0):
+        return 0.0
+    h0 = first_integral(params, start)
+    return max((abs(first_integral(params, state) - h0) for _, state in run.samples
+                if margin <= min(state.beta, state.alpha) <= max(state.beta, state.alpha)
+                <= 1.0 - margin), default=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    with_fines=st.booleans(),
+    start=st.tuples(_FREQUENCY, _FREQUENCY),
+    scaled_step=st.floats(0.01, 0.25),
+    n_steps=st.integers(1, 2000),
+    record_stride=st.integers(1, 50),
+)
+def test_integrate_holds_the_first_integral(
+    seed, with_fines, start, scaled_step, n_steps, record_stride,
+):
+    # The leapfrog conserves a modified first integral H + step**2 H2 +
+    # O(step**4), where H2 is a sum of A''(x) B'(y)**2 / 12 and
+    # B''(y) A'(x)**2 / 24.  |A'| and |B'| are velocities, at most s, and
+    # |A''| <= |g1| / 4 <= s / 2, |B''| <= |k1| / 4 <= s / 2, so |H2| <=
+    # s**3 / 16 and H stays within s q**2 / 8 of its start, with q = step s
+    # the step in the game's own time.  The extreme starts run the exps
+    # into overflow, which fails the run unless it is silenced.
+    params = random_params(np.random.default_rng(seed), with_fines=with_fines)
+    k0, k1, g0, g1 = field_coefficients(params)
+    scale = max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
+    step = scaled_step / scale
+    run = integrate(params, PopulationState(*start), step=step, horizon=n_steps * step,
+                    record_stride=record_stride)
+    assert all(0.0 <= state.beta <= 1.0 and 0.0 <= state.alpha <= 1.0
+               for _, state in run.samples)
+    assert first_integral_drift(params, run) <= scale * (scaled_step**2 / 8.0 + 1e-9)
+
+
+@pytest.mark.parametrize("params, start", [
+    (GameParams(**REF), (0.1, 0.1)),
+    (GameParams(w=0.98, c_a=0.51, c_d=0.20, b_a=0.90, b_d=0.79, v=0.26), (0.3, 0.7)),
+    (GameParams(w=0.98, c_a=0.69, c_d=0.54, b_a=0.79, b_d=0.72, v=0.15), (0.5, 0.5)),
+], ids=["REF", "README", "bistable"])
+def test_first_integral_drift_is_of_order_step_squared(params, start):
+    # Halving the step quarters the drift of H along the same stretch of
+    # trajectory.
+    k0, k1, g0, g1 = field_coefficients(params)
+    scale = max(abs(k0), abs(k0 + k1), abs(g0), abs(g0 + g1))
+    drifts = [first_integral_drift(params, integrate(
+        params, PopulationState(*start), step=q / scale, horizon=40.0 / scale))
+        for q in (0.2, 0.1)]
+    assert drifts[1] > 1e-6 * scale
+    assert 3.8 < drifts[0] / drifts[1] < 4.2
 
 
 def test_field_grid_layout():
@@ -506,7 +584,7 @@ def test_integrate_never_settles_off_the_stable_corner():
     config = SamplerConfig(count=1, master_seed=1)
     axis = np.linspace(1e-3, 1.0 - 1e-3, 4)
     starts = [PopulationState(float(b), float(a)) for b in axis for a in axis]
-    for index in [370, *range(40), 44]:
+    for index in [370, *range(60)]:
         params = sample_game(config, index)
         stable = stable_set(params)
         if len(stable) != 1:
@@ -529,8 +607,8 @@ def test_integrate_is_scale_free(start):
     # Multiplying every payoff by 2**-27 stretches time by exactly 2**27, so
     # with step and horizon stretched alike every log-odds state has the same
     # bits.  An absolute field tolerance would stop the scaled runs at step
-    # 1, 51 and 223, where the runs in the game's own time stop at step 2,345,
-    # 2,261 and 1,769.
+    # 8, 56 and 224, where the runs in the game's own time stop at step 2,352,
+    # 2,264 and 1,776.
     c = 2.0 ** -27
     run = integrate(README_GAME, PopulationState(*start))
     scaled = integrate(scaled_payoffs(README_GAME, c), PopulationState(*start),
@@ -550,15 +628,18 @@ def test_integrate_does_not_settle_a_slow_game_at_its_start():
 
 
 def test_integrate_does_not_settle_on_a_saddle_corner_it_passes():
-    # From 1e-9 below the beta = 1 edge, game 370's trajectory passes within
-    # 1e-9 of the saddle E4 = (1, 1), where it is already in E2's trapping
-    # quadrant and the field is below the tolerance.  It is not settled
-    # there: it heads for E2, not for the corner it is near.
+    # From a gap of 1e-9 or 1e-10 below the beta = 1 edge, game 370's
+    # trajectory passes within about that gap of the saddle E4 = (1, 1),
+    # where it is already in E2's trapping quadrant and the field gets below
+    # the tolerance; from 1e-10 it is below at a step where the trap is
+    # tested (at t = 830).  It is not settled there: it heads for E2, not
+    # for the corner it is near.
     params = _seed_one_game(370)
     assert stable_set(params) == {EquilibriumKind.E2}
-    run = integrate(params, PopulationState(1.0 - 1e-9, 1e-3), record_stride=10**6)
-    assert not run.converged or run.final_state == PopulationState(0.0, 1.0)
-    assert run.final_state.beta < 1e-3
+    for gap in (1e-9, 1e-10):
+        run = integrate(params, PopulationState(1.0 - gap, 1e-3), record_stride=10**6)
+        assert not run.converged or run.final_state == PopulationState(0.0, 1.0)
+        assert run.final_state.beta < 1e-3, gap
 
 
 @st.composite
