@@ -78,7 +78,10 @@ def _number(where: str, raw: Any, expected: str) -> float:
     """``raw`` as a float if it is a finite number (not a bool); else ConfigError."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"config value {where} must {expected}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an int beyond float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"config value {where} must be finite")
     return value

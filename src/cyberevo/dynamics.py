@@ -183,7 +183,9 @@ def integrate(
     ``step / s``.  Each recorded state is mapped back with beta = sigma(x),
     alpha = sigma(y), where sigma(z) = 1 / (1 + exp(-z)) is exactly 1 or 0
     at +-inf, so an edge or corner start keeps its infinite coordinate and
-    stays on its edge.
+    stays on its edge.  The step kernel returns the alpha of its last
+    half-kick, which is sigma(y) at the block's end; this function records
+    and trap-tests with it, so only beta costs an exp at a block's end.
 
     Every ``TRAP_TEST_STRIDE`` steps, and after the last, the run stops
     with ``converged=True`` if three things hold: the pair is in a trapping
@@ -256,12 +258,12 @@ def integrate(
         while taken < n_steps and not converged:
             block = min(stride - taken % stride, TRAP_TEST_STRIDE - taken % TRAP_TEST_STRIDE,
                         n_steps - taken)
-            x, y, vx = _leapfrog(block, x, y, vx, hk0, hk1, hg0, hg1)
+            x, y, vx, alpha = _leapfrog(block, x, y, vx, hk0, hk1, hg0, hg1)
             taken += block
             # z - z is 0.0 iff z is finite; an edge coordinate keeps its infinity.
             if x - x != 0.0 and x != x0 or y - y != 0.0 and y != y0:
                 raise IntegrationError(f"non-finite state at step {taken}")
-            beta, alpha = float(_sigmoid(x)), float(_sigmoid(y))
+            beta = 1.0 / (1.0 + float(np.exp(-x)))
             if taken % stride == 0:
                 samples.append((taken * step, PopulationState(beta, alpha)))
             if taken % TRAP_TEST_STRIDE == 0 or taken == n_steps:
@@ -311,19 +313,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _leapfrog(n, x, y, vx, hk0, hk1, hg0, hg1):
-    # n leapfrog steps of one pair on Python floats, the step of the vector
-    # loop in batch_final_states: vx is dx/dt times the step, carried from
-    # one step's last half-kick to the next step's first, and hk0 ... hg1
-    # are the brackets times the step.  Float + * / are numpy's float64
+    # n >= 1 leapfrog steps of one pair on Python floats, the step of the
+    # vector loop in batch_final_states: vx is dx/dt times the step, carried
+    # from one step's last half-kick to the next step's first, and hk0 ...
+    # hg1 are the brackets times the step.  Float + * / are numpy's float64
     # operations, and np.exp on a float runs the ufunc loop an array runs
     # (math.exp differs in the last bit), so the bits are the vector loop's.
+    # Also returns the last half-kick's alpha = sigma(y) at the final y, bit
+    # for bit _sigmoid(y), which integrate records and tests with.
     exp = np.exp
     for _ in range(n):
         x += 0.5 * vx
         y += hg0 + hg1 * (1.0 / (1.0 + float(exp(-x))))
-        vx = hk0 + hk1 * (1.0 / (1.0 + float(exp(-y))))
+        alpha = 1.0 / (1.0 + float(exp(-y)))
+        vx = hk0 + hk1 * alpha
         x += 0.5 * vx
-    return x, y, vx
+    return x, y, vx, alpha
 
 
 def _float_leapfrog(taken, n_steps, x, y, vx, x0, y0, hk0, hk1, hg0, hg1, sx0, sx1, sy0, sy1):
@@ -333,7 +338,7 @@ def _float_leapfrog(taken, n_steps, x, y, vx, x0, y0, hk0, hk1, hg0, hg1, sx0, s
     # step of the block in which it left float range, or None.
     while taken < n_steps:
         block = min(TRAP_TEST_STRIDE, n_steps - taken)
-        x, y, vx = _leapfrog(block, x, y, vx, hk0, hk1, hg0, hg1)
+        x, y, vx, _ = _leapfrog(block, x, y, vx, hk0, hk1, hg0, hg1)
         taken += block
         # z - z is 0.0 iff z is finite; an edge coordinate keeps its infinity.
         if x - x != 0.0 and x != x0 or y - y != 0.0 and y != y0:

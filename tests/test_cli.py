@@ -165,6 +165,9 @@ def test_config_file_errors(tmp_path, capsys):
         ({"phase": {"starts": [[0.1, 0.2, 0.3]]}}, f"phase.starts {shapes}"),
         ({"phase": {"starts": [0.5]}}, f"phase.starts {shapes}"),
         ({"ensemble": {"count": 2.5}}, "ensemble.count must be an integer"),
+        # An int beyond float range, for an int key and a float key.
+        ({"ensemble": {"count": 10**400}}, "ensemble.count must be finite"),
+        ({"game": {"w": 10**400}}, "game.w must be finite"),
         ([{"ensemble": {"count": 2}}], "must contain a JSON object"),
         ({"ensemble": [2]}, "config section ensemble must be an object"),
     ):
@@ -172,6 +175,14 @@ def test_config_file_errors(tmp_path, capsys):
         bad.write_text(json.dumps(content))
         assert cli.main(["analyze", "--config", str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key", [("--count", "ensemble.count"),
+                                       ("--seed", "ensemble.master_seed")])
+def test_integer_flag_beyond_float_range_is_a_config_error(capsys, flag, key):
+    # float() of such an int raised OverflowError, a traceback and exit 1.
+    assert cli.main(["ensemble", flag, "1" + "0" * 400]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
 
 
 EXPECTED_ENSEMBLE_FILES = [

@@ -36,6 +36,7 @@ from cyberevo.dynamics import (
     DEFAULT_STEP,
     TRAP_TEST_STRIDE,
     _check_span,
+    _leapfrog,
     _sigmoid,
     _time_scale,
 )
@@ -389,6 +390,40 @@ def test_integrate_matches_the_reference_anywhere(
     params = random_params(np.random.default_rng(seed), with_fines=with_fines)
     same_as_reference(params, PopulationState(*start), step=step,
                       horizon=n_steps * step, record_stride=record_stride)
+
+
+def test_integrate_makes_one_exp_per_block_end(monkeypatch):
+    # One np.exp for the start's velocity, two per step, and one per block
+    # end for beta: alpha is the last half-kick's.  Blocks end at each record
+    # point (every 7th step), each trap test (every 8th) and the last step.
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda z: calls.append(z) or exp(z))
+    n_steps = 500
+    run = integrate(GameParams(**REF), PopulationState(0.3, 0.3), step=0.01,
+                    horizon=n_steps * 0.01, record_stride=7)
+    assert not run.converged and run.samples[-1][0] == 5.0
+    block_ends = {k for k in range(1, n_steps + 1) if k % 7 == 0 or k % 8 == 0} | {n_steps}
+    assert len(calls) == 1 + 2 * n_steps + len(block_ends)
+
+
+@pytest.mark.parametrize("n", range(1, TRAP_TEST_STRIDE + 1))
+def test_leapfrog_returns_the_sigmoid_of_its_last_y(n):
+    # Interior pairs at steps that keep exp in range and that overflow it,
+    # and edge coordinates, which integrate gives the velocity +-inf.
+    k0, k1, g0, g1 = field_coefficients(GameParams(**REF))
+    inf = math.inf
+    cases = [((x, y), (step * k0, step * k1, step * g0, step * g1))
+             for x, y in ((0.3, -0.2), (-40.0, 35.0), (700.0, -700.0))
+             for step in (0.05, 3.0, 900.0)]
+    cases += [((x, 0.3), (x, 0.0, g0, g1)) for x in (inf, -inf)]
+    cases += [((0.3, y), (k0, k1, y, 0.0)) for y in (inf, -inf)]
+    cases += [((x, y), (x, 0.0, y, 0.0)) for x in (inf, -inf) for y in (inf, -inf)]
+    with np.errstate(over="ignore"):
+        for (x, y), (hk0, hk1, hg0, hg1) in cases:
+            vx = hk0 + hk1 * float(_sigmoid(y))
+            _, y_end, _, alpha = _leapfrog(n, x, y, vx, hk0, hk1, hg0, hg1)
+            assert np.float64(alpha).tobytes() == _sigmoid(y_end).tobytes(), (x, y, hg0)
 
 
 def first_integral(params, state):
