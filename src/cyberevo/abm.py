@@ -26,15 +26,20 @@ proportion to the steps that change the state (``AbmResult.events``).
 The random stream differs from the step-by-step sampler of earlier
 versions, so per-seed results differ from theirs.
 
-Two things keep an event cheap.  The move probabilities depend only on the
-state, and a run keeps returning to the few states next to a stable corner,
-so a per-run table keyed by the state holds them once computed; it is
-emptied whenever it reaches ``_MOVE_TABLE_LIMIT`` entries (about 1.3 MB),
-so its memory depends on neither ``steps`` nor ``population_size``.  The
-four uniforms of an event are taken in order from blocks of
-``_DRAW_BLOCK`` events drawn at once; ``Generator.random`` fills float64s
-one generator output each, in sequence, so the stream and every per-seed
-result are those of one ``rng.random(4)`` per event.
+Three things keep an event cheap.  The move probabilities depend only on
+the state, and a run keeps returning to the few states next to a stable
+corner, so a per-run table keyed by the state holds them once computed,
+with the quotients the event draws are compared against.  A population's
+imitation probabilities depend only on the opposite population's count,
+so two per-run caches keyed by that count hold the logistic pair
+(:func:`_logistic_pair`, one ``exp``), and a table fill for a new state
+usually reuses both.  The table is emptied whenever it reaches
+``_MOVE_TABLE_LIMIT`` entries, and both caches with it (about 1.9 MB all
+told), so their memory depends on neither ``steps`` nor
+``population_size``.  The four uniforms of an event are taken in order
+from blocks of ``_DRAW_BLOCK`` events drawn at once; ``Generator.random``
+fills float64s one generator output each, in sequence, so the stream and
+every per-seed result are those of one ``rng.random(4)`` per event.
 
 Determinism: a single seeded generator drives the whole run; identical
 configurations produce identical results.
@@ -43,6 +48,7 @@ configurations produce identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +61,8 @@ __all__ = ["AbmConfig", "AbmResult", "simulate"]
 #: Maximum number of thinned trajectory samples (plus the initial state).
 _MAX_SAMPLES = 1000
 
-#: Entries the per-run move table holds before it is emptied (about 1.3 MB).
+#: Entries the per-run move table holds before it and the imitation caches
+#: are emptied (about 1.9 MB in all).
 _MOVE_TABLE_LIMIT = 4096
 
 #: Events whose four uniforms are drawn from the generator in one call.
@@ -69,8 +76,9 @@ class AbmConfig:
     ``population_size`` is the number of agents in each population.  Means
     are accumulated over every step after ``burn_in``.  Defaults give a
     long, strongly selected, lightly mutating run from the square's centre.
-    ``population_size``, ``steps``, ``burn_in`` and ``seed`` are integers
-    (not bools).
+    ``population_size``, ``steps``, ``burn_in`` and ``seed`` are integers,
+    ``selection_strength`` and ``mutation_rate`` real numbers (none of them
+    bools), and ``initial_state`` a :class:`PopulationState`.
     """
 
     population_size: int = 1000
@@ -86,7 +94,15 @@ class AbmConfig:
             raise ConfigError(
                 f"population_size must be an integer >= 2 (got {self.population_size!r})"
             )
-        if not (math.isfinite(self.selection_strength) and self.selection_strength >= 0.0):
+        for name in ("selection_strength", "mutation_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number (got {value!r})")
+        try:
+            finite = math.isfinite(self.selection_strength)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not (finite and self.selection_strength >= 0.0):
             raise ConfigError(
                 f"selection_strength must be finite and >= 0 "
                 f"(got {self.selection_strength!r})"
@@ -106,6 +122,10 @@ class AbmConfig:
             raise ConfigError(
                 f"seed must be a 64-bit unsigned integer (got {self.seed!r})"
             )
+        if not isinstance(self.initial_state, PopulationState):
+            raise ConfigError(
+                f"initial_state must be a PopulationState (got {self.initial_state!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -123,30 +143,37 @@ class AbmResult:
     events: int
 
 
-def _logistic(x: float) -> float:
-    # Overflow-safe 1 / (1 + exp(-x)).
+def _logistic_pair(x: float) -> tuple[float, float]:
+    """(1 / (1 + exp(-x)), 1 / (1 + exp(x))) from one overflow-safe ``exp``.
+
+    Each value has the bits of the separate overflow-safe form, z / (1 + z)
+    with z = exp(x) for x < 0 and 1 / (1 + exp(-x)) otherwise.
+    """
+    z = math.exp(-abs(x))
     if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
+        return 1.0 / (1.0 + z), z / (1.0 + z)
+    return z / (1.0 + z), 1.0 / (1.0 + z)
 
 
 def _move_rates(
-    count: int, n_agents: int, advantage: float, sel: float, mut: float
+    count: int, n_agents: int, half_mut: float, meet: float,
+    imitate: tuple[float, float],
 ) -> tuple[float, float]:
     """Probabilities that one population's strategy-1 count rises or falls
     by one in a step.
 
     It rises when a strategy-0 focal (probability (N-n)/N) mutates to
-    strategy 1 (mut/2) or, not mutating, meets a strategy-1 peer among the
-    N-1 others (n/(N-1)) and imitates it (logistic in sel * advantage).
-    It falls by the mirror image.  ``advantage`` is the payoff of strategy
-    1 minus strategy 0 against the opposite population's mixture.
+    strategy 1 (mut/2, ``half_mut``) or, not mutating, meets a strategy-1
+    peer among the N-1 others (n/(N-1), ``meet`` being (1-mut)/(N-1)) and
+    imitates it (the first of ``imitate``, the logistic in sel * advantage).
+    It falls by the mirror image, with the second, the logistic in
+    -sel * advantage.  ``advantage`` is the payoff of strategy 1 minus
+    strategy 0 against the opposite population's mixture.
     """
+    imitate_up, imitate_down = imitate
     share = count / n_agents
-    meet = (1.0 - mut) / (n_agents - 1)
-    up = (1.0 - share) * (0.5 * mut + meet * count * _logistic(sel * advantage))
-    down = share * (0.5 * mut + meet * (n_agents - count) * _logistic(-sel * advantage))
+    up = (1.0 - share) * (half_mut + meet * count * imitate_up)
+    down = share * (half_mut + meet * (n_agents - count) * imitate_down)
     return up, down
 
 
@@ -173,10 +200,13 @@ def simulate(params: GameParams, config: AbmConfig) -> AbmResult:
     holds its state to the end.  Per-seed results differ from earlier
     versions, which drew five uniforms per population every step.
 
-    Each state's move probabilities come from :func:`_move_rates` the first
-    time the run visits it and from a bounded per-run table afterwards; the
-    uniforms come in blocks.  Neither changes a value or the order of the
-    draws, so results equal those of recomputing the rates and drawing
+    Each state's move probabilities and the quotients its event compares
+    against are computed the first time the run visits it and come from a
+    bounded per-run table afterwards.  The logistic pair behind each
+    population's rates comes from a cache keyed by the opposite count,
+    emptied with the table; the uniforms come in blocks.  None of this
+    changes a value or the order of the draws, so results equal those of
+    evaluating each logistic and the rates afresh and drawing
     ``rng.random(4)`` at every event.
     """
     k0, k1, g0, g1 = field_coefficients(params)
@@ -198,6 +228,13 @@ def simulate(params: GameParams, config: AbmConfig) -> AbmResult:
 
     width = n_agents + 1
     moves: dict[int, tuple[float, float, float, float, float, float]] = {}
+    # Imitation pairs of each population, keyed by the opposite count.
+    imitate_d: dict[int, tuple[float, float]] = {}
+    imitate_a: dict[int, tuple[float, float]] = {}
+    half_mut = 0.5 * mut
+    meet = (1.0 - mut) / (n_agents - 1)
+    tally_from = burn_in + 1
+    log1p = math.log1p
     draws: list[list[float]] = []
     drawn = 0
 
@@ -208,32 +245,47 @@ def simulate(params: GameParams, config: AbmConfig) -> AbmResult:
         if move is None:
             if len(moves) >= _MOVE_TABLE_LIMIT:
                 moves.clear()
-            up_d, down_d = _move_rates(
-                n_defending, n_agents, k0 + k1 * (n_attacking / n_agents), sel, mut
-            )
-            up_a, down_a = _move_rates(
-                n_attacking, n_agents, g0 + g1 * (n_defending / n_agents), sel, mut
-            )
+                imitate_d.clear()
+                imitate_a.clear()
+            pair_d = imitate_d.get(n_attacking)
+            if pair_d is None:
+                pair_d = imitate_d[n_attacking] = _logistic_pair(
+                    sel * (k0 + k1 * (n_attacking / n_agents)))
+            pair_a = imitate_a.get(n_defending)
+            if pair_a is None:
+                pair_a = imitate_a[n_defending] = _logistic_pair(
+                    sel * (g0 + g1 * (n_defending / n_agents)))
+            up_d, down_d = _move_rates(n_defending, n_agents, half_mut, meet, pair_d)
+            up_a, down_a = _move_rates(n_attacking, n_agents, half_mut, meet, pair_a)
             p_d = up_d + down_d
             p_a = up_a + down_a
             # Not 1 - (1-p_d)(1-p_a), which rounds to 0 when both are tiny.
             p_move = p_d + p_a - p_d * p_a
-            log_stay = math.log1p(-p_move) if p_move > 0.0 else 0.0
-            move = moves[key] = (up_d, p_d, up_a, p_a, p_move, log_stay)
-        up_d, p_d, up_a, p_a, p_move, log_stay = move
-        if p_move > 0.0:
+            # log_stay = log1p(-p_move) is < 0 for 0 < p_move < 1 (p_d and
+            # p_a are at most 1/2), and 0 marks a state the run never leaves.
+            # A quotient the event cannot reach (its population never
+            # moves) is stored as 0.
+            if p_move > 0.0:
+                move = (log1p(-p_move), p_d / p_move,
+                        up_d / p_d if p_d > 0.0 else 0.0, up_a, p_a,
+                        up_a / p_a if p_a > 0.0 else 0.0)
+            else:
+                move = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            moves[key] = move
+        log_stay, side_d, rise_d, up_a, p_a, rise_a = move
+        if log_stay < 0.0:
             if drawn == len(draws):
                 draws = rng.random((_DRAW_BLOCK, 4)).tolist()
                 drawn = 0
             u_run, u_side, u_d, u_a = draws[drawn]
             drawn += 1
-            nulls = math.log1p(-u_run) / log_stay
+            nulls = log1p(-u_run) / log_stay
         else:
             nulls = math.inf
         # The current state holds over steps step..event-1; an event past
         # the last step is placed just after it.
         event = step + 1 + int(nulls) if nulls < steps - step else steps + 1
-        held = event - max(step, burn_in + 1)
+        held = event - (step if step > tally_from else tally_from)
         if held > 0:
             sum_beta += held * n_defending
             sum_alpha += held * n_attacking
@@ -242,14 +294,14 @@ def simulate(params: GameParams, config: AbmConfig) -> AbmResult:
             next_row += stride
         if event > steps:
             break
-        if u_side < p_d / p_move:
-            n_defending += 1 if u_d < up_d / p_d else -1
+        if u_side < side_d:
+            n_defending += 1 if u_d < rise_d else -1
             if u_a < up_a:
                 n_attacking += 1
             elif u_a < p_a:
                 n_attacking -= 1
         else:
-            n_attacking += 1 if u_a < up_a / p_a else -1
+            n_attacking += 1 if u_a < rise_a else -1
         events += 1
         step = event
 

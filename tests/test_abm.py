@@ -20,13 +20,7 @@ from cyberevo import (
     simulate,
 )
 from cyberevo import abm
-from cyberevo.abm import (
-    _DRAW_BLOCK,
-    _MAX_SAMPLES,
-    _MOVE_TABLE_LIMIT,
-    _logistic,
-    _move_rates,
-)
+from cyberevo.abm import _DRAW_BLOCK, _MAX_SAMPLES, _MOVE_TABLE_LIMIT
 
 from test_game import REF
 
@@ -36,6 +30,26 @@ PARAMS = GameParams(**REF)
 #: of the step-by-step reference kernel.
 _DRAWS_PER_STEP = 5
 _BLOCK = 65536
+
+
+def _logistic(x: float) -> float:
+    # Overflow-safe 1 / (1 + exp(-x)), evaluated on its own at each call.
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def _move_rates(
+    count: int, n_agents: int, advantage: float, sel: float, mut: float
+) -> tuple[float, float]:
+    """One population's up- and down-move probabilities in a step, with
+    both logistics evaluated afresh."""
+    share = count / n_agents
+    meet = (1.0 - mut) / (n_agents - 1)
+    up = (1.0 - share) * (0.5 * mut + meet * count * _logistic(sel * advantage))
+    down = share * (0.5 * mut + meet * (n_agents - count) * _logistic(-sel * advantage))
+    return up, down
 
 
 def stepwise_simulate(params: GameParams, config: AbmConfig) -> AbmResult:
@@ -184,14 +198,16 @@ def event_reference(params: GameParams, config: AbmConfig) -> AbmResult:
     )
 
 
-def count_table_fills(monkeypatch):
-    """Count :func:`simulate`'s move-table fills: each calls ``_move_rates``
-    once per population."""
-    calls = []
+def count_table_fills(monkeypatch, calls=None):
+    """Count :func:`simulate`'s move-table fills: each calls
+    ``abm._move_rates`` once per population, defenders first.  Each call's
+    arguments go to ``calls`` if given."""
+    calls = [] if calls is None else calls
+    move_rates = abm._move_rates
 
     def counted(*args):
         calls.append(args)
-        return _move_rates(*args)
+        return move_rates(*args)
 
     monkeypatch.setattr(abm, "_move_rates", counted)
     return lambda: len(calls) // 2
@@ -252,7 +268,7 @@ def test_config_validation():
         PARAMS, AbmConfig(population_size=10, steps=100, burn_in=10, seed=2**63 + 1))
     with pytest.raises(ConfigError, match="population_size"):
         AbmConfig(population_size=1)
-    for strength in (-1.0, math.nan, math.inf):
+    for strength in (-1.0, math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(ConfigError, match="selection_strength"):
             AbmConfig(selection_strength=strength)
     with pytest.raises(ConfigError, match="mutation_rate"):
@@ -272,6 +288,16 @@ def test_config_validation():
         settings = {"population_size": 10, "steps": 100, "burn_in": 0, field: value}
         with pytest.raises(ConfigError, match=field):
             AbmConfig(**settings)
+    # Real fields take a real number and no bool; the start, a PopulationState.
+    AbmConfig(selection_strength=np.float32(2.0), mutation_rate=0)
+    for field, value in [
+        ("selection_strength", "10"), ("selection_strength", True),
+        ("selection_strength", None), ("mutation_rate", "0.1"),
+        ("mutation_rate", None), ("mutation_rate", False),
+        ("initial_state", (0.5, 0.5)), ("initial_state", None),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            AbmConfig(**{field: value})
 
 
 def test_deterministic_per_seed():
@@ -421,6 +447,12 @@ def test_short_run_trajectory_records_every_step():
         AbmConfig(population_size=10_000, selection_strength=0.0, mutation_rate=1.0,
                   steps=30000, burn_in=0, seed=7),
         lambda result, fills: fills > _MOVE_TABLE_LIMIT, id="refills"),
+    # Selection with heavy mutation wanders over about 6,700 states, so the
+    # table and both imitation caches are emptied mid-run.
+    pytest.param(
+        AbmConfig(population_size=10_000, selection_strength=5.0, mutation_rate=0.2,
+                  steps=20000, burn_in=0, seed=7),
+        lambda result, fills: fills > _MOVE_TABLE_LIMIT, id="refills-selection"),
     # p = 0 at a corner without mutation: nothing is drawn.
     pytest.param(
         AbmConfig(population_size=200, mutation_rate=0.0, steps=50000, burn_in=10,
@@ -478,11 +510,42 @@ def test_simulate_keeps_the_per_event_stream_anywhere(
     assert simulate(PARAMS, config) == event_reference(PARAMS, config)
 
 
+def test_table_fills_share_each_exp(monkeypatch):
+    # A population's imitation pair depends only on the opposite count, so
+    # between two table clears each population makes at most one exp per
+    # distinct opposite count (the defenders' pairs are keyed by the attacker
+    # counts the fills saw, the attackers' by the defender counts); a fill
+    # for a new state usually makes none, where evaluating both logistics
+    # of both populations makes four.
+    config = AbmConfig(population_size=1000)
+    calls = []
+    fills = count_table_fills(monkeypatch, calls)
+    exp = math.exp
+    exps = []
+
+    def counted(x):
+        # A fill's exps come before its two move-rate calls.
+        exps.append(fills() // _MOVE_TABLE_LIMIT)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    result = simulate(PARAMS, config)
+    monkeypatch.undo()
+    assert result == event_reference(PARAMS, config)
+    assert fills() > 500
+    for clear in range(fills() // _MOVE_TABLE_LIMIT + 1):
+        epoch = calls[2 * clear * _MOVE_TABLE_LIMIT:2 * (clear + 1) * _MOVE_TABLE_LIMIT]
+        defenders = {args[0] for args in epoch[0::2]}
+        attackers = {args[0] for args in epoch[1::2]}
+        assert exps.count(clear) <= len(defenders) + len(attackers)
+    assert len(exps) < 1.2 * fills(), (len(exps), fills())
+
+
 def test_move_table_memory_is_bounded(monkeypatch):
     # Strong selection at N = 100,000 drifts from the centre towards the
     # stable corner and rarely revisits a state: about 12,700 states in
-    # 13,000 events, three table limits.  An unbounded table would peak
-    # near 4 MB here; the bounded one holds about 1.3 MB.
+    # 13,000 events, three table limits.  Unbounded, the table and the
+    # imitation caches would peak near 6.4 MB here; bounded, about 1.9 MB.
     config = AbmConfig(population_size=100_000, steps=30000, burn_in=0)
     fills = count_table_fills(monkeypatch)
     expected = simulate(PARAMS, config)
