@@ -48,12 +48,11 @@ configurations produce identical results.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, is_real
 from .game import GameParams, PopulationState, field_coefficients
 
 __all__ = ["AbmConfig", "AbmResult", "simulate"]
@@ -94,22 +93,14 @@ class AbmConfig:
             raise ConfigError(
                 f"population_size must be an integer >= 2 (got {self.population_size!r})"
             )
-        for name in ("selection_strength", "mutation_rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number (got {value!r})")
-        try:
-            finite = math.isfinite(self.selection_strength)
-        except OverflowError:  # an int beyond float range
-            finite = False
-        if not (finite and self.selection_strength >= 0.0):
+        if not (is_real(self.selection_strength) and self.selection_strength >= 0.0):
             raise ConfigError(
-                f"selection_strength must be finite and >= 0 "
+                f"selection_strength must be a finite real number >= 0 "
                 f"(got {self.selection_strength!r})"
             )
-        if not 0.0 <= self.mutation_rate <= 1.0:
+        if not (is_real(self.mutation_rate) and 0.0 <= self.mutation_rate <= 1.0):
             raise ConfigError(
-                f"mutation_rate must be in [0, 1] (got {self.mutation_rate!r})"
+                f"mutation_rate must be a real number in [0, 1] (got {self.mutation_rate!r})"
             )
         if not is_integer(self.steps) or self.steps < 1:
             raise ConfigError(f"steps must be an integer >= 1 (got {self.steps!r})")

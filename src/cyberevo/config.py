@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from .abm import AbmConfig
 from .ensemble import SamplerConfig
-from .errors import ConfigError
+from .errors import ConfigError, is_real
 from .game import FineScenario, GameParams, PopulationState
 from .phaseplot import phase_portrait
 
@@ -78,13 +77,9 @@ def _number(where: str, raw: Any, expected: str) -> float:
     """``raw`` as a float if it is a finite number (not a bool); else ConfigError."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"config value {where} must {expected}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an int beyond float range
-        value = math.inf
-    if not math.isfinite(value):
+    if not is_real(raw):
         raise ConfigError(f"config value {where} must be finite")
-    return value
+    return float(raw)
 
 
 def _coerce(section: str, key: str, raw: Any) -> Any:

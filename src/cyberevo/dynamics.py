@@ -65,13 +65,12 @@ pair is nearest.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationError, ParameterError, require
+from .errors import IntegrationError, is_integer, is_real, require
 from .game import GameParams, PopulationState, brackets, corner_signs, field_coefficients
 
 __all__ = [
@@ -135,8 +134,8 @@ class Trajectory:
 
 
 def _check_span(step: float, horizon: float) -> None:
-    require(math.isfinite(step), "step finite", step=step)
-    require(math.isfinite(horizon), "horizon finite", horizon=horizon)
+    require(is_real(step), "step finite real", step=step)
+    require(is_real(horizon), "horizon finite real", horizon=horizon)
     require(step > 0.0, "step > 0", step=step)
     require(horizon >= step, "horizon >= step", horizon=horizon, step=step)
     require(math.isfinite(horizon / step), "horizon / step finite", horizon=horizon, step=step)
@@ -214,8 +213,8 @@ def integrate(
         Total integration time in the same unit, finite and >= step.
     record_stride : int
         Keep every ``record_stride``-th sample (step 0 and the final step
-        are always kept); an integer >= 1 (``operator.index`` must accept
-        it, so a float is refused).
+        are always kept); an integer >= 1, not a bool (so a float is
+        refused).
 
     Returns
     -------
@@ -231,12 +230,8 @@ def integrate(
         steps in which it did, at most ``TRAP_TEST_STRIDE`` long.
     """
     _check_span(step, horizon)
-    try:
-        stride = operator.index(record_stride)
-    except TypeError:
-        raise ParameterError(
-            f"constraint violated: record_stride integer (record_stride={record_stride!r})"
-        ) from None
+    require(is_integer(record_stride), "record_stride integer", record_stride=record_stride)
+    stride = int(record_stride)
     require(stride >= 1, "record_stride >= 1", record_stride=record_stride)
     k0, k1, g0, g1 = field_coefficients(params)
     hk0, hk1, hg0, hg1 = step * k0, step * k1, step * g0, step * g1
@@ -287,9 +282,11 @@ def field_grid(
     """Evaluate the field on a uniform lattice over the unit square.
 
     Points are returned row-major: beta ascending in the outer loop, alpha
-    ascending in the inner one, ``resolution`` points per axis.
+    ascending in the inner one, ``resolution`` points per axis, an integer
+    >= 2 and not a bool.
     """
-    require(resolution >= 2, "resolution >= 2", resolution=resolution)
+    require(is_integer(resolution) and resolution >= 2, "resolution >= 2",
+            resolution=resolution)
     out: list[tuple[PopulationState, FieldValue]] = []
     denom = resolution - 1
     for i in range(resolution):
@@ -404,8 +401,9 @@ def batch_final_states(
     Raises
     ------
     ParameterError
-        If ``step`` or ``horizon`` is not finite, ``step`` is not positive
-        or ``horizon`` is shorter than ``step``, as in :func:`integrate`.
+        If ``step`` or ``horizon`` is not a finite real number, ``step`` is
+        not positive or ``horizon`` is shorter than ``step``, as in
+        :func:`integrate`.
     IntegrationError
         If a log-odds coordinate that started finite turns non-finite, or
         one turns NaN, as in :func:`integrate`; the message names the step

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, is_integer
+from .errors import ConfigError, is_integer, is_real
 from .game import (
     PARAMETERS,
     STRATEGY_PAIRS,
@@ -146,8 +146,9 @@ class SamplerConfig:
     """Ensemble sampling configuration.
 
     ``count`` and ``master_seed`` are integers (not bools).
-    ``b_a_upper`` is the upper end of the attacker-benefit draw; it must be
-    at least 1 so the range (c_a, b_a_upper] is never empty (c_a < w <= 1).
+    ``b_a_upper`` is the upper end of the attacker-benefit draw, a real
+    number and not a bool; it must be at least 1 so the range
+    (c_a, b_a_upper] is never empty (c_a < w <= 1).
     It sets the stable-state mix: without fines E3 is stable exactly when
     v > 1 - c_a/b_a, so with v ~ U(0,1] the E3-stable share is
     E[c_a/b_a], which falls as the ceiling rises while the E4 share
@@ -173,8 +174,9 @@ class SamplerConfig:
         # Welfare lies within b_a_upper + f_s + f_u + 3 of 0 (see
         # game.payoff_pairs); up to 2**1020 (about 1.1e307) it and b_a stay
         # finite over BIN_WIDTH, so every bin and histogram edge is finite.
-        fines = self.scenario.f_s + self.scenario.f_u
-        if not 1.0 <= self.b_a_upper <= 2.0**1020 - fines:
+        # The check runs in float64, where a float32's 2**1020 overflows.
+        fines = float(self.scenario.f_s) + float(self.scenario.f_u)
+        if not (is_real(self.b_a_upper) and 1.0 <= float(self.b_a_upper) <= 2.0**1020 - fines):
             raise ConfigError(
                 f"b_a_upper must be >= 1 and b_a_upper + f_s + f_u <= 2**1020 "
                 f"(got b_a_upper={self.b_a_upper!r}, f_s + f_u={fines!r})"
@@ -788,7 +790,8 @@ def fines_study(
     attacker-benefit ceiling ``b_a_upper`` (see :class:`SamplerConfig`).
     Fines are applied after the parameter draw, so the games are drawn
     once and classified again per level; differences between levels are
-    attributable to the fines alone.  Each level may be given once.  Every
+    attributable to the fines alone.  Each level is a finite real number
+    >= 0, not a bool, and may be given once.  Every
     level runs in the calling thread.  ``workers`` has no effect: it is
     accepted so that existing callers keep working, and must be an integer
     >= 1, else :class:`ConfigError`.
@@ -796,8 +799,8 @@ def fines_study(
     _check_workers(workers)
     configs = []
     for level in levels:
-        if not (math.isfinite(level) and level >= 0):
-            raise ConfigError(f"fine level must be finite and >= 0 (got {level!r})")
+        if not (is_real(level) and level >= 0):
+            raise ConfigError(f"fine level must be a finite real number >= 0 (got {level!r})")
         if any(config.scenario.f_u == level for config in configs):
             raise ConfigError(f"fine level {level!r} is repeated")
         configs.append(SamplerConfig(

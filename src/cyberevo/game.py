@@ -25,7 +25,8 @@ The paper's fines (m, n the chances of catching the attacker on an
 unsecured and a secured system, p, s the penalties for a successful and an
 unsuccessful attack) enter the payoffs only through m*p and n*s, so a game
 holds the two products and "no fines" is the default 0.0.  Every
-parameter must be finite.  A state of the two populations is a
+parameter must be a finite real number and not a bool
+(:func:`~cyberevo.errors.is_real`).  A state of the two populations is a
 :class:`PopulationState`, the frequencies (beta, alpha) of Defence and
 Attack, which the fitness, the dynamics, the equilibria and the
 finite-population check all read.  The constraints, payoff pairs, welfare
@@ -35,12 +36,11 @@ table's columns alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import require
+from .errors import is_real, require
 
 __all__ = [
     "STRATEGY_PAIRS",
@@ -105,8 +105,10 @@ def constraints(w, c_a, c_d, b_a, b_d, v, fine_successful, fine_unsuccessful):
 class GameParams:
     """Validated parameter set of one attack-defence game.
 
-    Construction rejects any violation of :func:`constraints`; nothing is
-    clamped silently.  Instances are immutable.
+    Construction rejects a field that is not a finite real number (a bool,
+    a string, an int beyond float range), then any violation of
+    :func:`constraints`; nothing is clamped silently.  Instances are
+    immutable.
     """
 
     w: float
@@ -119,6 +121,8 @@ class GameParams:
     fine_unsuccessful: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in zip(_FIELDS, self.as_tuple()):
+            require(is_real(value), f"{name} finite real", **{name: value})
         for constraint, holds in constraints(*self.as_tuple()):
             require(holds, constraint, **{
                 name: getattr(self, name)
@@ -138,8 +142,9 @@ class FineScenario:
     """Composite attacker fines: f_u for unsuccessful, f_s for successful attacks.
 
     Applied to a game, ``f_s`` becomes its ``fine_successful`` and ``f_u``
-    its ``fine_unsuccessful``.  A zero fine is stored as 0.0, so -0.0 is
-    not a second "no fines"; every other value is kept as given.
+    its ``fine_unsuccessful``.  Each is a finite real number >= 0, not a
+    bool.  A zero fine is stored as 0.0, so -0.0 is not a second "no
+    fines"; every other value is kept as given.
     """
 
     f_u: float = 0.0
@@ -147,7 +152,7 @@ class FineScenario:
 
     def __post_init__(self) -> None:
         for name, value in (("f_u", self.f_u), ("f_s", self.f_s)):
-            require(math.isfinite(value), f"{name} finite", **{name: value})
+            require(is_real(value), f"{name} finite real", **{name: value})
             require(value >= 0.0, f"{name} >= 0", **{name: value})
             if value == 0.0:
                 object.__setattr__(self, name, 0.0)
@@ -163,14 +168,15 @@ ZERO_FINES = FineScenario(0.0, 0.0)
 
 @dataclass(frozen=True)
 class PopulationState:
-    """Frequencies (beta, alpha) of Defence and Attack, each in [0, 1]."""
+    """Frequencies (beta, alpha) of Defence and Attack, each a real number in [0, 1]."""
 
     beta: float
     alpha: float
 
     def __post_init__(self) -> None:
-        require(0.0 <= self.beta <= 1.0, "0 <= beta <= 1", beta=self.beta)
-        require(0.0 <= self.alpha <= 1.0, "0 <= alpha <= 1", alpha=self.alpha)
+        require(is_real(self.beta) and 0.0 <= self.beta <= 1.0, "0 <= beta <= 1", beta=self.beta)
+        require(is_real(self.alpha) and 0.0 <= self.alpha <= 1.0, "0 <= alpha <= 1",
+                alpha=self.alpha)
 
 
 @dataclass(frozen=True)

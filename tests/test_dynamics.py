@@ -24,6 +24,7 @@ from cyberevo import (
     field_grid,
     fitness_profile,
     integrate,
+    phase_portrait,
     replicator_field,
     sample_game,
     stable_set,
@@ -43,7 +44,7 @@ from cyberevo.dynamics import (
 from cyberevo.game import brackets, corner_signs
 
 from test_equilibria import ROUNDS_WRONG, valid_games
-from test_game import REF, random_params
+from test_game import NOT_A_NUMBER, REF, check_number_rule, number_rule_cases, random_params
 
 
 def scaled_payoffs(params, c):
@@ -183,6 +184,42 @@ def test_integrator_argument_validation():
     # A float stride used to be accepted: 2.5 recorded every 5th step.
     with pytest.raises(ParameterError, match="record_stride integer"):
         integrate(params, start, record_stride=2.5)
+
+
+def _span_rows(entry, call, accepted_step):
+    # step and horizon of one integrator; the other is a fixed 0.5 or 2.0.
+    return [
+        (f"{entry}-step", lambda x: call(step=x, horizon=2.0), "step finite real",
+         NOT_A_NUMBER + ("int-beyond-float",), [accepted_step, np.float32(0.5), np.int64(1)]),
+        (f"{entry}-horizon", lambda x: call(step=0.5, horizon=x), "horizon finite real",
+         NOT_A_NUMBER + ("int-beyond-float",), [2, np.float32(2.0), np.int64(2)]),
+    ]
+
+
+_GAME, _START = GameParams(**REF), PopulationState(0.5, 0.5)
+
+# The dynamics' rows of the one number rule's table (see test_game.py).
+DYNAMICS_NUMBERS = [
+    *_span_rows("integrate", lambda **span: integrate(_GAME, _START, **span), 1),
+    *_span_rows("batch_final_states",
+                lambda **span: batch_final_states([_GAME], [_START], **span), 1),
+    ("integrate-record_stride",
+     lambda x: integrate(_GAME, _START, step=0.5, horizon=2.0, record_stride=x),
+     "record_stride integer", ("bool",), [2, np.int64(2)]),
+    ("phase_portrait-trajectory_horizon",
+     lambda x: phase_portrait(_GAME, resolution=2, trajectory_horizon=x),
+     "horizon finite real", NOT_A_NUMBER + ("int-beyond-float",),
+     [2, np.float32(2.0), np.int64(2)]),
+    ("phase_portrait-resolution", lambda x: phase_portrait(_GAME, resolution=x),
+     "resolution >= 2", ("string", "none", "inf"), [2, np.int64(3)]),
+    ("field_grid-resolution", lambda x: field_grid(_GAME, x),
+     "resolution >= 2", ("string", "none", "inf"), [2, np.int64(3)]),
+]
+
+
+@pytest.mark.parametrize("call, value, named", number_rule_cases(DYNAMICS_NUMBERS))
+def test_dynamics_entry_points_check_numbers(call, value, named):
+    check_number_rule(ParameterError, call, value, named)
 
 
 #: A game with a huge unsuccessful-attack fine: g1 is about -2.6e299, so a

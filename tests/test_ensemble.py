@@ -46,7 +46,15 @@ from cyberevo.ensemble import (
 )
 from cyberevo.game import PARAMETERS, ZERO_FINES
 
-from test_game import DRAWN_VIOLATIONS, LARGE_FINES, REF, wide_rows
+from test_game import (
+    DRAWN_VIOLATIONS,
+    LARGE_FINES,
+    NOT_A_NUMBER,
+    REF,
+    check_number_rule,
+    number_rule_cases,
+    wide_rows,
+)
 
 
 def test_sampler_config_validation():
@@ -71,6 +79,20 @@ def test_sampler_config_validation():
 def test_sampler_config_rejects_non_integers(fields, name):
     with pytest.raises(ConfigError, match=name):
         SamplerConfig(**fields)
+
+
+# The ensemble's rows of the one number rule's table (see test_game.py).
+ENSEMBLE_NUMBERS = [
+    ("SamplerConfig-b_a_upper", lambda x: SamplerConfig(count=1, b_a_upper=x), "b_a_upper",
+     NOT_A_NUMBER, [2, np.float32(1.33), np.int64(1)]),
+    ("fines_study-levels", lambda x: fines_study(count=2, master_seed=1, levels=[x]),
+     "fine level", NOT_A_NUMBER + ("int-beyond-float",), [1, np.float32(0.5), np.int64(0)]),
+]
+
+
+@pytest.mark.parametrize("call, value, named", number_rule_cases(ENSEMBLE_NUMBERS))
+def test_ensemble_entry_points_check_numbers(call, value, named):
+    check_number_rule(ConfigError, call, value, named)
 
 
 def test_sample_game_deterministic_and_index_addressed():

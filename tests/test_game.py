@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,71 @@ def test_constraint_violations_named(bad, named):
     with pytest.raises(ParameterError, match="constraint violated") as info:
         GameParams(**{**REF, **bad})
     assert named in str(info.value)
+
+
+# The one number rule: a real field takes a finite real number and no bool
+# (errors.is_real), an integer field an integer and no bool
+# (errors.is_integer).  One table of entry points, spread over this file,
+# test_ensemble.py and test_dynamics.py.  Each row names the values of
+# NOT_REAL the entry point used to keep, or to fail on with a bare
+# TypeError or OverflowError; the others were already refused by name.
+
+#: Values that are no finite real number, by test id.
+NOT_REAL = {
+    "bool": True, "numpy-bool": np.bool_(True), "string": "0.5", "none": None,
+    "int-beyond-float": 10**400, "nan": math.nan, "inf": math.inf, "minus-inf": -math.inf,
+}
+#: The NOT_REAL ids that a bare comparison lets through (the bools) or
+#: fails on with a TypeError (the string and None).
+NOT_A_NUMBER = ("bool", "numpy-bool", "string", "none")
+
+
+def number_rule_cases(rows):
+    """pytest params (call, value, named) for rows of (entry id, call, named,
+    refused NOT_REAL ids, accepted values); ``named`` is None where
+    ``value`` is accepted."""
+    cases = []
+    for entry, call, named, refused, accepted in rows:
+        cases += [pytest.param(call, NOT_REAL[key], named, id=f"{entry}-{key}")
+                  for key in refused]
+        cases += [pytest.param(call, value, None, id=f"{entry}-{type(value).__name__}")
+                  for value in accepted]
+    return cases
+
+
+def check_number_rule(error, call, value, named):
+    """``call(value)`` raises ``error`` naming ``named``, or, without one, returns."""
+    if named is None:
+        call(value)
+    else:
+        with pytest.raises(error, match=re.escape(named)):
+            call(value)
+
+
+GAME_NUMBERS = [
+    (f"GameParams-{field}", lambda x, field=field: GameParams(**{**REF, field: x}),
+     f"{field} finite real", NOT_A_NUMBER + ("int-beyond-float",), accepted)
+    for field, accepted in [
+        ("w", [1, np.float32(0.98), np.int64(1)]),
+        ("v", [1, np.float32(0.26), np.int64(1)]),
+        ("fine_successful", [2, np.float32(0.5), np.int64(0)]),
+    ]
+] + [
+    (f"FineScenario-{field}", lambda x, field=field: FineScenario(**{field: x}),
+     f"{field} finite real", NOT_A_NUMBER + ("int-beyond-float",),
+     [2, np.float32(0.5), np.int64(0)])
+    for field in ("f_u", "f_s")
+] + [
+    ("PopulationState-beta", lambda x: PopulationState(x, 0.5), "0 <= beta <= 1",
+     NOT_A_NUMBER, [1, np.float32(0.5), np.int64(0)]),
+    ("PopulationState-alpha", lambda x: PopulationState(0.5, x), "0 <= alpha <= 1",
+     NOT_A_NUMBER, [1, np.float32(0.5), np.int64(0)]),
+]
+
+
+@pytest.mark.parametrize("call, value, named", number_rule_cases(GAME_NUMBERS))
+def test_game_types_check_numbers(call, value, named):
+    check_number_rule(ParameterError, call, value, named)
 
 
 def test_payoff_matrix_reference_values():

@@ -3,7 +3,7 @@
 ``game.py`` holds the parameters, the population state and the algebra, and
 imports no sibling module but ``errors``; the equilibria, the
 finite-population check and the run configuration read the state from it,
-not from the integrators.
+not from the integrators.  ``errors`` alone holds the number rule.
 """
 
 import ast
@@ -46,3 +46,20 @@ def test_analyses_do_not_import_the_integrators(module):
 def test_dynamics_exports_the_game_state():
     assert dynamics.PopulationState is game.PopulationState
     assert cyberevo.PopulationState is game.PopulationState
+
+
+def test_only_errors_imports_numbers():
+    # errors.is_real and errors.is_integer are the package's one number rule;
+    # a module that imports numbers is writing a second copy of it.
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module}
+            else:
+                continue
+            if "numbers" in names:
+                importers.add(path.stem)
+    assert importers == {"errors"}
