@@ -32,6 +32,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from ._version import __version__
 from .abm import simulate
 from .config import RunConfig, load_run_config
+from .dynamics import MAX_RESOLUTION
 from .ensemble import (
     BIN_EDGES,
     CORRELATION_LABELS,
@@ -310,8 +311,8 @@ def cmd_ensemble(runcfg: RunConfig, bundle: OutputBundle) -> None:
 def cmd_phase(runcfg: RunConfig, bundle: OutputBundle) -> None:
     params = runcfg.game_params()
     resolution = runcfg.get("phase", "resolution")
-    if resolution < 2:
-        raise ConfigError(f"phase.resolution must be >= 2 (got {resolution})")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ConfigError(f"phase.resolution must be 2 to {MAX_RESOLUTION} (got {resolution})")
     portrait = phase_portrait(
         params,
         resolution=resolution,

@@ -85,6 +85,7 @@ __all__ = [
     "DEFAULT_STEP",
     "DEFAULT_HORIZON",
     "DEFAULT_CONVERGENCE_TOL",
+    "MAX_RESOLUTION",
 ]
 
 #: :func:`integrate` defaults: fixed leapfrog step and total time horizon,
@@ -98,6 +99,13 @@ DEFAULT_CONVERGENCE_TOL = 1e-9
 #: Leapfrog steps between two trap tests of :func:`batch_final_states` and
 #: :func:`integrate`.
 TRAP_TEST_STRIDE = 8
+
+#: Most lattice points per axis of :func:`field_grid`.  The phase portrait
+#: plots the unit square over a 440-pixel span, so 441 points per axis put
+#: one point on every pixel; a finer lattice draws nothing new, and its
+#: cost grows as the square (441 points per axis take about 1 s on a 2-vCPU
+#: VM).
+MAX_RESOLUTION = 441
 
 #: Active pairs at or below which :func:`batch_final_states` steps each pair
 #: on Python floats: about where one vectorized step, some 17 numpy calls,
@@ -283,10 +291,10 @@ def field_grid(
 
     Points are returned row-major: beta ascending in the outer loop, alpha
     ascending in the inner one, ``resolution`` points per axis, an integer
-    >= 2 and not a bool.
+    from 2 to :data:`MAX_RESOLUTION` and not a bool.
     """
-    require(is_integer(resolution) and resolution >= 2, "resolution >= 2",
-            resolution=resolution)
+    require(is_integer(resolution) and 2 <= resolution <= MAX_RESOLUTION,
+            f"resolution >= 2 and resolution <= {MAX_RESOLUTION}", resolution=resolution)
     out: list[tuple[PopulationState, FieldValue]] = []
     denom = resolution - 1
     for i in range(resolution):

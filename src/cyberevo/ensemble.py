@@ -4,10 +4,12 @@ Games are drawn from nested uniform ranges, one independent RNG substream
 per game index, so a game does not depend on the count or on the
 blocking.  The map from six uniforms to a game (:func:`_nested`) and the
 check of a drawn game (:func:`_valid`) are each written once, for one game
-and for a block alike.  Games are drawn and analyzed in the calling
-thread, in blocks of :data:`BLOCK_SIZE` consecutive indices, and joined in
-index order; a block's first six uniforms are computed for all its
-indices at once, bit for bit as each index's own Generator gives them.
+and for a block alike.  Games are drawn in the calling thread, in blocks
+of :data:`BLOCK_SIZE` consecutive indices, into one parameter array that
+the tables of every fine level share, and each table's other columns are
+allocated once and filled from it block by block; a block's first six
+uniforms are computed for all its indices at once, bit for bit as each
+index's own Generator gives them.
 An ensemble is held as a columnar :class:`GameTable`: per game, the six
 drawn parameters, the stable set, the social welfare of the four pure
 pairs and whether an interior point exists, each column one numpy array.
@@ -24,8 +26,8 @@ indicator correlations, defence-intensity frequency curves,
 parameter-impact histograms, fine scenarios, and social-welfare
 statistics.  Every count and correlation is an integer sum over one table
 of games per (parameter, stable pattern, bin), taken with one bincount
-per parameter, so it does not depend on the order of the games; each
-correlation is rounded to a float once.
+per parameter column, so it does not depend on the order of the games;
+each correlation is rounded to a float once.
 """
 
 from __future__ import annotations
@@ -348,15 +350,16 @@ def sample_game(config: SamplerConfig, index: int) -> GameParams:
     the most frequent stable state (see :class:`SamplerConfig`); the
     default 1.0 does not reproduce the paper's headline figures.  The
     substream is derived from (master_seed, index), so any game is
-    reproducible in isolation.
+    reproducible in isolation.  ``index`` is an integer >= 0, not a bool,
+    else :class:`ConfigError`.
 
     In the astronomically rare case where a value lands exactly on an
     excluded endpoint (:func:`_valid` fails), the whole game is drawn again
     from the substream's next six uniforms; no value of the failed draw is
     kept.
     """
-    if index < 0:
-        raise ConfigError(f"index must be >= 0 (got {index!r})")
+    if not is_integer(index) or index < 0:
+        raise ConfigError(f"index must be an integer >= 0 (got {index!r})")
     rng = np.random.default_rng([config.master_seed, index])
     while True:
         params = _nested(rng.random(6).tolist(), config.b_a_upper)
@@ -522,23 +525,28 @@ def _analyze(params: np.ndarray, fines: tuple[float, float], start: int) -> Game
     """Classify and evaluate games ``start..start+n-1`` under ``fines``.
 
     ``params`` holds six drawn parameters per row and ``fines`` is
-    (fine_successful, fine_unsuccessful).  The scalar functions' algebra is
+    (fine_successful, fine_unsuccessful).  The table holds ``params``
+    itself, not a copy, and its other columns are allocated once and filled
+    :data:`BLOCK_SIZE` rows at a time.  The scalar functions' algebra is
     applied to columns, so each row holds the bits ``stable_set``,
     ``social_welfare`` and ``interior_equilibrium`` give for that game.
     """
-    game = (*params.T, *fines)
-    stable, interior = stable_table(*game)
-    welfare = np.empty((len(params), len(STRATEGY_PAIRS)))
-    for column, values in enumerate(welfare_pairs(*game)):
-        welfare[:, column] = values
-    return GameTable(
-        indices=np.arange(start, start + len(params), dtype=np.int64),
+    n = len(params)
+    table = GameTable(
+        indices=np.arange(start, start + n, dtype=np.int64),
         params=params,
-        stable=stable,
-        welfare=welfare,
-        interior=interior,
+        stable=np.empty((n, len(_KINDS)), dtype=bool),
+        welfare=np.empty((n, len(STRATEGY_PAIRS))),
+        interior=np.empty(n, dtype=bool),
         fines=fines,
     )
+    for begin in range(0, n, BLOCK_SIZE):
+        rows = slice(begin, begin + BLOCK_SIZE)
+        game = (*params[rows].T, *fines)
+        table.stable[rows], table.interior[rows] = stable_table(*game)
+        for column, values in enumerate(welfare_pairs(*game)):
+            table.welfare[rows, column] = values
+    return table
 
 
 def _run(configs: Sequence[SamplerConfig]) -> list[GameTable]:
@@ -546,16 +554,17 @@ def _run(configs: Sequence[SamplerConfig]) -> list[GameTable]:
 
     The configs differ only in their fine scenario, which no drawn
     parameter's check depends on.  Each block of :data:`BLOCK_SIZE` game
-    indices is drawn and checked once and analyzed per config in the
-    calling thread, and the blocks are joined in index order.
+    indices is drawn and checked once, into one (count, 6) parameter array
+    that every config's table holds; each config's table is then analyzed
+    from it, in the calling thread.
     """
     count = configs[0].count
     fines = [(float(c.scenario.f_s), float(c.scenario.f_u)) for c in configs]
-    blocks = []
+    params = np.empty((count, len(PARAMETERS)))
     for start in range(0, count, BLOCK_SIZE):
-        params = _draw(configs[0], start, min(start + BLOCK_SIZE, count))
-        blocks.append([_analyze(params, f, start) for f in fines])
-    return [_concat(parts) for parts in zip(*blocks)]
+        stop = min(start + BLOCK_SIZE, count)
+        params[start:stop] = _draw(configs[0], start, stop)
+    return [_analyze(params, f, 0) for f in fines]
 
 
 def _check_workers(workers: int) -> None:
@@ -564,25 +573,15 @@ def _check_workers(workers: int) -> None:
         raise ConfigError(f"workers must be an integer >= 1 (got {workers!r})")
 
 
-def _concat(tables: Sequence[GameTable]) -> GameTable:
-    if len(tables) == 1:
-        return tables[0]
-    return GameTable(
-        *(np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS),
-        fines=tables[0].fines,
-    )
-
-
 def run_ensemble(
     config: SamplerConfig, workers: int = 1
 ) -> tuple[GameTable, EnsembleSummary]:
     """Sample, analyze, and summarize ``config.count`` games.
 
-    Fixed blocks of game indices are drawn, analyzed, joined and reduced
-    in index order, in the calling thread; no thread or process is
-    started.  ``workers`` has no effect: it is accepted so that existing
-    callers keep working, and must be an integer >= 1, else
-    :class:`ConfigError`.
+    Fixed blocks of game indices are drawn, analyzed and reduced in index
+    order, in the calling thread; no thread or process is started.
+    ``workers`` has no effect: it is accepted so that existing callers keep
+    working, and must be an integer >= 1, else :class:`ConfigError`.
     """
     _check_workers(workers)
     (table,) = _run([config])
@@ -597,9 +596,9 @@ def _bincount(
     return np.bincount(bins, weights=weights, minlength=size).tolist()
 
 
-def _bins(params: np.ndarray) -> np.ndarray:
-    """Bin index of each parameter, over :data:`BIN_EDGES`, as (n, 6) int64."""
-    return np.minimum(params / BIN_WIDTH, _N_BINS - 1.0).astype(np.int64)
+def _bins(column: np.ndarray) -> np.ndarray:
+    """Bin index of each value of one parameter column, over :data:`BIN_EDGES`, as int64."""
+    return np.minimum(column / BIN_WIDTH, _N_BINS - 1.0).astype(np.int64)
 
 
 def _pearson(c: int, spread: int) -> float:
@@ -635,17 +634,17 @@ def _correlation(patterns: Sequence[int]) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def _counts(stable: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Games per (parameter, stable pattern, bin), a (6, 32, 10) int64 table.
+def _counts(table: GameTable) -> np.ndarray:
+    """Games of ``table`` per (parameter, stable pattern, bin), a (6, 32, 10) int64 table.
 
-    ``bins`` is :func:`_bins` of the same games.  It takes one bincount
-    per parameter of each game's pattern and bin; tables of disjoint games
-    add.
+    It bins one parameter column at a time and takes one bincount per
+    parameter of each game's pattern and bin; tables of disjoint games add.
     """
-    cells = (stable @ _BITS) * _N_BINS
-    return np.array(
-        [np.bincount(cells + b, minlength=len(_HOLDS) * _N_BINS) for b in bins.T]
-    ).reshape(len(PARAMETERS), len(_HOLDS), _N_BINS)
+    cells = (table.stable @ _BITS) * _N_BINS
+    return np.array([
+        np.bincount(cells + _bins(column), minlength=len(_HOLDS) * _N_BINS)
+        for column in table.params.T
+    ]).reshape(len(PARAMETERS), len(_HOLDS), _N_BINS)
 
 
 def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
@@ -654,8 +653,7 @@ def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
     Every count field is a sum over the :func:`_counts` table through
     ``_HOLDS``, and the correlation is a function of its pattern totals.
     """
-    bins = _bins(table.params)
-    counts = _counts(table.stable, bins)
+    counts = _counts(table)
     # Games per (stable kind, bin), for each parameter.
     by_kind = dict(zip(PARAMETERS, (_HOLDS.T @ counts).tolist()))
     patterns = counts[0].sum(axis=1)
@@ -672,7 +670,7 @@ def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
         param_binned_stability={
             name: tuple(by_kind[name][_E4]) for name in IMPACT_PARAMETERS
         },
-        welfare_stats=_welfare_stats(table.welfare, bins),
+        welfare_stats=_welfare_stats(table),
         records_digest=records_digest(table),
     )
 
@@ -715,13 +713,13 @@ def _histogram_grid(low: float, high: float) -> tuple[float, float, int]:
     return _grid(low, high, fits)
 
 
-def _welfare_stats(welfare: np.ndarray, bins: np.ndarray) -> WelfareStats:
-    n, n_pairs = welfare.shape
+def _welfare_stats(table: GameTable) -> WelfareStats:
+    n, n_pairs = table.welfare.shape
     if not n:
         undefined = (math.nan,) * _N_BINS
         return WelfareStats(dict.fromkeys(STRATEGY_PAIRS, math.nan), (), (),
                             dict.fromkeys(WELFARE_BIN_PARAMETERS, undefined))
-    samples = welfare.ravel()  # game-major: game 0's four pairs, then game 1's
+    samples = table.welfare.ravel()  # game-major: game 0's four pairs, then game 1's
     low, high = float(samples.min()), float(samples.max())
     # No sum of samples passes len(samples) * peak in magnitude.  From
     # 2**1023 on, the samples are summed scaled by a power of two, so no sum
@@ -737,10 +735,11 @@ def _welfare_stats(welfare: np.ndarray, bins: np.ndarray) -> WelfareStats:
     positions = ((samples - lo) / width).astype(np.int64)
     binned_mean = {}
     for name in WELFARE_BIN_PARAMETERS:
-        per_sample = np.repeat(bins[:, PARAMETERS.index(name)], n_pairs)
+        bins = _bins(table.params[:, PARAMETERS.index(name)])
+        # A bin holds n_pairs samples of each of its games.
         binned_mean[name] = tuple(
-            total / size / scale if size else math.nan
-            for total, size in zip(_bincount(per_sample, weights), _bincount(per_sample))
+            total / (n_pairs * games) / scale if games else math.nan
+            for total, games in zip(_bincount(np.repeat(bins, n_pairs), weights), _bincount(bins))
         )
     return WelfareStats(
         mean_by_pair={p: sums[i] / n / scale for i, p in enumerate(STRATEGY_PAIRS)},
@@ -773,8 +772,7 @@ def correlation_matrix(records: GameTable | Sequence[GameRecord]) -> np.ndarray:
 
 def welfare_analytics(records: GameTable | Sequence[GameRecord]) -> WelfareStats:
     """Per-pair means, all-sample histogram, and parameter-binned means."""
-    table = GameTable.from_records(records)
-    return _welfare_stats(table.welfare, _bins(table.params))
+    return _welfare_stats(GameTable.from_records(records))
 
 
 def fines_study(

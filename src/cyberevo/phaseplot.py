@@ -107,10 +107,11 @@ def phase_portrait(
     trajectory_starts: Sequence[PopulationState] = (),
     trajectory_horizon: float = 200.0,
 ) -> PhasePortrait:
-    """Evaluate the field on ``resolution`` (>= 2) lattice points per axis,
-    analyze the equilibria, and integrate each start for
-    ``trajectory_horizon`` at the default step, keeping about 500 samples.
-    The horizon is checked as the integrators check it, starts or none."""
+    """Evaluate the field on ``resolution`` lattice points per axis (2 to
+    :data:`~cyberevo.dynamics.MAX_RESOLUTION`), analyze the equilibria, and
+    integrate each start for ``trajectory_horizon`` at the default step,
+    keeping about 500 samples.  The horizon is checked as the integrators
+    check it, starts or none."""
     _check_span(DEFAULT_STEP, trajectory_horizon)
     grid = field_grid(params, resolution)
     reports = analyze_equilibria(params)

@@ -14,6 +14,7 @@ from cyberevo import (
     run_ensemble,
 )
 from cyberevo.config import load_run_config
+from cyberevo.dynamics import MAX_RESOLUTION
 
 REF_FLAGS = [
     "--w", "0.98", "--ca", "0.51", "--cd", "0.20",
@@ -303,6 +304,12 @@ def test_phase_integrates_each_start_once(monkeypatch, capsys):
 def test_phase_rejects_tiny_resolution(capsys):
     assert cli.main(["phase", *REF_FLAGS, "--resolution", "1"]) == 2
     assert "resolution" in capsys.readouterr().err
+
+
+def test_phase_rejects_a_resolution_past_the_bound(capsys):
+    assert cli.main(["phase", *REF_FLAGS, "--resolution", str(MAX_RESOLUTION + 1)]) == 2
+    assert f"phase.resolution must be 2 to {MAX_RESOLUTION}" in capsys.readouterr().err
+    assert cli.main(["phase", *REF_FLAGS, "--resolution", str(10**400)]) == 2
 
 
 @pytest.mark.parametrize("starts", [[], ["--start", "0.05,0.95"]])

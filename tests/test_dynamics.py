@@ -35,6 +35,7 @@ from cyberevo.dynamics import (
     _BELOW_ONE,
     DEFAULT_HORIZON,
     DEFAULT_STEP,
+    MAX_RESOLUTION,
     TRAP_TEST_STRIDE,
     _check_span,
     _leapfrog,
@@ -545,6 +546,16 @@ def test_field_grid_layout():
         assert (value.d_beta, value.d_alpha) == (direct.d_beta, direct.d_alpha)
     with pytest.raises(ParameterError, match="resolution >= 2"):
         field_grid(params, 1)
+
+
+def test_lattice_resolution_has_an_upper_bound():
+    # 10**400 is an integer under the number rule; without the bound it
+    # would build 10**800 points.  The bound itself is a valid resolution.
+    assert len(field_grid(_GAME, MAX_RESOLUTION)) == MAX_RESOLUTION**2
+    for resolution in (MAX_RESOLUTION + 1, np.int64(2**62), 10**400):
+        for call in (field_grid, phase_portrait):
+            with pytest.raises(ParameterError, match=f"resolution <= {MAX_RESOLUTION}"):
+                call(_GAME, resolution)
 
 
 #: A bistable game: E2 and E3 stable, brackets k0 0.18, k0 + k1 -0.285,

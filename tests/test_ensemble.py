@@ -81,16 +81,25 @@ def test_sampler_config_rejects_non_integers(fields, name):
         SamplerConfig(**fields)
 
 
+def _sample_index(index):
+    return sample_game(SamplerConfig(count=1), index)
+
+
 # The ensemble's rows of the one number rule's table (see test_game.py).
 ENSEMBLE_NUMBERS = [
     ("SamplerConfig-b_a_upper", lambda x: SamplerConfig(count=1, b_a_upper=x), "b_a_upper",
      NOT_A_NUMBER, [2, np.float32(1.33), np.int64(1)]),
     ("fines_study-levels", lambda x: fines_study(count=2, master_seed=1, levels=[x]),
      "fine level", NOT_A_NUMBER + ("int-beyond-float",), [1, np.float32(0.5), np.int64(0)]),
+    ("sample_game-index", _sample_index, "index", NOT_A_NUMBER, [1, np.int64(1), 2**70]),
 ]
 
 
-@pytest.mark.parametrize("call, value, named", number_rule_cases(ENSEMBLE_NUMBERS))
+@pytest.mark.parametrize("call, value, named", [
+    *number_rule_cases(ENSEMBLE_NUMBERS),
+    # An integer field refuses a float even when its value is integral.
+    pytest.param(_sample_index, 1.0, "index", id="sample_game-index-float"),
+])
 def test_ensemble_entry_points_check_numbers(call, value, named):
     check_number_rule(ConfigError, call, value, named)
 
@@ -1048,3 +1057,26 @@ def test_game_table_retained_size_per_game():
         tracemalloc.stop()
     assert len(table) == config.count
     assert retained / config.count <= 100.0, retained / config.count
+
+
+@pytest.mark.parametrize("call, bound", [
+    (lambda n: run_ensemble(SamplerConfig(count=n, master_seed=1)), 200.0),
+    (lambda n: fines_study(n, 1, (0.1, 0.5)), 270.0),
+], ids=["run_ensemble", "fines_study-two-levels"])
+def test_run_peak_memory_per_game(call, bound):
+    # A run holds its table (94 B per game; a fine level adds 46 B, as the
+    # levels share one parameter array) and, at its peak, the summary's
+    # per-column temporaries.  Neither the block tables nor a bin matrix of
+    # every parameter may be held beside the table.
+    count = 50_000
+    call(10)  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(count)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result
+    assert peak / count <= bound, peak / count
