@@ -1007,6 +1007,7 @@ def test_runs_match_the_1024_game_blocking(monkeypatch, workers):
     (table, summary), fine_tables, study = run()
     monkeypatch.setattr(ensemble, "BLOCK_SIZE", 1024)
     (old_table, old_summary), old_fine_tables, old_study = run()
+    assert fine_tables[0].params is fine_tables[1].params  # one draw for every level
     assert old_table == table
     assert old_summary == summary  # records_digest included
     assert summary.records_digest == records_digest(table)
@@ -1065,9 +1066,9 @@ def test_game_table_retained_size_per_game():
 ], ids=["run_ensemble", "fines_study-two-levels"])
 def test_run_peak_memory_per_game(call, bound):
     # A run holds its table (94 B per game; a fine level adds 46 B, as the
-    # levels share one parameter array) and, at its peak, the summary's
-    # per-column temporaries.  Neither the block tables nor a bin matrix of
-    # every parameter may be held beside the table.
+    # levels share one parameter array) and, at its peak, the welfare
+    # statistics' temporaries over four samples per game.  Neither the block
+    # tables nor a bin matrix of every parameter may be held beside them.
     count = 50_000
     call(10)  # warm caches
     gc.collect()
