@@ -25,9 +25,12 @@ Aggregates cover the stable-count distribution, per-kind counts/ratios,
 indicator correlations, defence-intensity frequency curves,
 parameter-impact histograms, fine scenarios, and social-welfare
 statistics.  Every count and correlation is an integer sum over one table
-of games per (parameter, stable pattern, bin), taken with one bincount
-per parameter column, so it does not depend on the order of the games;
-each correlation is rounded to a float once.
+of games per (parameter, stable pattern, bin), so it does not depend on
+the order of the games; each correlation is rounded to a float once.
+That table and every welfare statistic come from one reduction, which
+walks the game table :data:`BLOCK_SIZE` rows at a time and bins each
+parameter once per block; each welfare sum runs over the games in index
+order, so no summary field depends on the blocking.
 """
 
 from __future__ import annotations
@@ -147,7 +150,8 @@ _SIZES = np.minimum(_HOLDS.sum(axis=1), 3)[:, None] == np.arange(len(_SIZE_LABEL
 class SamplerConfig:
     """Ensemble sampling configuration.
 
-    ``count`` and ``master_seed`` are integers (not bools).
+    ``count`` and ``master_seed`` are integers (not bools), and
+    ``scenario`` is a :class:`~cyberevo.game.FineScenario`.
     ``b_a_upper`` is the upper end of the attacker-benefit draw, a real
     number and not a bool; it must be at least 1 so the range
     (c_a, b_a_upper] is never empty (c_a < w <= 1).
@@ -173,6 +177,8 @@ class SamplerConfig:
             raise ConfigError(
                 f"master_seed must be a 64-bit unsigned integer (got {self.master_seed!r})"
             )
+        if not isinstance(self.scenario, FineScenario):
+            raise ConfigError(f"scenario must be a FineScenario (got {self.scenario!r})")
         # Welfare lies within b_a_upper + f_s + f_u + 3 of 0 (see
         # game.payoff_pairs); up to 2**1020 (about 1.1e307) it and b_a stay
         # finite over BIN_WIDTH, so every bin and histogram edge is finite.
@@ -588,19 +594,6 @@ def run_ensemble(
     return table, _summary(table, config)
 
 
-def _bincount(
-    bins: np.ndarray, weights: np.ndarray | None = None, size: int = _N_BINS
-):
-    # bincount adds weights one at a time in row order, the order in which
-    # a Python loop over the games would add them.
-    return np.bincount(bins, weights=weights, minlength=size).tolist()
-
-
-def _bins(column: np.ndarray) -> np.ndarray:
-    """Bin index of each value of one parameter column, over :data:`BIN_EDGES`, as int64."""
-    return np.minimum(column / BIN_WIDTH, _N_BINS - 1.0).astype(np.int64)
-
-
 def _pearson(c: int, spread: int) -> float:
     """c / sqrt(spread) within one ulp, for integers with c * c <= spread.
 
@@ -634,26 +627,13 @@ def _correlation(patterns: Sequence[int]) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def _counts(table: GameTable) -> np.ndarray:
-    """Games of ``table`` per (parameter, stable pattern, bin), a (6, 32, 10) int64 table.
-
-    It bins one parameter column at a time and takes one bincount per
-    parameter of each game's pattern and bin; tables of disjoint games add.
-    """
-    cells = (table.stable @ _BITS) * _N_BINS
-    return np.array([
-        np.bincount(cells + _bins(column), minlength=len(_HOLDS) * _N_BINS)
-        for column in table.params.T
-    ]).reshape(len(PARAMETERS), len(_HOLDS), _N_BINS)
-
-
 def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
-    """The one reduction behind every summary.
+    """The summary of ``table``: its digest and the fields of one :func:`_reduce`.
 
-    Every count field is a sum over the :func:`_counts` table through
+    Every count field is a sum over the reduction's counts table through
     ``_HOLDS``, and the correlation is a function of its pattern totals.
     """
-    counts = _counts(table)
+    counts, welfare = _reduce(table)
     # Games per (stable kind, bin), for each parameter.
     by_kind = dict(zip(PARAMETERS, (_HOLDS.T @ counts).tolist()))
     patterns = counts[0].sum(axis=1)
@@ -670,7 +650,7 @@ def _summary(table: GameTable, config: SamplerConfig) -> EnsembleSummary:
         param_binned_stability={
             name: tuple(by_kind[name][_E4]) for name in IMPACT_PARAMETERS
         },
-        welfare_stats=_welfare_stats(table),
+        welfare_stats=welfare,
         records_digest=records_digest(table),
     )
 
@@ -713,39 +693,72 @@ def _histogram_grid(low: float, high: float) -> tuple[float, float, int]:
     return _grid(low, high, fits)
 
 
-def _welfare_stats(table: GameTable) -> WelfareStats:
+def _continued(sums: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each of ``sums`` with the ``weights`` of its key added, one at a time in row order.
+
+    ``sums`` are sums begun at 0.0.  ``np.bincount`` adds its weights in row
+    order from 0.0, and a sum begun at 0.0 is never -0.0, so 0.0 + s is s:
+    given ``sums`` as its first weights, it continues each as one sequential
+    sum, as a Python loop over the rows would add it.
+    """
+    return np.bincount(np.hstack([np.arange(len(sums)), keys]), np.hstack([sums, weights]))
+
+
+def _reduce(table: GameTable) -> tuple[np.ndarray, WelfareStats]:
+    """The counts and the welfare statistics of ``table``, in one pass over its blocks.
+
+    The counts are the games per (parameter, stable pattern, bin), a (6, 32,
+    10) int64 table.  Each block of :data:`BLOCK_SIZE` rows bins every
+    parameter once, and adds its games into the counts and its welfare
+    samples into the histogram by integer addition, and into the float sums
+    of each pair and of each bin of v, c_a and c_d by :func:`_continued`, so
+    each sum runs over the games in index order whatever the blocking.
+    Only the welfare min and max, which fix the histogram grid and the
+    power-of-two scale of the sums, are read from the whole table.
+    """
     n, n_pairs = table.welfare.shape
+    counts = np.zeros((len(PARAMETERS), len(_HOLDS), _N_BINS), np.int64)
     if not n:
-        undefined = (math.nan,) * _N_BINS
-        return WelfareStats(dict.fromkeys(STRATEGY_PAIRS, math.nan), (), (),
-                            dict.fromkeys(WELFARE_BIN_PARAMETERS, undefined))
-    samples = table.welfare.ravel()  # game-major: game 0's four pairs, then game 1's
-    low, high = float(samples.min()), float(samples.max())
-    # No sum of samples passes len(samples) * peak in magnitude.  From
-    # 2**1023 on, the samples are summed scaled by a power of two, so no sum
-    # overflows; below it the scale is 1 and no copy is made.
-    peak, scale, weights = max(-low, high), 1.0, samples
-    if len(samples) * peak >= 2.0**1023:
-        scale = 2.0 ** (1022 - math.frexp(peak)[1] - len(samples).bit_length())
-        weights = samples * scale
-    sums = _bincount(np.tile(np.arange(n_pairs), n), weights, n_pairs)
+        undefined = dict.fromkeys(WELFARE_BIN_PARAMETERS, (math.nan,) * _N_BINS)
+        return counts, WelfareStats(dict.fromkeys(STRATEGY_PAIRS, math.nan), (), (), undefined)
+    low, high = float(table.welfare.min()), float(table.welfare.max())
+    # No sum of samples passes 4n * peak in magnitude.  From 2**1023 on, the
+    # samples are summed scaled by a power of two, so no sum overflows; below
+    # it the scale is 1, which changes no bit.
+    peak, scale = max(-low, high), 1.0
+    if n * n_pairs * peak >= 2.0**1023:
+        scale = 2.0 ** (1022 - math.frexp(peak)[1] - (n * n_pairs).bit_length())
     width, lo, n_bins = _histogram_grid(low, high)
-    # Truncation toward zero, as int() does; every sample is >= lo up to
-    # rounding, so no quotient reaches -1.
-    positions = ((samples - lo) / width).astype(np.int64)
-    binned_mean = {}
-    for name in WELFARE_BIN_PARAMETERS:
-        bins = _bins(table.params[:, PARAMETERS.index(name)])
-        # A bin holds n_pairs samples of each of its games.
-        binned_mean[name] = tuple(
-            total / (n_pairs * games) / scale if games else math.nan
-            for total, games in zip(_bincount(np.repeat(bins, n_pairs), weights), _bincount(bins))
-        )
-    return WelfareStats(
-        mean_by_pair={p: sums[i] / n / scale for i, p in enumerate(STRATEGY_PAIRS)},
+    histogram = np.zeros(n_bins, np.int64)
+    columns = [PARAMETERS.index(name) for name in WELFARE_BIN_PARAMETERS]
+    sums, binned_sums = np.zeros(n_pairs), np.zeros((len(columns), _N_BINS))
+    for start in range(0, n, BLOCK_SIZE):
+        rows = slice(start, start + BLOCK_SIZE)
+        # One C-ordered row of bin indices per parameter, over BIN_EDGES.
+        bins = np.minimum(table.params[rows].T / BIN_WIDTH, _N_BINS - 1.0).astype(np.int64, "C")
+        cells = table.stable[rows] @ _BITS * _N_BINS
+        # A view of the counts: one row of (stable pattern, bin) cells per parameter.
+        for parameter, column in zip(counts.reshape(len(PARAMETERS), -1), bins):
+            parameter += np.bincount(cells + column, minlength=len(parameter))
+        samples = table.welfare[rows]
+        weights = samples.ravel() * scale  # game-major: a game's four pairs, then the next's
+        sums = _continued(sums, np.tile(np.arange(n_pairs), len(samples)), weights)
+        for j, column in enumerate(columns):
+            binned_sums[j] = _continued(binned_sums[j], np.repeat(bins[column], n_pairs), weights)
+        # Truncation toward zero, as int() does; every sample is >= lo up to
+        # rounding, so no quotient reaches -1.
+        positions = ((samples - lo) / width).astype(np.int64)
+        histogram += np.bincount(np.minimum(positions, n_bins - 1).ravel(), minlength=n_bins)
+    # Games per bin of each binned parameter; a bin holds n_pairs samples of each.
+    games = counts[columns].sum(axis=1).tolist()
+    return counts, WelfareStats(
+        mean_by_pair={p: total / n / scale for p, total in zip(STRATEGY_PAIRS, sums.tolist())},
         histogram_edges=tuple(lo + width * i for i in range(n_bins + 1)),
-        histogram_counts=tuple(_bincount(np.minimum(positions, n_bins - 1), size=n_bins)),
-        binned_mean=binned_mean,
+        histogram_counts=tuple(histogram.tolist()),
+        binned_mean={name: tuple(
+            total / (n_pairs * count) / scale if count else math.nan
+            for total, count in zip(totals, bin_games)
+        ) for name, totals, bin_games in zip(WELFARE_BIN_PARAMETERS, binned_sums.tolist(), games)},
     )
 
 
@@ -771,8 +784,12 @@ def correlation_matrix(records: GameTable | Sequence[GameRecord]) -> np.ndarray:
 
 
 def welfare_analytics(records: GameTable | Sequence[GameRecord]) -> WelfareStats:
-    """Per-pair means, all-sample histogram, and parameter-binned means."""
-    return _welfare_stats(GameTable.from_records(records))
+    """Per-pair means, all-sample histogram, and parameter-binned means.
+
+    These are the summary's welfare statistics, bit for bit: the one
+    reduction behind :func:`summarize` computes them, with its counts.
+    """
+    return _reduce(GameTable.from_records(records))[1]
 
 
 def fines_study(

@@ -85,6 +85,10 @@ def _sample_index(index):
     return sample_game(SamplerConfig(count=1), index)
 
 
+def _with_scenario(scenario):
+    return SamplerConfig(count=1, scenario=scenario)
+
+
 # The ensemble's rows of the one number rule's table (see test_game.py).
 ENSEMBLE_NUMBERS = [
     ("SamplerConfig-b_a_upper", lambda x: SamplerConfig(count=1, b_a_upper=x), "b_a_upper",
@@ -99,6 +103,12 @@ ENSEMBLE_NUMBERS = [
     *number_rule_cases(ENSEMBLE_NUMBERS),
     # An integer field refuses a float even when its value is integral.
     pytest.param(_sample_index, 1.0, "index", id="sample_game-index-float"),
+    # A scenario is a FineScenario, not a pair of fines or a number.
+    pytest.param(_with_scenario, (0.1, 0.1), "scenario", id="SamplerConfig-scenario-tuple"),
+    pytest.param(_with_scenario, None, "scenario", id="SamplerConfig-scenario-none"),
+    pytest.param(_with_scenario, 0.5, "scenario", id="SamplerConfig-scenario-float"),
+    pytest.param(_with_scenario, FineScenario(0.1, 0.1), None,
+                 id="SamplerConfig-scenario-FineScenario"),
 ])
 def test_ensemble_entry_points_check_numbers(call, value, named):
     check_number_rule(ConfigError, call, value, named)
@@ -426,7 +436,9 @@ def test_welfare_analytics_synthetic_records():
 
 
 def test_single_field_reducers_equal_the_summary_fields():
-    # Each computes only the field it returns, with the bits summarize gives.
+    # Each gives the bits of the field summarize gives: correlation_matrix
+    # computes only its field, and welfare_analytics runs the summary's one
+    # reduction and keeps its welfare statistics.
     config = SamplerConfig(count=20000, master_seed=4)
     table, _ = run_ensemble(config)
     summary = summarize(table, config)
@@ -700,18 +712,28 @@ def test_digest_does_not_depend_on_blocking(monkeypatch):
         f: SamplerConfig(count=50, master_seed=9, scenario=FineScenario(f, f))
         for f in (0.1, 0.5)
     }
+    # Near the ceiling's bound the welfare sums are taken scaled by a power
+    # of two, and their running sums cross every block edge.
+    wide = SamplerConfig(count=50, master_seed=9, b_a_upper=1e307,
+                         scenario=FineScenario(0.2, 3.0))
     runs = []
     for block_size in (1, 7, 1024):
         monkeypatch.setattr(ensemble, "BLOCK_SIZE", block_size)
-        table, summary = run_ensemble(configs[0.5])
-        assert summary.records_digest == records_digest(table)
+        run = []
+        for config in (configs[0.5], wide):
+            table, summary = run_ensemble(config)
+            assert summary.records_digest == records_digest(table)
+            # The summary's text holds every field, the digest included.
+            run.append((table, repr(summary), repr(welfare_analytics(table))))
+        assert np.abs(table.welfare).max() >= 2.0**1023 / (4 * len(table))  # scaled
         study = fines_study(count=50, master_seed=9, levels=(0.1, 0.5))
         for level, config in configs.items():
             assert study[level].records_digest == records_digest(run_ensemble(config)[0])
-        runs.append((table, summary.records_digest))
-    for table, digest in runs[1:]:
-        assert table == runs[0][0]
-        assert digest == runs[0][1]
+        runs.append(run)
+    for run in runs[1:]:
+        for (table, *texts), (first_table, *first_texts) in zip(run, runs[0]):
+            assert table == first_table
+            assert texts == first_texts
 
 
 def test_fines_study_reuses_draws_and_validates_levels():
@@ -1061,14 +1083,15 @@ def test_game_table_retained_size_per_game():
 
 
 @pytest.mark.parametrize("call, bound", [
-    (lambda n: run_ensemble(SamplerConfig(count=n, master_seed=1)), 200.0),
-    (lambda n: fines_study(n, 1, (0.1, 0.5)), 270.0),
+    (lambda n: run_ensemble(SamplerConfig(count=n, master_seed=1)), 150.0),
+    (lambda n: fines_study(n, 1, (0.1, 0.5)), 200.0),
 ], ids=["run_ensemble", "fines_study-two-levels"])
 def test_run_peak_memory_per_game(call, bound):
     # A run holds its table (94 B per game; a fine level adds 46 B, as the
-    # levels share one parameter array) and, at its peak, the welfare
-    # statistics' temporaries over four samples per game.  Neither the block
-    # tables nor a bin matrix of every parameter may be held beside them.
+    # levels share one parameter array) and, at its peak, the temporaries of
+    # one block: the summary reduces the table BLOCK_SIZE rows at a time, so
+    # no temporary of the whole table's welfare samples, bins or block
+    # tables may be held beside it.
     count = 50_000
     call(10)  # warm caches
     gc.collect()
