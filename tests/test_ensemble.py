@@ -725,7 +725,8 @@ def test_digest_does_not_depend_on_blocking(monkeypatch):
             assert summary.records_digest == records_digest(table)
             # The summary's text holds every field, the digest included.
             run.append((table, repr(summary), repr(welfare_analytics(table))))
-        assert np.abs(table.welfare).max() >= 2.0**1023 / (4 * len(table))  # scaled
+        # The wide table's welfare sums take the scaled path.
+        assert np.abs(table.welfare).max() >= 2.0**1023 / (4 * len(table))
         study = fines_study(count=50, master_seed=9, levels=(0.1, 0.5))
         for level, config in configs.items():
             assert study[level].records_digest == records_digest(run_ensemble(config)[0])
