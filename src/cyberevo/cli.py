@@ -445,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for path in bundle.write(Path(out_dir)):
                 print(path)
         return 0
-    except (ConfigError, ParameterError, IntegrationError, OSError) as exc:
+    except (ConfigError, ParameterError, IntegrationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (3 if isinstance(exc, ParameterError)
                 else 4 if isinstance(exc, IntegrationError) else 2)

@@ -9,7 +9,9 @@ of :data:`BLOCK_SIZE` consecutive indices, into one parameter array that
 the tables of every fine level share, and each table's other columns are
 allocated once and filled from it block by block; a block's first six
 uniforms are computed for all its indices at once, bit for bit as each
-index's own Generator gives them.
+index's own Generator gives them.  The seeding hash takes the entropy
+words that every index of a block shares once, as scalars, and PCG64
+steps in place in a few buffers allocated once per block.
 An ensemble is held as a columnar :class:`GameTable`: per game, the six
 drawn parameters, the stable set, the social welfare of the four pure
 pairs and whether an interior point exists, each column one numpy array.
@@ -108,10 +110,10 @@ MAX_HISTOGRAM_BINS = 1000
 
 #: Games are drawn and analyzed in blocks of this many consecutive indices;
 #: the digest hashes this many rows at a time.  Each block pays a fixed
-#: numpy dispatch cost (about 0.75 ms on a 2-vCPU VM), which is more than
+#: numpy dispatch cost (about 0.4 ms on a 2-vCPU VM), which is more than
 #: half of a 1,024-game block's work.  In a sweep of block sizes, drawing
-#: and analyzing cost 1.2 us a game at 1,024 rows and 0.4-0.5 us at
-#: 4,096-16,384, where the cost is flat, and rose above 32,768 rows as the
+#: and analyzing cost 0.7 us a game at 1,024 rows and 0.32-0.39 us at
+#: 4,096-16,384, where the cost is flat, and rose at 32,768 rows as the
 #: columns leave the cache; 8,192 lies in the middle of the flat range.
 BLOCK_SIZE = 8192
 
@@ -375,9 +377,10 @@ def sample_game(config: SamplerConfig, index: int) -> GameParams:
 
 # numpy's SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
 # and the PCG64 multiplier as (high, low) 64-bit limbs (O'Neill 2014).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
 _PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 _MASK32 = 0xFFFFFFFF
@@ -397,65 +400,70 @@ def _uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     algorithms, evaluated here on uint32 and uint64 columns.
     ``SeedSequence`` splits an integer into one uint32 word per started 32
     bits, so the window is cut at every multiple of 2**32: within a piece
-    every index has the same words but the lowest.
+    every index has the same words but the lowest, which is the only
+    column of the entropy.  The draws are written as the rows of a (6, n)
+    array, and its (n, 6) transpose is returned.
     """
-    out = np.empty((stop - start, 6))
+    out = np.empty((6, stop - start))
     index = start
     while index < stop:
         high = index >> 32
         end = min(stop, (high + 1) << 32)
-        n = end - index
-        entropy = [np.full(n, word, np.uint32) for word in _words(master_seed)]
-        entropy.append(np.arange(n, dtype=np.uint32) + np.uint32(index & _MASK32))
-        entropy += [np.full(n, word, np.uint32) for word in _words(high) if high]
-        out[index - start : end - start] = _pcg64_doubles(_seed_state(entropy), 6)
+        low = index & _MASK32
+        entropy = [*_words(master_seed), np.arange(low, low + end - index, dtype=np.uint32)]
+        entropy += _words(high) if high else []
+        _pcg64_doubles(_seed_state(entropy), out[:, index - start : end - start])
         index = end
-    return out
+    return out.T
 
 
-def _words(n: int) -> list[int]:
+def _words(n: int) -> list[np.uint32]:
     """The uint32 words of ``n``, least significant first, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+    n = int(n)
+    return [np.uint32(n >> k & _MASK32) for k in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's ``hashmix`` on uint32 columns, from ``hash_const`` on.
+def _hasher(hash_const: np.uint32, mult: np.uint32):
+    """SeedSequence's ``hashmix``, from ``hash_const`` on.
 
-    The hash constant it advances is the same for every column, so it is
-    held as a Python int.
+    It hashes a uint32 scalar, a word every row shares, or a uint32
+    column, into a new scalar or column.  The hash constant it advances is
+    the same for every row, so it is held as a uint32 scalar.
     """
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ value >> np.uint32(16)
+        value = value ^ hash_const
+        hash_const = hash_const * mult
+        value *= hash_const
+        value ^= value >> _XSHIFT
+        return value
 
     return hashmix
 
 
-def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)``, per column.
+def _seed_state(entropy: list) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for n indices at once.
 
-    ``entropy`` holds each uint32 word as a column; the result holds each
-    uint64 state word as a column.
+    ``entropy`` holds each uint32 word as a numpy scalar where every index
+    shares it, and as a column of n words where it differs (the low word
+    of the index).  A pool word stays a scalar until a column is mixed into
+    it, so the words every index shares are hashed once, not once per
+    index, and a pool word that is a column is mixed in place.  Row ``k``
+    of the (4, n) uint64 result holds state word ``k`` of every index.
     """
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> np.uint32(16)
+    def mix(x, y):
+        # x is a pool word, updated in place once it is a column.
+        x *= _MIX_MULT_L
+        x -= y * _MIX_MULT_R
+        x ^= x >> _XSHIFT
+        return x
 
     hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros_like(entropy[0])
     with np.errstate(over="ignore"):  # uint32 arithmetic wraps by design
-        pool = [
-            hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(_POOL_SIZE)
-        ]
+        # The entropy, padded with zeros to the pool size, fills the pool.
+        pool = [hashmix(word) for word in (entropy + [np.uint32(0)] * _POOL_SIZE)[:_POOL_SIZE]]
         for src in range(_POOL_SIZE):
             for dst in range(_POOL_SIZE):
                 if src != dst:
@@ -464,52 +472,76 @@ def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
             for dst in range(_POOL_SIZE):
                 pool[dst] = mix(pool[dst], hashmix(word))
         # generate_state(4, np.uint64) hashes the pool, cycled, into eight
-        # uint32 words and pairs them little-endian.
+        # uint32 words and pairs them little-endian: in the little-endian
+        # uint32 view of the state, word i is half i % 2 of state word i // 2.
+        state = np.empty((4, len(pool[0])), dtype="<u8")
         draw = _hasher(_INIT_B, _MULT_B)
-        state = [draw(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return [state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+        for i in range(8):
+            state.view("<u4")[i // 2, i % 2 :: 2] = draw(pool[i % _POOL_SIZE])
+    return state
 
 
-def _pcg64_doubles(seed: list[np.ndarray], n_draws: int) -> np.ndarray:
-    """The first ``n_draws`` doubles of PCG64 seeded with ``seed``, per column.
+def _pcg64_doubles(seed: np.ndarray, out: np.ndarray) -> None:
+    """Write the first ``len(out)`` doubles of PCG64 seeded with ``seed`` into ``out``.
 
-    ``seed`` is the four uint64 words ``SeedSequence.generate_state`` gives:
-    the initial state and the stream, each as (high, low).  The 128-bit LCG
-    state is held as two uint64 limbs.
+    ``seed`` holds, as rows, the four uint64 words
+    ``SeedSequence.generate_state`` gives: the initial state and the
+    stream, each as (high, low); draw ``k`` of column ``j`` goes to
+    ``out[k, j]``.  The 128-bit LCG state is held as two uint64 limbs in
+    the first two rows of ``seed`` and the increment in the last two, and
+    every step and output runs in place on them and on six more columns,
+    allocated once per call.  The shift counts are numpy scalars, built
+    once per call.
     """
-    state_hi, state_lo, seq_hi, seq_lo = seed
-    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    hi, lo, seq_hi, seq_lo = seed
+    one, limb, rot, bits = np.uint64(1), np.uint64(32), np.uint64(58), np.uint64(11)
+    # inc = stream << 1 | 1, in the stream's rows.
+    inc_hi = np.bitwise_or(seq_hi << one, seq_lo >> np.uint64(63), out=seq_hi)
+    inc_lo = np.bitwise_or(seq_lo << one, one, out=seq_lo)
+    inc_0, inc_1 = inc_lo & _LOW32, inc_lo >> limb
     mult_hi, mult_lo = _PCG_MULT
-    b1, b0 = mult_lo >> np.uint64(32), mult_lo & _LOW32
-
-    def step(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (hi, lo) * mult + inc mod 2**128; the high word of lo * mult_lo
-        # comes from its four 32-bit partial products.
-        a1, a0 = lo >> np.uint64(32), lo & _LOW32
-        cross_a, cross_b = a1 * b0, a0 * b1
-        mid = (a0 * b0 >> np.uint64(32)) + (cross_a & _LOW32) + (cross_b & _LOW32)
-        carry_hi = (
-            a1 * b1 + (cross_a >> np.uint64(32)) + (cross_b >> np.uint64(32))
-            + (mid >> np.uint64(32))
-        )
-        new_lo = lo * mult_lo + inc_lo
-        new_hi = carry_hi + lo * mult_hi + hi * mult_lo + inc_hi
-        return new_hi + (new_lo < inc_lo), new_lo
-
-    out = np.empty((len(state_hi), n_draws))
-    with np.errstate(over="ignore"):  # uint64 arithmetic wraps by design
-        # Seeding steps from state 0, which gives inc, adds the initial
-        # state and steps again.
-        lo = inc_lo + state_lo
-        hi, lo = step(inc_hi + state_hi + (lo < state_lo), lo)
-        for draw in range(n_draws):
-            hi, lo = step(hi, lo)
-            # XSL-RR: the xor of the halves rotated right by the top 6 bits.
-            xored, rot = hi ^ lo, hi >> np.uint64(58)
-            word = xored >> rot | xored << (-rot & np.uint64(63))
-            out[:, draw] = (word >> np.uint64(11)) * 2.0**-53
-    return out
+    b1, b0 = mult_lo >> limb, mult_lo & _LOW32
+    # Seeding steps from state 0, which gives inc, adds the initial state
+    # and steps again; each draw steps once more.
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    a0, a1, t, w = np.empty((4, len(lo)), np.uint64)
+    for draw in range(-1, len(out)):
+        # (hi, lo) * mult + inc mod 2**128.  The high word of lo * mult_lo +
+        # inc_lo comes from 32-bit limbs, and no partial sum passes 2**64:
+        # t = a1*b0 + (a0*b0 + inc_0 >> 32) + inc_1, w = (t & mask) + a0*b1,
+        # high = a1*b1 + (t >> 32) + (w >> 32).
+        np.bitwise_and(lo, _LOW32, out=a0)
+        np.right_shift(lo, limb, out=a1)
+        np.add(np.multiply(a0, b0, out=t), inc_0, out=t)
+        t >>= limb
+        t += inc_1
+        t += np.multiply(a1, b0, out=w)
+        a0 *= b1
+        np.add(np.bitwise_and(t, _LOW32, out=w), a0, out=w)
+        w >>= limb
+        t >>= limb
+        a1 *= b1
+        a1 += t
+        a1 += w
+        hi *= mult_lo
+        hi += a1
+        hi += inc_hi
+        hi += np.multiply(lo, mult_hi, out=t)
+        lo *= mult_lo
+        lo += inc_lo
+        if draw >= 0:
+            # XSL-RR: the xor of the halves rotated right by the top 6 bits;
+            # the draw is the top 53 bits of that output.
+            np.bitwise_xor(hi, lo, out=t)
+            np.right_shift(hi, rot, out=a0)
+            np.right_shift(t, a0, out=w)
+            np.bitwise_and(np.negative(a0, out=a0), np.uint64(63), out=a0)
+            t <<= a0
+            t |= w
+            t >>= bits
+            out[draw] = t
+    out *= 2.0**-53
 
 
 def _draw(config: SamplerConfig, start: int, stop: int) -> np.ndarray:

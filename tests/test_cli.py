@@ -468,6 +468,17 @@ def test_failed_run_leaves_nothing_at_out(tmp_path, capsys, argv, code):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["ensemble", "fines"])
+def test_a_count_too_large_to_allocate_exits_2(tmp_path, capsys, command):
+    # 10**15 games need 43 PiB of parameters, more than the x86-64 address
+    # space, so the allocation is refused at once and touches no memory.
+    out = tmp_path / "D"
+    assert cli.main([command, "--count", str(10**15), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_provenance_has_no_timestamp_and_omits_runtime_plumbing(tmp_path):
     out = tmp_path / "p"
     cli.main(["ensemble", "--count", "100", "--out", str(out), "--workers", "2"])

@@ -843,6 +843,9 @@ def _generator_uniforms(master_seed, start, stop):
     # with a three-word index makes five words and an extra mixing pass.
     (2**32 - 4, 2**32 + 4),
     (2**64 - 4, 2**64 + 4),
+    # A full block's piece, then a 3-row piece: a buffer sized by the first
+    # piece must be sliced for the second, never read stale.
+    (2**32 - BLOCK_SIZE, 2**32 + 3),
 ])
 def test_uniforms_equal_the_per_index_generators(monkeypatch, master_seed, start, stop):
     expected = _generator_uniforms(master_seed, start, stop)
@@ -866,6 +869,36 @@ def test_uniforms_equal_the_per_index_generators_anywhere(master_seed, start, sp
         ensemble._uniforms(master_seed, start, start + span),
         _generator_uniforms(master_seed, start, start + span),
     )
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint32(5)])
+def test_numpy_integer_seeds_draw_as_python_ints(seed):
+    # SamplerConfig accepts a numpy integer seed; its entropy words are
+    # those of the equal Python int.
+    config = SamplerConfig(count=5, master_seed=seed)
+    (table, summary), (ref_table, ref_summary) = (
+        run_ensemble(c) for c in (config, dataclasses.replace(config, master_seed=int(seed)))
+    )
+    assert table == ref_table
+    assert summary.records_digest == ref_summary.records_digest
+
+
+def test_uniforms_peak_memory_per_row():
+    # The draws hold 48 B per row.  Above them, PCG64 steps in place on the
+    # four seeded uint64 words and six more uint64 columns, and the seeding
+    # hash's uint32 columns are gone by then: no step or output may hold a
+    # fresh temporary of the block.
+    ensemble._uniforms(1, 0, BLOCK_SIZE)  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        uniforms = ensemble._uniforms(1, 0, BLOCK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert uniforms.shape == (BLOCK_SIZE, 6)
+    assert peak / BLOCK_SIZE <= 150.0, peak / BLOCK_SIZE
 
 
 def test_rows_failing_a_constraint_are_redrawn_by_sample_game(monkeypatch):
