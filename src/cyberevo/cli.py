@@ -446,7 +446,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(path)
         return 0
     except (ConfigError, ParameterError, IntegrationError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A MemoryError from Python's own allocator has no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return (3 if isinstance(exc, ParameterError)
                 else 4 if isinstance(exc, IntegrationError) else 2)
 

@@ -385,6 +385,9 @@ _POOL_SIZE = 4
 _PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 _MASK32 = 0xFFFFFFFF
 _LOW32 = np.uint64(_MASK32)
+# PCG64's shift counts: one bit, a 32-bit limb, the rotation's top 6 bits,
+# their mask (also the shift to the top bit) and the 11 bits a double drops.
+_ONE, _LIMB, _ROT, _ROT_MASK, _DROP = (np.uint64(k) for k in (1, 32, 58, 63, 11))
 
 
 def _uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -490,17 +493,15 @@ def _pcg64_doubles(seed: np.ndarray, out: np.ndarray) -> None:
     ``out[k, j]``.  The 128-bit LCG state is held as two uint64 limbs in
     the first two rows of ``seed`` and the increment in the last two, and
     every step and output runs in place on them and on six more columns,
-    allocated once per call.  The shift counts are numpy scalars, built
-    once per call.
+    allocated once per call.
     """
     hi, lo, seq_hi, seq_lo = seed
-    one, limb, rot, bits = np.uint64(1), np.uint64(32), np.uint64(58), np.uint64(11)
     # inc = stream << 1 | 1, in the stream's rows.
-    inc_hi = np.bitwise_or(seq_hi << one, seq_lo >> np.uint64(63), out=seq_hi)
-    inc_lo = np.bitwise_or(seq_lo << one, one, out=seq_lo)
-    inc_0, inc_1 = inc_lo & _LOW32, inc_lo >> limb
+    inc_hi = np.bitwise_or(seq_hi << _ONE, seq_lo >> _ROT_MASK, out=seq_hi)
+    inc_lo = np.bitwise_or(seq_lo << _ONE, _ONE, out=seq_lo)
+    inc_0, inc_1 = inc_lo & _LOW32, inc_lo >> _LIMB
     mult_hi, mult_lo = _PCG_MULT
-    b1, b0 = mult_lo >> limb, mult_lo & _LOW32
+    b1, b0 = mult_lo >> _LIMB, mult_lo & _LOW32
     # Seeding steps from state 0, which gives inc, adds the initial state
     # and steps again; each draw steps once more.
     lo += inc_lo
@@ -512,15 +513,15 @@ def _pcg64_doubles(seed: np.ndarray, out: np.ndarray) -> None:
         # t = a1*b0 + (a0*b0 + inc_0 >> 32) + inc_1, w = (t & mask) + a0*b1,
         # high = a1*b1 + (t >> 32) + (w >> 32).
         np.bitwise_and(lo, _LOW32, out=a0)
-        np.right_shift(lo, limb, out=a1)
+        np.right_shift(lo, _LIMB, out=a1)
         np.add(np.multiply(a0, b0, out=t), inc_0, out=t)
-        t >>= limb
+        t >>= _LIMB
         t += inc_1
         t += np.multiply(a1, b0, out=w)
         a0 *= b1
         np.add(np.bitwise_and(t, _LOW32, out=w), a0, out=w)
-        w >>= limb
-        t >>= limb
+        w >>= _LIMB
+        t >>= _LIMB
         a1 *= b1
         a1 += t
         a1 += w
@@ -534,12 +535,12 @@ def _pcg64_doubles(seed: np.ndarray, out: np.ndarray) -> None:
             # XSL-RR: the xor of the halves rotated right by the top 6 bits;
             # the draw is the top 53 bits of that output.
             np.bitwise_xor(hi, lo, out=t)
-            np.right_shift(hi, rot, out=a0)
+            np.right_shift(hi, _ROT, out=a0)
             np.right_shift(t, a0, out=w)
-            np.bitwise_and(np.negative(a0, out=a0), np.uint64(63), out=a0)
+            np.bitwise_and(np.negative(a0, out=a0), _ROT_MASK, out=a0)
             t <<= a0
             t |= w
-            t >>= bits
+            t >>= _DROP
             out[draw] = t
     out *= 2.0**-53
 

@@ -9,7 +9,7 @@ _spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
 
-TINY = ["--games", "300", "--pairs", "1", "--repeat", "1"]
+TINY = ["--games", "300", "--pairs", "1"]
 
 
 def test_a_tree_against_itself_has_the_same_bits(capsys):

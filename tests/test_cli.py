@@ -479,6 +479,17 @@ def test_a_count_too_large_to_allocate_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_a_bare_memory_error_is_named(tmp_path, monkeypatch, capsys):
+    def boom(runcfg, bundle):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_abm", boom)
+    out = tmp_path / "D"
+    assert cli.main(["abm", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not out.exists()
+
+
 def test_provenance_has_no_timestamp_and_omits_runtime_plumbing(tmp_path):
     out = tmp_path / "p"
     cli.main(["ensemble", "--count", "100", "--out", str(out), "--workers", "2"])

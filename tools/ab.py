@@ -1,6 +1,6 @@
 """Compare a parent tree with a change tree on the ensemble sampler: same bits, then speed.
 
-    python3 tools/ab.py PARENT_TREE CHANGE_TREE [--pairs N] [--games N] [--repeat K]
+    python3 tools/ab.py PARENT_TREE CHANGE_TREE [--pairs N] [--games N]
 
 Each tree is a checkout that holds ``src/cyberevo``.  Each side runs in its
 own interpreter with ``PYTHONPATH=<tree>/src``, so the two trees are never
@@ -15,8 +15,8 @@ The tool prints both hashes and stops with exit 1 when they differ.
 Speed: ``--pairs`` times (default 10), it starts one fresh process per
 side, alternating which side starts first.  Each process times
 ``_uniforms`` over the blocks of the benchmark's ``ensemble`` operation
-(rows 0-8,191 and 8,192-9,999 of master seed 1) as the best of ``--repeat``
-calls (default 50).  The tool prints each side's median and quartiles in
+(rows 0-8,191 and 8,192-9,999 of master seed 1) as the best of
+``SPEED_CALLS`` calls.  The tool prints each side's median and quartiles in
 ms, the pairs the change won, and the median gain against the parent's
 quartile spread.
 
@@ -43,6 +43,8 @@ UNIFORM_WINDOWS = ((2**32 - 4096, 2**32 + 4096), (2**64 - 4096, 2**64 + 4096))
 
 #: The row blocks of the benchmark's 10,000-game ``ensemble`` operation.
 SPEED_BLOCKS = ((0, 8192), (8192, 10_000))
+#: Timed calls per speed process; the best is taken.
+SPEED_CALLS = 50
 
 
 def side_bits(games: int) -> str:
@@ -61,12 +63,12 @@ def side_bits(games: int) -> str:
     return digest.hexdigest()
 
 
-def side_speed(repeat: int) -> float:
+def side_speed() -> float:
     """The best time, in ms, of ``_uniforms`` over the benchmark's blocks."""
     from cyberevo import ensemble
 
     best = float("inf")
-    for _ in range(repeat + 1):  # the first call warms caches and is dropped
+    for _ in range(SPEED_CALLS + 1):  # the first call warms caches and is dropped
         begin = time.perf_counter()
         for start, stop in SPEED_BLOCKS:
             ensemble._uniforms(1, start, stop)
@@ -78,11 +80,11 @@ class SideError(Exception):
     """A side's interpreter failed or imported cyberevo from elsewhere."""
 
 
-def run_side(tree: Path, mode: str, arg: int):
+def run_side(tree: Path, mode: str, *args: int):
     """Run ``mode`` in a fresh interpreter on ``tree``; returns its result."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--side", mode, str(arg)],
+        [sys.executable, str(Path(__file__).resolve()), "--side", mode, *map(str, args)],
         capture_output=True, text=True, env=env, check=False,
     )
     if proc.returncode != 0:
@@ -107,8 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["--side"]:
         import cyberevo
 
-        mode, arg = argv[1], int(argv[2])
-        value = side_bits(arg) if mode == "bits" else side_speed(arg)
+        value = side_bits(int(argv[2])) if argv[1] == "bits" else side_speed()
         print(json.dumps({"module": cyberevo.__file__, "value": value}))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -117,11 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="speed pairs (default 10)")
     parser.add_argument("--games", type=int, default=100_000,
                         help="games of each bits run (default 100000)")
-    parser.add_argument("--repeat", type=int, default=50,
-                        help="calls per speed process, best taken (default 50)")
     args = parser.parse_args(argv)
-    if args.pairs < 0 or args.games < 1 or args.repeat < 1:
-        parser.error("--pairs must be >= 0, --games and --repeat >= 1")
+    if args.pairs < 0 or args.games < 1:
+        parser.error("--pairs must be >= 0 and --games >= 1")
     sides = {"parent": args.parent, "change": args.change}
     try:
         bits = {name: run_side(tree, "bits", args.games) for name, tree in sides.items()}
@@ -135,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for name in order:
-                times[name].append(run_side(sides[name], "speed", args.repeat))
+                times[name].append(run_side(sides[name], "speed"))
     except SideError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
